@@ -9,23 +9,24 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"repro/internal/bitvec"
+	"repro/internal/fleet"
 )
 
 // ErrNodeBad reports a node answering 4xx — the coordinator sent
 // something the node rejected. These are never retried: a request the
 // node refused once it will refuse identically on every attempt.
+// Unreachable nodes (or persistently 5xx ones, or garbled answers)
+// report fleet.ErrDown instead, which the failure ladder counts.
 var ErrNodeBad = errors.New("cluster: node rejected request")
 
-// ErrNodeDown reports a node unreachable (or persistently 5xx) after
-// the bounded retry budget. The coordinator's failure ladder counts
-// these toward taking the node out of rotation.
-var ErrNodeDown = errors.New("cluster: node unreachable")
-
-// nodeClient is the coordinator's HTTP client for one node. Every call
-// is bounded by the per-request timeout and a small retry budget with
-// doubling backoff; 4xx responses are terminal (no retry), network
-// errors and 5xx are retried. The client carries no node state — the
-// coordinator's failure ladder interprets the errors.
+// nodeClient is the remote fleet.Member: the coordinator's HTTP client
+// for one node. Every call is bounded by the per-request timeout and a
+// small retry budget with doubling backoff; 4xx responses are terminal
+// (no retry), network errors and 5xx are retried. The client carries
+// no node state — the dispatcher's failure ladder interprets the
+// errors.
 type nodeClient struct {
 	base    string // http://host:port, no trailing slash
 	hc      *http.Client
@@ -92,7 +93,7 @@ func (c *nodeClient) do(method, path string, contentType string, body []byte) ([
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: %s%s after %d attempts: %v", ErrNodeDown, c.base, path, c.retries+1, lastErr)
+	return nil, fmt.Errorf("%w: %s%s after %d attempts: %v", fleet.ErrDown, c.base, path, c.retries+1, lastErr)
 }
 
 // firstLine truncates an error body for diagnostics.
@@ -121,7 +122,7 @@ func (c *nodeClient) postJSON(path string, in, out any) error {
 		return nil
 	}
 	if err := json.Unmarshal(resp, out); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrNodeDown, path, err)
+		return fmt.Errorf("%w: %s: %v", fleet.ErrDown, path, err)
 	}
 	return nil
 }
@@ -133,43 +134,62 @@ func (c *nodeClient) getJSON(path string, out any) error {
 		return err
 	}
 	if err := json.Unmarshal(resp, out); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrNodeDown, path, err)
+		return fmt.Errorf("%w: %s: %v", fleet.ErrDown, path, err)
 	}
 	return nil
 }
 
 // Score asks the node to encode and score a raw-feature batch.
-func (c *nodeClient) Score(xs [][]float64, temperature float64) (ScoreResponse, error) {
+func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float64, error) {
 	var out ScoreResponse
-	err := c.postJSON("/node/score", ScoreRequest{Xs: xs, Temperature: temperature}, &out)
-	if err == nil && len(out.Classes) != len(xs) {
-		return ScoreResponse{}, fmt.Errorf("%w: /node/score returned %d answers for %d queries", ErrNodeDown, len(out.Classes), len(xs))
+	if err := c.postJSON("/node/score", ScoreRequest{Xs: xs, Temperature: temperature}, &out); err != nil {
+		return nil, nil, err
 	}
-	return out, err
+	if len(out.Classes) != len(xs) || len(out.Confs) != len(xs) {
+		return nil, nil, fmt.Errorf("%w: /node/score returned %d answers for %d queries", fleet.ErrDown, len(out.Classes), len(xs))
+	}
+	return out.Classes, out.Confs, nil
 }
 
 // Summary fetches the node's chunk-hash divergence digest.
-func (c *nodeClient) Summary(chunks int) (Summary, error) {
-	var out Summary
-	err := c.getJSON(fmt.Sprintf("/node/summary?chunks=%d", chunks), &out)
-	return out, err
+func (c *nodeClient) Summary(chunks int) (fleet.Summary, error) {
+	var doc Summary
+	if err := c.getJSON(fmt.Sprintf("/node/summary?chunks=%d", chunks), &doc); err != nil {
+		return fleet.Summary{}, err
+	}
+	return doc.parse()
 }
 
 // Chunks fetches the bits of the named chunks.
-func (c *nodeClient) Chunks(refs []ChunkRef) (ChunksResponse, error) {
+func (c *nodeClient) Chunks(refs []ChunkRef) ([]*bitvec.Vector, error) {
 	var out ChunksResponse
-	err := c.postJSON("/node/chunks", ChunksRequest{Chunks: refs}, &out)
-	if err == nil && len(out.Chunks) != len(refs) {
-		return ChunksResponse{}, fmt.Errorf("%w: /node/chunks returned %d chunks for %d refs", ErrNodeDown, len(out.Chunks), len(refs))
+	if err := c.postJSON("/node/chunks", ChunksRequest{Chunks: refs}, &out); err != nil {
+		return nil, err
 	}
-	return out, err
+	if len(out.Chunks) != len(refs) {
+		return nil, fmt.Errorf("%w: /node/chunks returned %d chunks for %d refs", fleet.ErrDown, len(out.Chunks), len(refs))
+	}
+	vs := make([]*bitvec.Vector, len(refs))
+	for i, cd := range out.Chunks {
+		vs[i] = new(bitvec.Vector)
+		if err := vs[i].UnmarshalBinary(cd.Bits); err != nil || vs[i].Len() != refs[i].Hi-refs[i].Lo {
+			return nil, fmt.Errorf("%w: bad chunk payload from %s", fleet.ErrDown, c.base)
+		}
+	}
+	return vs, nil
 }
 
 // Repair pushes majority chunk images onto the node.
-func (c *nodeClient) Repair(chunks []ChunkData) (RepairResponse, error) {
-	var out RepairResponse
-	err := c.postJSON("/node/repair", RepairRequest{Chunks: chunks}, &out)
-	return out, err
+func (c *nodeClient) Repair(patches []fleet.Patch) error {
+	push := make([]ChunkData, len(patches))
+	for i, p := range patches {
+		b, err := p.Bits.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		push[i] = ChunkData{Class: p.Class, Lo: p.Lo, Hi: p.Lo + p.Bits.Len(), Bits: b}
+	}
+	return c.postJSON("/node/repair", RepairRequest{Chunks: push}, nil)
 }
 
 // Snapshot streams the node's stamped model image (the reseed donor
@@ -184,10 +204,10 @@ func (c *nodeClient) Reseed(image []byte) error {
 	return err
 }
 
-// Healthz probes node liveness without retries or side effects — the
+// Probe checks node liveness without retries or side effects — the
 // rejoin ladder wants the instantaneous answer, and a probe that has
 // to retry is by definition a failed probe.
-func (c *nodeClient) Healthz() bool {
+func (c *nodeClient) Probe() bool {
 	req, err := http.NewRequest(http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
 		return false
@@ -201,17 +221,25 @@ func (c *nodeClient) Healthz() bool {
 	return resp.StatusCode == http.StatusOK
 }
 
+// VerifyJournal asks the node to re-verify its own journal file
+// against its live chain — the donor-trust gate. Nodes without a
+// journal make no lineage claim and pass.
+func (c *nodeClient) VerifyJournal() error {
+	var jv JournalVerifyResponse
+	if err := c.getJSON("/journal/verify", &jv); err != nil {
+		return err
+	}
+	if jv.Enabled && !jv.OK {
+		return fmt.Errorf("%w: %s", fleet.ErrUnverified, jv.Error)
+	}
+	return nil
+}
+
+// Describe names the node in its status row.
+func (c *nodeClient) Describe(st *fleet.ReplicaStatus) { st.Addr = c.base }
+
 // Attack forwards a fault drill to the node's /attack endpoint (the
 // node runs in single-model mode, so no replica field travels).
 func (c *nodeClient) Attack(body []byte) ([]byte, error) {
 	return c.do(http.MethodPost, "/attack", "application/json", body)
-}
-
-// JournalVerify asks the node to re-verify its own journal file
-// against its live chain — the donor-trust gate before re-seeding
-// from it. Nodes without a journal answer Enabled=false.
-func (c *nodeClient) JournalVerify() (JournalVerifyResponse, error) {
-	var out JournalVerifyResponse
-	err := c.getJSON("/journal/verify", &out)
-	return out, err
 }

@@ -1,29 +1,11 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/fleet"
 	"repro/internal/recovery"
-)
-
-// ErrNoNodes reports a coordinator call with every node down or
-// quarantined — the cluster cannot answer anything.
-var ErrNoNodes = errors.New("cluster: no active nodes")
-
-// Node lifecycle states. Unlike the in-process fleet, a networked node
-// can also be unreachable: Down is the state the failure ladder parks
-// it in until consecutive health probes earn it back into rotation.
-const (
-	nodeActive int32 = iota
-	nodeDown
-	nodeQuarantined
+	"repro/internal/stats"
 )
 
 // Config parameterizes a coordinator.
@@ -67,476 +49,89 @@ type Config struct {
 	Journal *fleet.Journal
 }
 
-func (c *Config) fillDefaults() {
-	if c.Quorum <= 0 {
-		c.Quorum = len(c.Nodes)/2 + 1
-	}
-	if c.Quorum > len(c.Nodes) {
-		c.Quorum = len(c.Nodes)
-	}
-	if c.Temperature <= 0 {
-		c.Temperature = recovery.DefaultConfig().Temperature
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.RejoinProbes <= 0 {
-		c.RejoinProbes = 2
-	}
-	if c.AntiEntropy.Chunks <= 0 {
-		c.AntiEntropy.Chunks = 64
-	}
-	if c.AntiEntropy.QuarantineDivergence <= 0 {
-		c.AntiEntropy.QuarantineDivergence = 0.05
-	}
-	if c.AntiEntropy.MinReseedAgreement <= 0 {
-		c.AntiEntropy.MinReseedAgreement = 0.5
-	}
-}
-
-// node is one cluster member as the coordinator sees it.
-type node struct {
-	id   int
-	addr string
-	c    *nodeClient
-
-	state atomic.Int32
-	// consecFails counts consecutive ErrNodeDown exchanges; rejoinOKs
-	// counts consecutive successful probes (sweep-driven, under aeMu).
-	consecFails atomic.Int32
-	rejoinOKs   int
-
-	served      atomic.Int64
-	failures    atomic.Int64
-	downs       atomic.Int64
-	rejoins     atomic.Int64
-	quarantines atomic.Int64
-	reseeds     atomic.Int64
-	divergence  atomic.Uint64 // float bits, last sweep's measurement
-}
-
-func (n *node) active() bool            { return n.state.Load() == nodeActive }
-func (n *node) setDivergence(f float64) { n.divergence.Store(math.Float64bits(f)) }
-func (n *node) getDivergence() float64  { return math.Float64frombits(n.divergence.Load()) }
-
-// Coordinator is the networked fleet dispatcher: the same replication
-// algebra as fleet.Fleet — rotating read-quorum, escalation to a full
-// majority vote, summary-driven anti-entropy, quarantine/reseed — with
-// each replica living in its own process behind the node API. Under
-// identical event sequences its answers are bit-identical to the
-// in-process fleet's; what it adds is survival of process death: a
-// killed node trips the failure ladder, the survivors keep answering,
-// and sweeps probe the corpse back into rotation when it returns.
+// Coordinator is the networked fleet: a fleet.Dispatcher whose members
+// are servehd nodes in their own processes, each with its own
+// substrate, recoverer, scrubber and journal. The replication
+// algorithm is the in-process fleet's, so under identical event
+// sequences its answers are bit-identical to the fleet's; what the
+// network adds is survival of process death: a killed node trips the
+// failure ladder, the survivors keep answering, and sweeps probe it
+// back into rotation when it returns. The quorum, anti-entropy and
+// journal settings are validated and defaulted by fleet.NewDispatcher,
+// exactly as for an in-process fleet.
 type Coordinator struct {
-	cfg     Config
-	nodes   []*node
-	journal *fleet.Journal
-
-	// cursor and healthy mirror fleet.Fleet exactly — member selection
-	// must advance in lockstep with the oracle or quorum compositions
-	// (and thus votes under divergence) would differ. healthy starts
-	// false: the fleet forks provably identical replicas itself, but
-	// the coordinator found its nodes on the network and lets the first
-	// clean sweep prove them identical.
-	cursor  atomic.Uint64
-	healthy atomic.Bool
-
-	// aeMu serializes sweeps and lifecycle transitions.
-	aeMu sync.Mutex
-
-	fastPredicts   atomic.Int64
-	quorumPredicts atomic.Int64
-	escalations    atomic.Int64
-	degraded       atomic.Int64 // batches answered with members missing
-	sweeps         atomic.Int64
-	repairs        atomic.Int64
-	repairBits     atomic.Int64
-	quarantines    atomic.Int64
-	reseeds        atomic.Int64
-
-	done   chan struct{}
-	bg     sync.WaitGroup
-	closed atomic.Bool
+	*fleet.Dispatcher[[]float64]
+	cfg   Config
+	nodes []*nodeClient
 }
 
 // New builds a coordinator over the configured nodes. It performs no
-// network traffic — nodes are assumed reachable until proven otherwise.
+// network traffic — nodes are assumed reachable until proven
+// otherwise, and the fast path stays disarmed until a clean sweep
+// proves them identical.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Nodes) == 0 {
-		return nil, errors.New("cluster: no nodes configured")
+	if err := stats.CheckFinite("cluster: temperature", cfg.Temperature); err != nil {
+		return nil, err
 	}
-	if cfg.Quorum < 0 || cfg.Quorum > len(cfg.Nodes) {
-		return nil, fmt.Errorf("cluster: quorum %d out of [1,%d]", cfg.Quorum, len(cfg.Nodes))
+	if cfg.Temperature <= 0 {
+		cfg.Temperature = recovery.DefaultConfig().Temperature
 	}
-	cfg.fillDefaults()
-	co := &Coordinator{
-		cfg:     cfg,
-		journal: cfg.Journal,
-		done:    make(chan struct{}),
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Second
 	}
+	if cfg.Retries < 0 {
+		cfg.Retries = 0
+	} else if cfg.Retries == 0 {
+		cfg.Retries = 2
+	}
+	if cfg.Backoff <= 0 {
+		cfg.Backoff = 50 * time.Millisecond
+	}
+	co := &Coordinator{cfg: cfg}
+	members := make([]fleet.Member[[]float64], len(cfg.Nodes))
 	for i, addr := range cfg.Nodes {
 		nc, err := newNodeClient(addr, cfg.Timeout, cfg.Retries, cfg.Backoff)
 		if err != nil {
 			return nil, err
 		}
-		co.nodes = append(co.nodes, &node{id: i, addr: nc.base, c: nc})
+		co.nodes = append(co.nodes, nc)
+		members[i] = nc
 	}
-	if cfg.AntiEntropy.Interval > 0 {
-		co.bg.Add(1)
-		go co.sweepLoop()
+	d, err := fleet.NewDispatcher(members,
+		fleet.Config{Quorum: cfg.Quorum, AntiEntropy: cfg.AntiEntropy, Journal: cfg.Journal},
+		fleet.Ladder{FailThreshold: cfg.FailThreshold, RejoinProbes: cfg.RejoinProbes})
+	if err != nil {
+		return nil, err
 	}
+	co.Dispatcher = d
 	return co, nil
 }
-
-// Size returns the configured node count.
-func (co *Coordinator) Size() int { return len(co.nodes) }
-
-// Quorum returns the configured read-quorum.
-func (co *Coordinator) Quorum() int { return co.cfg.Quorum }
 
 // Temperature returns the softmax temperature nodes score at.
 func (co *Coordinator) Temperature() float64 { return co.cfg.Temperature }
 
-// Healthy reports whether the fast single-node path is engaged.
-func (co *Coordinator) Healthy() bool { return co.healthy.Load() }
-
-func (co *Coordinator) actives() []*node {
-	out := make([]*node, 0, len(co.nodes))
-	for _, n := range co.nodes {
-		if n.active() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (co *Coordinator) node(id int) (*node, error) {
-	if id < 0 || id >= len(co.nodes) {
-		return nil, fmt.Errorf("cluster: no node %d", id)
-	}
-	return co.nodes[id], nil
-}
-
-// noteSuccess resets a node's failure streak.
-func (co *Coordinator) noteSuccess(n *node) { n.consecFails.Store(0) }
-
-// noteFailure advances the failure ladder. Only unreachability
-// (ErrNodeDown) counts — a node answering 4xx is alive and healthy,
-// the coordinator just asked it something wrong.
-func (co *Coordinator) noteFailure(n *node, err error) {
-	n.failures.Add(1)
-	if !errors.Is(err, ErrNodeDown) {
-		return
-	}
-	fails := n.consecFails.Add(1)
-	if int(fails) >= co.cfg.FailThreshold && n.state.CompareAndSwap(nodeActive, nodeDown) {
-		n.downs.Add(1)
-		co.healthy.Store(false)
-		co.journal.Append(fleet.Event{Kind: fleet.EventWatchdog, Replica: n.id, Class: -1, Chunk: -1,
-			Detail: fmt.Sprintf("node down after %d consecutive failures", fails)})
-	}
-}
-
-// scoreOn scores the batch on one node, driving the failure ladder.
-func (co *Coordinator) scoreOn(n *node, xs [][]float64, temperature float64) ([]int, []float64, error) {
-	resp, err := n.c.Score(xs, temperature)
-	if err != nil {
-		co.noteFailure(n, err)
-		return nil, nil, err
-	}
-	co.noteSuccess(n)
-	n.served.Add(int64(len(xs)))
-	return resp.Classes, resp.Confs, nil
-}
-
-// fanScore scores the batch on every listed node concurrently,
-// preserving list order. Failed nodes yield nil vote slots and their
-// error in the matching errs slot.
-func (co *Coordinator) fanScore(ns []*node, xs [][]float64, temperature float64) ([][]int, [][]float64, []error) {
-	votes := make([][]int, len(ns))
-	confs := make([][]float64, len(ns))
-	errs := make([]error, len(ns))
-	var wg sync.WaitGroup
-	for i, n := range ns {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			votes[i], confs[i], errs[i] = co.scoreOn(n, xs, temperature)
-		}(i, n)
-	}
-	wg.Wait()
-	return votes, confs, errs
-}
-
-// ScoreBatch classifies a batch of raw feature vectors through the
-// cluster — fleet.ScoreBatch over the wire. Nodes encode the features
-// themselves (the encoder is deterministic in (seed, config), so every
-// node that loaded the same snapshot encodes bit-identically).
-//
-// Healthy fast path: the batch scores on one node round-robin; any
-// failure drops to the quorum path. Quorum path: Quorum members are
-// picked by the rotating cursor, scored concurrently, and merged by
-// the shared fleet.ResolveVotes — unanimous queries answer directly,
-// disagreement escalates to the full active set with majority vote.
-// Members that die mid-batch are dropped from the vote (and the
-// failure ladder advances); the batch degrades to the survivors
-// rather than stalling past the per-node deadline.
-func (co *Coordinator) ScoreBatch(xs [][]float64, temperature float64) ([]int, []float64, error) {
-	if len(xs) == 0 {
-		return []int{}, []float64{}, nil
-	}
-	act := co.actives()
-	if len(act) == 0 {
-		return nil, nil, ErrNoNodes
-	}
-	if co.healthy.Load() && len(act) == len(co.nodes) {
-		n := act[co.cursor.Add(1)%uint64(len(act))]
-		classes, confs, err := co.scoreOn(n, xs, temperature)
-		if err == nil {
-			co.fastPredicts.Add(int64(len(xs)))
-			return classes, confs, nil
-		}
-		if errors.Is(err, ErrNodeBad) {
-			// The node vetoed the request itself — every other node
-			// would say the same, and the node is demonstrably alive,
-			// so the fast path stays armed.
-			return nil, nil, err
-		}
-		// The chosen node failed: the fleet is no longer provably in
-		// sync with itself reachable — drop to the quorum path over
-		// whoever is left.
-		co.healthy.Store(false)
-		act = co.actives()
-		if len(act) == 0 {
-			return nil, nil, ErrNoNodes
-		}
-	}
-
-	k := co.cfg.Quorum
-	if k > len(act) {
-		k = len(act)
-	}
-	start := co.cursor.Add(1)
-	members := make([]*node, k)
-	for i := range members {
-		members[i] = act[(start+uint64(i))%uint64(len(act))]
-	}
-	votes, vconfs, verrs := co.fanScore(members, xs, temperature)
-	live := make([][]int, 0, len(votes))
-	liveConfs := make([][]float64, 0, len(vconfs))
-	for i := range votes {
-		if votes[i] != nil {
-			live = append(live, votes[i])
-			liveConfs = append(liveConfs, vconfs[i])
-		}
-	}
-	if len(live) == 0 {
-		// A member's 4xx veto means the request itself was malformed —
-		// surface that classification rather than blaming the cluster.
-		for _, e := range verrs {
-			if errors.Is(e, ErrNodeBad) {
-				return nil, nil, e
-			}
-		}
-		return nil, nil, fmt.Errorf("%w: all %d quorum members failed", ErrNoNodes, k)
-	}
-	if len(live) < k {
-		co.degraded.Add(1)
-	}
-	co.quorumPredicts.Add(int64(len(xs)))
-
-	memberVotes := map[*node][]int{}
-	memberConfs := map[*node][]float64{}
-	for i, n := range members {
-		if votes[i] != nil {
-			memberVotes[n], memberConfs[n] = votes[i], vconfs[i]
-		}
-	}
-	full := func() ([][]int, [][]float64, error) {
-		// Escalate to every active node in id order (the oracle's act
-		// order), reusing member answers; fetch the rest concurrently
-		// and drop any that fail.
-		var need []*node
-		for _, n := range act {
-			if _, ok := memberVotes[n]; !ok {
-				need = append(need, n)
-			}
-		}
-		nv, nc, _ := co.fanScore(need, xs, temperature)
-		for i, n := range need {
-			if nv[i] != nil {
-				memberVotes[n], memberConfs[n] = nv[i], nc[i]
-			}
-		}
-		var fullVotes [][]int
-		var fullConfs [][]float64
-		for _, n := range act {
-			if v, ok := memberVotes[n]; ok {
-				fullVotes = append(fullVotes, v)
-				fullConfs = append(fullConfs, memberConfs[n])
-			}
-		}
-		if len(fullVotes) == 0 {
-			return nil, nil, ErrNoNodes
-		}
-		return fullVotes, fullConfs, nil
-	}
-	classes, confs, escalated, err := fleet.ResolveVotes(live, liveConfs, full)
-	if err != nil {
-		return nil, nil, err
-	}
-	if escalated {
-		co.escalations.Add(1)
-	}
-	return classes, confs, nil
-}
-
 // Attack forwards a fault drill to one node's /attack endpoint. Like
-// fleet.WithReplica, any external mutation routed through the
-// coordinator invalidates the fast path first — a drill that landed
-// while the fast path stayed armed would serve unvoted answers from a
-// possibly-corrupted node.
+// fleet.WithReplica, it disarms the fast path first.
 func (co *Coordinator) Attack(nodeID int, body []byte) ([]byte, error) {
-	n, err := co.node(nodeID)
-	if err != nil {
-		return nil, err
-	}
-	co.healthy.Store(false)
-	resp, aerr := n.c.Attack(body)
-	if aerr != nil {
-		co.noteFailure(n, aerr)
-		return nil, aerr
-	}
-	co.noteSuccess(n)
-	return resp, nil
+	var resp []byte
+	err := co.Mutate(nodeID, func() (err error) {
+		resp, err = co.nodes[nodeID].Attack(body)
+		return err
+	})
+	return resp, err
 }
 
-// NodeStatus is one member's externally visible state.
-type NodeStatus struct {
-	ID    int    `json:"id"`
-	Addr  string `json:"addr"`
-	State string `json:"state"`
-	// Served counts queries this node scored for the coordinator;
-	// Failures counts failed exchanges (including retries' final
-	// verdicts, not each attempt).
-	Served   int64 `json:"served"`
-	Failures int64 `json:"failures"`
-	// Divergence is the node's disagreement with the cluster majority
-	// at the last sweep.
-	Divergence  float64 `json:"divergence"`
-	Downs       int64   `json:"downs"`
-	Rejoins     int64   `json:"rejoins"`
-	Quarantines int64   `json:"quarantines"`
-	Reseeds     int64   `json:"reseeds"`
-}
-
-// Status is the coordinator's externally visible state (/cluster).
+// Status is the coordinator's externally visible state (/cluster): the
+// fleet status document with the member rows under "nodes".
 type Status struct {
-	Nodes  []NodeStatus `json:"nodes"`
-	Quorum int          `json:"quorum"`
-	// Healthy reports whether the fast single-node path is engaged.
-	Healthy        bool  `json:"healthy"`
-	FastPredicts   int64 `json:"fast_predicts"`
-	QuorumPredicts int64 `json:"quorum_predicts"`
-	Escalations    int64 `json:"escalations"`
-	// Degraded counts batches answered with quorum members missing.
-	Degraded    int64 `json:"degraded"`
-	Sweeps      int64 `json:"sweeps"`
-	Repairs     int64 `json:"repairs"`
-	RepairBits  int64 `json:"repair_bits"`
-	Quarantines int64 `json:"quarantines"`
-	Reseeds     int64 `json:"reseeds"`
-	// JournalSeq / JournalSealedSeq / JournalErrors mirror the fleet
-	// journal health fields: last seq, highest Merkle-sealed seq, and
-	// sink failures (appends are fire-and-forget on the serving path, so
-	// the counter is the only failure signal).
-	JournalSeq       int64 `json:"journal_seq"`
-	JournalSealedSeq int64 `json:"journal_sealed_seq"`
-	JournalErrors    int64 `json:"journal_errors"`
+	fleet.Status
+	Nodes []fleet.ReplicaStatus `json:"nodes"`
 }
 
 // Status snapshots coordinator and per-node counters.
 func (co *Coordinator) Status() Status {
-	st := Status{
-		Quorum:         co.cfg.Quorum,
-		Healthy:        co.healthy.Load(),
-		FastPredicts:   co.fastPredicts.Load(),
-		QuorumPredicts: co.quorumPredicts.Load(),
-		Escalations:    co.escalations.Load(),
-		Degraded:       co.degraded.Load(),
-		Sweeps:         co.sweeps.Load(),
-		Repairs:        co.repairs.Load(),
-		RepairBits:     co.repairBits.Load(),
-		Quarantines:    co.quarantines.Load(),
-		Reseeds:        co.reseeds.Load(),
-	}
-	js := co.journal.Stats()
-	st.JournalSeq = js.Seq
-	st.JournalSealedSeq = js.SealedSeq
-	st.JournalErrors = js.Errors
-	for _, n := range co.nodes {
-		ns := NodeStatus{
-			ID:          n.id,
-			Addr:        n.addr,
-			State:       "active",
-			Served:      n.served.Load(),
-			Failures:    n.failures.Load(),
-			Divergence:  n.getDivergence(),
-			Downs:       n.downs.Load(),
-			Rejoins:     n.rejoins.Load(),
-			Quarantines: n.quarantines.Load(),
-			Reseeds:     n.reseeds.Load(),
-		}
-		switch n.state.Load() {
-		case nodeDown:
-			ns.State = "down"
-		case nodeQuarantined:
-			ns.State = "quarantined"
-		}
-		st.Nodes = append(st.Nodes, ns)
-	}
-	return st
-}
-
-// sweepLoop runs anti-entropy on the configured interval.
-func (co *Coordinator) sweepLoop() {
-	defer co.bg.Done()
-	t := time.NewTicker(co.cfg.AntiEntropy.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_, _ = co.SweepNow()
-		case <-co.done:
-			return
-		}
-	}
-}
-
-// Close stops the background sweep loop. In-flight calls complete; the
-// coordinator holds no queues of its own.
-func (co *Coordinator) Close() {
-	if !co.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(co.done)
-	co.bg.Wait()
-}
-
-// chunkPlan is one divergent chunk scheduled for repair on one node.
-type chunkPlan struct {
-	class, chunk, lo, hi int
-	bits                 int            // node's disagreement with the majority
-	maj                  *bitvec.Vector // majority image for this chunk
+	st := co.Dispatcher.Status()
+	nodes := st.Replicas
+	st.Replicas = nil
+	return Status{Status: st, Nodes: nodes}
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
@@ -329,6 +331,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Nodes: []string{"http://a"}, Quorum: -1},
 		{Nodes: []string{"not a url"}},
 		{Nodes: []string{""}},
+		{Nodes: []string{"http://a"}, Temperature: math.NaN()},
+		{Nodes: []string{"http://a"}, Temperature: math.Inf(1)},
+		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{QuarantineDivergence: math.NaN()}},
+		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{QuarantineDivergence: math.Inf(1)}},
+		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{MinReseedAgreement: math.NaN()}},
+		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{MinReseedAgreement: math.Inf(-1)}},
 	}
 	for i, cfg := range cases {
 		if _, err := cluster.New(cfg); err == nil {

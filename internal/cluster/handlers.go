@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"repro/internal/fleet"
 )
 
 // Handler returns the coordinator's HTTP API — the serve API's shape,
@@ -34,7 +36,7 @@ func (co *Coordinator) Handler() http.Handler {
 // handleJournalProof serves a Merkle inclusion proof from the
 // coordinator's own journal (GET /journal/proof?seq=N).
 func (co *Coordinator) handleJournalProof(w http.ResponseWriter, r *http.Request) {
-	if co.journal == nil {
+	if co.cfg.Journal == nil {
 		coordErr(w, http.StatusBadRequest, errors.New("no journal configured"))
 		return
 	}
@@ -43,7 +45,7 @@ func (co *Coordinator) handleJournalProof(w http.ResponseWriter, r *http.Request
 		coordErr(w, http.StatusBadRequest, errors.New("provide seq=N (a sealed journal sequence number)"))
 		return
 	}
-	p, perr := co.journal.Proof(seq)
+	p, perr := co.cfg.Journal.Proof(seq)
 	if perr != nil {
 		coordErr(w, http.StatusNotFound, perr)
 		return
@@ -54,7 +56,7 @@ func (co *Coordinator) handleJournalProof(w http.ResponseWriter, r *http.Request
 // handleJournalVerify re-verifies the coordinator's journal file
 // against its live chain (GET /journal/verify).
 func (co *Coordinator) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	coordJSON(w, http.StatusOK, VerifyJournalDoc(co.journal))
+	coordJSON(w, http.StatusOK, VerifyJournalDoc(co.cfg.Journal))
 }
 
 func coordJSON(w http.ResponseWriter, status int, v any) {
@@ -144,7 +146,7 @@ func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Node == nil {
-		coordErr(w, http.StatusBadRequest, fmt.Errorf("specify \"node\" (0..%d)", len(co.nodes)-1))
+		coordErr(w, http.StatusBadRequest, fmt.Errorf("specify \"node\" (0..%d)", co.Size()-1))
 		return
 	}
 	// Forward the drill without the routing field; the node runs
@@ -162,7 +164,7 @@ func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrNodeBad):
 			coordErr(w, http.StatusBadRequest, err)
-		case errors.Is(err, ErrNodeDown):
+		case errors.Is(err, fleet.ErrDown):
 			coordErr(w, http.StatusBadGateway, err)
 		default:
 			// Out-of-range node id.
@@ -189,7 +191,7 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if len(co.actives()) == 0 {
+	if co.Active() == 0 {
 		coordJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no active nodes"})
 		return
 	}

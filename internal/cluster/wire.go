@@ -1,15 +1,14 @@
-// Package cluster distributes the replica fleet across process and
-// machine boundaries: each replica runs as its own servehd process
-// (own substrate, recoverer, scrubber, journal) behind a small
-// HTTP/JSON node API, and a coordinator performs rotating read-quorum
-// scoring and anti-entropy repair over the wire.
+// Package cluster runs the replica fleet across process and machine
+// boundaries: each replica is its own servehd process (own substrate,
+// recoverer, scrubber, journal) behind a small HTTP/JSON node API, and
+// a coordinator drives them with the fleet's own replication algorithm
+// (fleet.Dispatcher) — rotating read-quorum, anti-entropy,
+// quarantine/reseed and the failure ladder are not implemented here.
 //
-// The in-process fleet (internal/fleet) is this package's oracle:
-// under the same event sequence the networked fleet must produce
-// bit-identical answers to fleet.ScoreBatch, which is why the quorum
-// merge (fleet.ResolveVotes), the majority vote (fleet.MajorityVote),
-// and the chunk partition (fleet.ChunkBounds) are shared code rather
-// than parallel implementations.
+// This package holds only the network half: the node API's wire
+// documents, the remote member (nodeClient, a fleet.Member over HTTP),
+// and the coordinator's HTTP handlers. The node side of the API lives
+// in internal/serve.
 //
 // The anti-entropy protocol ships summaries, not models: every node
 // reports a per-class, per-chunk hash of its deployed class
@@ -22,9 +21,8 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
-	"repro/internal/bitvec"
 	"repro/internal/fleet"
 )
 
@@ -49,11 +47,9 @@ type ScoreResponse struct {
 	Confs   []float64 `json:"confs"`
 }
 
-// Summary is a node's per-class chunk-hash digest of its deployed
-// class hypervectors: Hashes[class][chunk] is ChunkHash over the bits
-// fleet.ChunkBounds assigns to that chunk, rendered as %016x hex (hash
-// values do not survive JSON as numbers — float64 mantissas top out at
-// 2^53).
+// Summary is the wire form of a fleet.Summary: the hashes travel as
+// %016x hex (hash values do not survive JSON as numbers — float64
+// mantissas top out at 2^53).
 type Summary struct {
 	Classes int        `json:"classes"`
 	Dims    int        `json:"dims"`
@@ -61,12 +57,43 @@ type Summary struct {
 	Hashes  [][]string `json:"hashes"`
 }
 
-// ChunkRef names one chunk of one class hypervector by its bit range.
-type ChunkRef struct {
-	Class int `json:"class"`
-	Lo    int `json:"lo"`
-	Hi    int `json:"hi"`
+// SummaryDoc renders a summary for the wire.
+func SummaryDoc(s fleet.Summary) Summary {
+	doc := Summary{Classes: s.Classes, Dims: s.Dims, Chunks: s.Chunks, Hashes: make([][]string, len(s.Hashes))}
+	for c, row := range s.Hashes {
+		doc.Hashes[c] = make([]string, len(row))
+		for k, h := range row {
+			doc.Hashes[c][k] = HashString(h)
+		}
+	}
+	return doc
 }
+
+// parse decodes a node's summary, rejecting one whose table does not
+// match its own header — a garbled answer, counted like no answer.
+func (doc Summary) parse() (fleet.Summary, error) {
+	s := fleet.Summary{Classes: doc.Classes, Dims: doc.Dims, Chunks: doc.Chunks, Hashes: make([][]uint64, len(doc.Hashes))}
+	if len(doc.Hashes) != doc.Classes {
+		return s, fmt.Errorf("%w: summary has %d rows for %d classes", fleet.ErrDown, len(doc.Hashes), doc.Classes)
+	}
+	for c, row := range doc.Hashes {
+		if len(row) != doc.Chunks {
+			return s, fmt.Errorf("%w: summary row %d has %d hashes for %d chunks", fleet.ErrDown, c, len(row), doc.Chunks)
+		}
+		s.Hashes[c] = make([]uint64, len(row))
+		for k, h := range row {
+			v, err := strconv.ParseUint(h, 16, 64)
+			if err != nil {
+				return s, fmt.Errorf("%w: summary hash %q: %v", fleet.ErrDown, h, err)
+			}
+			s.Hashes[c][k] = v
+		}
+	}
+	return s, nil
+}
+
+// ChunkRef names one chunk of one class hypervector by its bit range.
+type ChunkRef = fleet.ChunkRef
 
 // ChunkData is a chunk's bits in transit: Bits is the
 // bitvec.Vector.MarshalBinary encoding of the Hi-Lo bit slice.
@@ -100,29 +127,8 @@ type RepairResponse struct {
 	Bits    int `json:"bits"`
 }
 
-// ChunkHash digests bits [lo, hi) of v for divergence summaries
-// (FNV-1a over the packed little-endian words of the slice, seeded
-// with the slice width so ranges of different lengths never collide
-// trivially). Two chunks with equal hashes are treated as identical by
-// the anti-entropy protocol; at 64 bits, a false match is beyond the
-// lifetime event count of any deployment.
-func ChunkHash(v *bitvec.Vector, lo, hi int) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	putU64(&b, uint64(hi-lo))
-	h.Write(b[:])
-	for _, w := range v.Slice(lo, hi).Words() {
-		putU64(&b, w)
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
-
-func putU64(b *[8]byte, w uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(w >> (8 * i))
-	}
-}
+// ChunkHash is the chunk digest Summary carries (fleet.ChunkHash).
+var ChunkHash = fleet.ChunkHash
 
 // HashString renders a chunk hash the way Summary carries it.
 func HashString(h uint64) string { return fmt.Sprintf("%016x", h) }

@@ -1,44 +1,44 @@
-// Package fleet manages N replicas of one deployed HDC model as a
-// single robust service — the layer that turns "one self-healing
-// model" into "a self-healing deployment".
+// Package fleet runs N replicas of one deployed HDC model as a single
+// robust service — the layer that turns "one self-healing model" into
+// "a self-healing deployment".
 //
-// Each replica is an independent fork of the seed system: private
-// deployed class hypervectors (the attackable memory), a private
-// recovery.Recoverer, and a private substrate.FaultProcess whose weak
-// cells and victims are sampled from a per-replica seed. Because the
-// holographic representation degrades gracefully and *independently*
-// per replica, the fleet holds a strictly stronger recovery signal
-// than any single model: at any moment the bitwise majority across
-// replicas is closer to the trained model than the average replica.
+// Each replica holds private deployed class hypervectors (the
+// attackable memory) in its own faulty memory. Because the holographic
+// representation degrades gracefully and *independently* per replica,
+// the bitwise majority across replicas is closer to the trained model
+// than the average replica, and the replication algorithm exploits
+// that three ways:
 //
-// The fleet exploits that three ways:
-//
-//   - Quorum inference (ScoreBatch): a query fans to a read-quorum of
-//     replicas and the predictions are majority-voted, with escalation
-//     to the full active set on disagreement. While the fleet is
-//     provably in sync a fast path scores on a single replica.
-//   - Anti-entropy repair (SweepNow, antientropy.go): chunks of the
-//     class hypervectors are compared across replicas word-major; a
-//     minority chunk is overwritten with the majority chunk, and the
-//     repair writes are billed to the replica's substrate exactly like
-//     recovery substitutions.
-//   - Replica lifecycle: a replica whose divergence exceeds the
+//   - Quorum inference (ScoreBatch): a batch fans to a read-quorum of
+//     members and the predictions are majority-voted, with escalation
+//     to the full active set on disagreement. While the members are
+//     provably in sync a fast path scores on a single one.
+//   - Anti-entropy repair (SweepNow, antientropy.go): members report
+//     per-chunk hashes of their class hypervectors, only chunks whose
+//     hashes disagree are fetched and majority-voted, and each
+//     minority chunk is overwritten with the majority chunk.
+//   - Member lifecycle: a member whose divergence exceeds the
 //     quarantine threshold leaves rotation, is re-imaged from the
-//     healthiest peer's stamped snapshot (core.SaveStamped /
-//     core.LoadStamped, CRC-sealed), and returns to rotation.
+//     most-agreeing peer's stamped snapshot (core.SaveStamped, CRC-
+//     sealed), and returns to rotation; an unreachable member is
+//     parked Down until health probes earn it back.
+//
+// Dispatcher (dispatch.go) is the one implementation of that
+// algorithm, written against the Member interface. Fleet drives it over
+// in-process replicas (replica.go): forks of one seed system, each with
+// its own recovery.Recoverer, substrate.FaultProcess and epoch chain.
+// internal/cluster drives it over servehd nodes in other processes.
 //
 // Locking: each replica carries its own single-writer RWMutex
-// (innermost). The anti-entropy sweep serializes on Fleet.aeMu and
-// never holds two replica locks at once — donor images are serialized
-// under the donor's read lock, released, then restored under the
-// target's write lock.
+// (innermost). Sweeps serialize on the dispatcher's aeMu and never
+// hold two replica locks at once — donor images are serialized under
+// the donor's read lock, released, then restored under the target's
+// write lock.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -49,16 +49,18 @@ import (
 	"repro/internal/substrate"
 )
 
-// ErrNoReplicas reports a fleet call with every replica quarantined —
-// the lifecycle is designed to make this unreachable (quarantine keeps
-// at least a quorum active), so seeing it means a bug.
+// ErrNoReplicas reports a call with no member in rotation. In process
+// the lifecycle makes this unreachable (quarantine keeps at least a
+// quorum active); over the network every node may be down.
 var ErrNoReplicas = errors.New("fleet: no active replicas")
 
 // maxReplicas bounds the fleet; bitvec.MajorityInto's vote counter
 // caps at 63 lanes and no deployment needs more.
 const maxReplicas = 63
 
-// Config parameterizes a fleet.
+// Config parameterizes a fleet. Its Quorum, AntiEntropy, Journal and
+// ModelID are the replication settings NewDispatcher validates and
+// defaults — for an in-process fleet and a cluster coordinator alike.
 type Config struct {
 	// Replicas is N, the fleet size (default 3).
 	Replicas int
@@ -106,8 +108,9 @@ type AntiEntropyConfig struct {
 	// is always available for drills and tests).
 	Interval time.Duration
 	// Chunks is how many pieces each class hypervector is compared in
-	// (default 64). Smaller chunks localize repairs; the cost per sweep
-	// is one word-major Hamming pass per replica per class regardless.
+	// (default 64). Smaller chunks localize repairs; every member hashes
+	// its whole model per sweep regardless, and only divergent chunks
+	// are fetched.
 	Chunks int
 	// QuarantineDivergence is the divergence fraction (bits disagreeing
 	// with the majority / total model bits) beyond which a replica is
@@ -182,45 +185,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Fleet is a dispatcher over N model replicas.
+// Fleet is the in-process replica fleet: a Dispatcher over N forks of
+// one seed system, plus the hooks only in-process replicas have —
+// recovery observation, fault advances and scrubbing, and direct
+// access for drills.
 type Fleet struct {
-	cfg      Config
+	*Dispatcher[*bitvec.Vector]
 	replicas []*replica
-	journal  *Journal
-
-	// cursor rotates fast-path and quorum-member selection so load and
-	// wear spread evenly.
-	cursor atomic.Uint64
-
-	// healthy gates the fast single-replica path. It is set only by a
-	// sweep that proves all replicas active and bit-identical, and
-	// cleared by anything that could make them diverge: substrate
-	// flips, recovery substitutions, external mutation (WithReplica),
-	// repairs, quarantines. False negatives only cost fan-out; a false
-	// positive would serve unvoted answers, so every clearing site errs
-	// toward clearing.
-	healthy atomic.Bool
-
-	// aeMu serializes anti-entropy sweeps and lifecycle transitions; it
-	// nests OUTSIDE every replica lock.
-	aeMu sync.Mutex
-	// sweep scratch, reused across sweeps (guarded by aeMu).
-	snaps map[int][]*bitvec.Vector // replica id -> class vector copies
-	maj   []*bitvec.Vector
-
-	// fleet-wide counters
-	fastPredicts   atomic.Int64
-	quorumPredicts atomic.Int64
-	escalations    atomic.Int64
-	sweeps         atomic.Int64
-	repairs        atomic.Int64
-	repairBits     atomic.Int64
-	quarantines    atomic.Int64
-	reseeds        atomic.Int64
-
-	done   chan struct{}
-	bg     sync.WaitGroup
-	closed atomic.Bool
 }
 
 // New builds a fleet of cfg.Replicas forks of seed. The seed system
@@ -235,14 +206,9 @@ func New(seed *core.System, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	f := &Fleet{
-		cfg:     cfg,
-		journal: cfg.Journal,
-		snaps:   make(map[int][]*bitvec.Vector),
-		done:    make(chan struct{}),
-	}
-	f.healthy.Store(true)
-	for i := 0; i < cfg.Replicas; i++ {
+	f := &Fleet{}
+	members := make([]Member[*bitvec.Vector], cfg.Replicas)
+	for i := range members {
 		r := &replica{id: i, sys: seed.Fork()}
 		r.chain = model.NewEpochChain(r.sys.Model())
 		if !cfg.DisableRecovery {
@@ -262,16 +228,26 @@ func New(seed *core.System, cfg Config) (*Fleet, error) {
 			r.sub = p
 		}
 		f.replicas = append(f.replicas, r)
+		members[i] = r
 	}
+	d, err := NewDispatcher(members, cfg, Ladder{})
+	if err != nil {
+		return nil, err
+	}
+	f.Dispatcher = d
+	// Forks of one seed are bit-identical by construction, so the fast
+	// path starts armed without waiting for a sweep to prove it.
+	f.healthy.Store(true)
 	if cfg.Substrate != nil {
 		for _, r := range f.replicas {
-			f.bg.Add(1)
-			go f.scrubLoop(r)
+			// The scrubber feeds the fault process real elapsed time
+			// (serve.scrubLoop's pattern).
+			last := time.Now()
+			f.every(cfg.ScrubTick, func(now time.Time) {
+				_, _ = f.AdvanceReplica(r.id, now.Sub(last))
+				last = now
+			})
 		}
-	}
-	if cfg.AntiEntropy.Interval > 0 {
-		f.bg.Add(1)
-		go f.sweepLoop()
 	}
 	return f, nil
 }
@@ -286,9 +262,6 @@ func derivedSeed(base uint64, id int, salt uint64) uint64 {
 	return x | 1 // never 0: several constructors treat 0 as "default"
 }
 
-// Size returns the configured replica count.
-func (f *Fleet) Size() int { return len(f.replicas) }
-
 // ConfidenceGate returns the recovery confidence threshold the fleet's
 // replicas trust pseudo-labels at (callers gate Trusted with it).
 func (f *Fleet) ConfidenceGate() float64 { return f.cfg.Recovery.ConfidenceThreshold }
@@ -296,120 +269,12 @@ func (f *Fleet) ConfidenceGate() float64 { return f.cfg.Recovery.ConfidenceThres
 // Temperature returns the softmax temperature replicas score at.
 func (f *Fleet) Temperature() float64 { return f.cfg.Recovery.Temperature }
 
-// Quorum returns the configured read-quorum.
-func (f *Fleet) Quorum() int { return f.cfg.Quorum }
-
-// Healthy reports whether the fast single-replica path is engaged.
-func (f *Fleet) Healthy() bool { return f.healthy.Load() }
-
-// actives returns the replicas currently in rotation.
-func (f *Fleet) actives() []*replica {
-	out := make([]*replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		if r.active() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ScoreBatch classifies a batch of encoded queries through the fleet
-// and returns per-query classes and confidences.
-//
-// Healthy fast path: the whole batch scores on one replica (round-
-// robin). Otherwise each query fans to a read-quorum of replicas; a
-// unanimous quorum answers directly, and any disagreement escalates to
-// the full active set with majority vote (ties break toward the higher
-// summed confidence, then the lower class id). With three replicas and
-// one corrupted, escalation guarantees the two healthy replicas
-// outvote the corrupted one on every query.
-func (f *Fleet) ScoreBatch(encoded []*bitvec.Vector, temperature float64) ([]int, []float64, error) {
-	classes := make([]int, len(encoded))
-	confs := make([]float64, len(encoded))
-	if len(encoded) == 0 {
-		return classes, confs, nil
-	}
-	act := f.actives()
-	if len(act) == 0 {
-		return nil, nil, ErrNoReplicas
-	}
-	if f.healthy.Load() && len(act) == len(f.replicas) {
-		r := act[f.cursor.Add(1)%uint64(len(act))]
-		f.fastPredicts.Add(int64(len(encoded)))
-		r.served.Add(int64(len(encoded)))
-		ep := r.chain.Acquire()
-		img := ep.Frozen()
-		for i, q := range encoded {
-			classes[i], confs[i] = img.PredictWithConfidence(q, temperature)
-		}
-		ep.Release()
-		return classes, confs, nil
-	}
-
-	// Quorum path: pick Quorum members round-robin, score the whole
-	// batch on each (one lock round per member, not per query).
-	k := f.cfg.Quorum
-	if k > len(act) {
-		k = len(act)
-	}
-	start := f.cursor.Add(1)
-	members := make([]*replica, k)
-	for i := range members {
-		members[i] = act[(start+uint64(i))%uint64(len(act))]
-	}
-	votes := make([][]int, len(members)) // member -> per-query class
-	vconfs := make([][]float64, len(members))
-	for mi, r := range members {
-		votes[mi], vconfs[mi] = f.scoreOn(r, encoded, temperature)
-	}
-	f.quorumPredicts.Add(int64(len(encoded)))
-
-	// Disagreements escalate to the full active set (scored lazily, at
-	// most once); the merge logic is shared with the networked cluster
-	// coordinator, whose answers must be bit-identical to ours.
-	full := func() ([][]int, [][]float64, error) {
-		fullVotes := make([][]int, len(act))
-		fullConfs := make([][]float64, len(act))
-		for ri, r := range act {
-			if mi := indexOf(members, r); mi >= 0 {
-				fullVotes[ri], fullConfs[ri] = votes[mi], vconfs[mi]
-				continue
-			}
-			fullVotes[ri], fullConfs[ri] = f.scoreOn(r, encoded, temperature)
-		}
-		return fullVotes, fullConfs, nil
-	}
-	classes, confs, escalated, err := ResolveVotes(votes, vconfs, full)
-	if err != nil {
-		return nil, nil, err
-	}
-	if escalated {
-		f.escalations.Add(1)
-	}
-	return classes, confs, nil
-}
-
-// scoreOn scores the batch on one replica's current epoch, lock-free.
-func (f *Fleet) scoreOn(r *replica, encoded []*bitvec.Vector, temperature float64) ([]int, []float64) {
-	cs := make([]int, len(encoded))
-	cf := make([]float64, len(encoded))
-	r.served.Add(int64(len(encoded)))
-	ep := r.chain.Acquire()
-	img := ep.Frozen()
-	for i, q := range encoded {
-		cs[i], cf[i] = img.PredictWithConfidence(q, temperature)
-	}
-	ep.Release()
-	return cs, cf
-}
-
-func indexOf(rs []*replica, r *replica) int {
-	for i, x := range rs {
-		if x == r {
-			return i
-		}
-	}
-	return -1
+// SweepNow runs one anti-entropy sweep (Dispatcher.SweepNow). Replicas
+// in process share one shape and cannot be unreachable, so it never
+// fails.
+func (f *Fleet) SweepNow() SweepReport {
+	rep, _ := f.Dispatcher.SweepNow()
+	return rep
 }
 
 // Observe feeds one trusted query to a replica's recoverer (round-
@@ -422,7 +287,7 @@ func (f *Fleet) Observe(q *bitvec.Vector) {
 	if len(act) == 0 {
 		return
 	}
-	r := act[f.cursor.Add(1)%uint64(len(act))]
+	r := f.replicas[act[f.cursor.Add(1)%uint64(len(act))].id]
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.rec == nil || q.Len() != r.sys.Dimensions() {
@@ -445,17 +310,6 @@ func (f *Fleet) Observe(q *bitvec.Vector) {
 		f.healthy.Store(false)
 		f.journalAppend(Event{Kind: EventRecovery, Replica: r.id, Class: -1, Chunk: -1, Bits: d})
 	}
-}
-
-// journalAppend stamps the fleet's tenant id (when configured) onto
-// the event and appends it. Source-level stamping — rather than the
-// journal's default tag — keeps a journal shared across tenants
-// correctly attributed.
-func (f *Fleet) journalAppend(e Event) {
-	if e.Model == "" {
-		e.Model = f.cfg.ModelID
-	}
-	_ = f.journal.Append(e)
 }
 
 // AdvanceReplica advances one replica's fault process by elapsed
@@ -485,17 +339,15 @@ func (f *Fleet) AdvanceReplica(id int, elapsed time.Duration) (int, error) {
 // the hook attack drills use to corrupt a single fleet member. Any
 // external mutation invalidates the fast path.
 func (f *Fleet) WithReplica(id int, fn func(*core.System) error) error {
-	r, err := f.replica(id)
-	if err != nil {
+	return f.Mutate(id, func() error {
+		r := f.replicas[id]
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		err := fn(r.sys)
+		// fn may have rewritten anything (attack drills do): full reimage.
+		r.chain.Publish(r.sys.Model(), nil)
 		return err
-	}
-	f.healthy.Store(false)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	err = fn(r.sys)
-	// fn may have rewritten anything (attack drills do): full reimage.
-	r.chain.Publish(r.sys.Model(), nil)
-	return err
+	})
 }
 
 func (f *Fleet) replica(id int) (*replica, error) {
@@ -503,100 +355,4 @@ func (f *Fleet) replica(id int) (*replica, error) {
 		return nil, fmt.Errorf("fleet: no replica %d", id)
 	}
 	return f.replicas[id], nil
-}
-
-// Status is the fleet's externally visible state (/fleet endpoint).
-type Status struct {
-	Replicas []ReplicaStatus `json:"replicas"`
-	Quorum   int             `json:"quorum"`
-	// Healthy reports whether the fast single-replica path is engaged
-	// (every replica active and proven bit-identical by the last sweep).
-	Healthy bool `json:"healthy"`
-	// FastPredicts / QuorumPredicts split served queries by path;
-	// Escalations counts quorum disagreements that forced a full vote.
-	FastPredicts   int64 `json:"fast_predicts"`
-	QuorumPredicts int64 `json:"quorum_predicts"`
-	Escalations    int64 `json:"escalations"`
-	// Sweeps / Repairs / RepairBits / Quarantines / Reseeds summarize
-	// anti-entropy activity.
-	Sweeps      int64 `json:"sweeps"`
-	Repairs     int64 `json:"repairs"`
-	RepairBits  int64 `json:"repair_bits"`
-	Quarantines int64 `json:"quarantines"`
-	Reseeds     int64 `json:"reseeds"`
-	// JournalSeq is the last journal sequence number (0 without a
-	// journal). JournalSealedSeq is the highest Merkle-sealed seq, and
-	// JournalErrors counts appends the sink rejected — the journal's
-	// health signal, since call sites intentionally drop append errors
-	// on the serving path.
-	JournalSeq       int64 `json:"journal_seq"`
-	JournalSealedSeq int64 `json:"journal_sealed_seq"`
-	JournalErrors    int64 `json:"journal_errors"`
-}
-
-// Status snapshots fleet and per-replica counters.
-func (f *Fleet) Status() Status {
-	st := Status{
-		Quorum:         f.cfg.Quorum,
-		Healthy:        f.healthy.Load(),
-		FastPredicts:   f.fastPredicts.Load(),
-		QuorumPredicts: f.quorumPredicts.Load(),
-		Escalations:    f.escalations.Load(),
-		Sweeps:         f.sweeps.Load(),
-		Repairs:        f.repairs.Load(),
-		RepairBits:     f.repairBits.Load(),
-		Quarantines:    f.quarantines.Load(),
-		Reseeds:        f.reseeds.Load(),
-	}
-	js := f.journal.Stats()
-	st.JournalSeq = js.Seq
-	st.JournalSealedSeq = js.SealedSeq
-	st.JournalErrors = js.Errors
-	for _, r := range f.replicas {
-		st.Replicas = append(st.Replicas, r.status())
-	}
-	return st
-}
-
-// scrubLoop ticks one replica's fault process on the configured
-// cadence, feeding it real elapsed time (serve.scrubLoop's pattern).
-func (f *Fleet) scrubLoop(r *replica) {
-	defer f.bg.Done()
-	t := time.NewTicker(f.cfg.ScrubTick)
-	defer t.Stop()
-	last := time.Now()
-	for {
-		select {
-		case now := <-t.C:
-			_, _ = f.AdvanceReplica(r.id, now.Sub(last))
-			last = now
-		case <-f.done:
-			return
-		}
-	}
-}
-
-// sweepLoop runs anti-entropy on the configured interval.
-func (f *Fleet) sweepLoop() {
-	defer f.bg.Done()
-	t := time.NewTicker(f.cfg.AntiEntropy.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			f.SweepNow()
-		case <-f.done:
-			return
-		}
-	}
-}
-
-// Close stops the background loops. Predictions racing Close still
-// answer; the fleet holds no queues of its own.
-func (f *Fleet) Close() {
-	if !f.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(f.done)
-	f.bg.Wait()
 }

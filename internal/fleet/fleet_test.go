@@ -281,7 +281,7 @@ func TestQuarantineReseedsFromDonor(t *testing.T) {
 		t.Fatalf("expected replica 2 reseeded, got %+v", rep)
 	}
 	r2, _ := f.replica(2)
-	if !r2.active() {
+	if !f.slots[2].active() {
 		t.Fatal("reseeded replica not back in rotation")
 	}
 	for c := 0; c < sys.Classes(); c++ {
@@ -315,6 +315,43 @@ func TestQuarantineReseedsFromDonor(t *testing.T) {
 		if kinds[i] != k {
 			t.Fatalf("journal kinds for replica 2 = %v, want prefix %v", kinds, want)
 		}
+	}
+}
+
+// TestStrandedQuarantineIsReseeded pins the retry for a replica left
+// in quarantine because no donor cleared MinReseedAgreement: once
+// chunk repair has brought the donors back into agreement, the next
+// sweep re-seeds the replica, and the sweep after that proves the
+// fleet identical and re-arms the fast path.
+func TestStrandedQuarantineIsReseeded(t *testing.T) {
+	_, sys := problem(t)
+	f := newFleet(t, sys, Config{
+		Replicas:    3,
+		Seed:        11,
+		ScrubTick:   manualTick,
+		AntiEntropy: AntiEntropyConfig{MinReseedAgreement: 0.999},
+	})
+	for id, rate := range []float64{0.01, 0.01, 0.30} {
+		if err := f.WithReplica(id, func(s *core.System) error {
+			_, err := s.AttackRandom(rate, uint64(id)+5)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := f.SweepNow()
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 2 || len(rep.Reseeded) != 0 {
+		t.Fatalf("sweep 0: want replica 2 quarantined and stranded (donors below 0.999 agreement), got %+v", rep)
+	}
+	rep = f.SweepNow()
+	if len(rep.Reseeded) != 1 || rep.Reseeded[0] != 2 {
+		t.Fatalf("sweep 1: stranded replica not reseeded: %+v", rep)
+	}
+	if st := f.Status().Replicas[2].State; st != "active" {
+		t.Fatalf("sweep 1: replica 2 state %q, want active", st)
+	}
+	if rep = f.SweepNow(); !rep.Healthy || !f.Healthy() {
+		t.Fatalf("sweep 2: fast path not re-armed: %+v", rep)
 	}
 }
 

@@ -1,13 +1,11 @@
 package fleet
 
-// Shared quorum and divergence primitives. The in-process fleet
-// (fleet.go) and the networked cluster coordinator (internal/cluster)
-// implement the same replication algebra — rotating read-quorum with
-// escalation to a full majority vote, and chunked divergence
-// measurement against a cross-replica majority image. The cluster's
-// acceptance criterion is bit-identity with the in-process fleet under
-// the same event sequence, so the decision logic lives here exactly
-// once and both dispatchers call it.
+import "repro/internal/bitvec"
+
+// Quorum and divergence primitives of the replication algorithm: the
+// vote merge behind Dispatcher.ScoreBatch, and the chunk partition and
+// chunk digest every divergence summary uses — in process, on a
+// cluster node, and in the coordinator's repair plan alike.
 
 // ResolveVotes merges quorum members' per-query answers into final
 // classes and confidences. votes[m][i] / confs[m][i] are member m's
@@ -96,10 +94,49 @@ func MajorityVote(votes [][]int, confs [][]float64, i int) (int, float64) {
 }
 
 // ChunkBounds returns the bit range [lo, hi) of chunk k when dims bits
-// are split into `chunks` near-equal pieces. Every divergence
-// measurement — in-process sweep, node summary hashing, coordinator
-// repair — must partition identically, or "the same chunk" would mean
-// different bits on each side of the wire.
+// are split into `chunks` near-equal pieces. Every member's summary
+// and every repair plan must partition identically, or "the same
+// chunk" would mean different bits on each side of the wire.
 func ChunkBounds(dims, chunks, k int) (lo, hi int) {
 	return k * dims / chunks, (k + 1) * dims / chunks
+}
+
+// ChunkHash digests bits [lo, hi) of v for divergence summaries:
+// FNV-1a over the little-endian bytes of the slice width (so ranges of
+// different lengths never collide trivially), then of each 64-bit word
+// of the slice as v.Slice(lo, hi) packs it. The words are read in
+// place, so summarizing a model allocates nothing. Two chunks with
+// equal hashes are treated as identical by anti-entropy; at 64 bits, a
+// false match is beyond the lifetime event count of any deployment.
+func ChunkHash(v *bitvec.Vector, lo, hi int) uint64 {
+	h := fnvWord(fnvOffset64, uint64(hi-lo))
+	words := v.Words()
+	s := uint(lo % 64)
+	for pos := lo; pos < hi; pos += 64 {
+		j := pos / 64
+		w := words[j] >> s
+		if s != 0 && j+1 < len(words) {
+			w |= words[j+1] << (64 - s)
+		}
+		if n := hi - pos; n < 64 {
+			w &= 1<<uint(n) - 1
+		}
+		h = fnvWord(h, w)
+	}
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds the eight little-endian bytes of w into FNV-1a state h.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= w & 0xff
+		h *= fnvPrime64
+		w >>= 8
+	}
+	return h
 }

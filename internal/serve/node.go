@@ -12,7 +12,7 @@ import (
 	"repro/internal/fleet"
 )
 
-// Node API: the server-side half of the networked replica fleet
+// Node API: the server side of the remote fleet.Member
 // (internal/cluster). A servehd process started with -node is one
 // replica — its own substrate, recoverer, scrubber, and journal — and
 // these handlers are the narrow surface the cluster coordinator drives
@@ -27,11 +27,12 @@ import (
 //
 // Every handler validates ids and ranges before touching the model and
 // answers 400 on anything out of range — a confused or malicious
-// coordinator must not be able to panic a node. Scoring and summaries
-// run lock-free against the current model epoch; repair and reseed
-// take the writer mutex, bill their writes to the node's substrate
-// exactly like in-process anti-entropy, and publish the classes they
-// rewrote as a new epoch.
+// coordinator must not be able to panic a node. Past that wall each
+// handler runs the same model-side code as an in-process replica
+// (fleet.ScoreEpoch, Summarize, ReadChunks, RepairChunks, ReseedImage):
+// reads go lock-free through the current model epoch, and repair and
+// reseed take the writer mutex, bill their writes to the node's
+// substrate, and publish the classes they rewrote as a new epoch.
 
 // registerNodeAPI mounts the node endpoints (Handler calls it when
 // Config.NodeAPI is set).
@@ -77,16 +78,8 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	encoded := sys.EncodeAllParallel(req.Xs, s.cfg.EncodeWorkers)
-	resp := cluster.ScoreResponse{
-		Classes: make([]int, len(encoded)),
-		Confs:   make([]float64, len(encoded)),
-	}
-	ep := st.chain.Acquire()
-	img := ep.Frozen()
-	for i, q := range encoded {
-		resp.Classes[i], resp.Confs[i] = img.PredictWithConfidence(q, req.Temperature)
-	}
-	ep.Release()
+	var resp cluster.ScoreResponse
+	resp.Classes, resp.Confs = fleet.ScoreEpoch(st.chain, encoded, req.Temperature)
 	s.metrics.nodeScored.Add(int64(len(encoded)))
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -111,25 +104,7 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: chunks %d out of [1,%d]", ErrBadInput, chunks, dims))
 		return
 	}
-	sum := cluster.Summary{
-		Classes: sys.Classes(),
-		Dims:    dims,
-		Chunks:  chunks,
-		Hashes:  make([][]string, sys.Classes()),
-	}
-	ep := st.chain.Acquire()
-	img := ep.Frozen()
-	for c := range sum.Hashes {
-		row := make([]string, chunks)
-		cv := img.ClassVector(c)
-		for k := range row {
-			lo, hi := fleet.ChunkBounds(dims, chunks, k)
-			row[k] = cluster.HashString(cluster.ChunkHash(cv, lo, hi))
-		}
-		sum.Hashes[c] = row
-	}
-	ep.Release()
-	writeJSON(w, http.StatusOK, sum)
+	writeJSON(w, http.StatusOK, cluster.SummaryDoc(fleet.Summarize(st.chain, chunks)))
 }
 
 // handleNodeChunks returns the bits of the named chunks so the
@@ -157,18 +132,15 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := cluster.ChunksResponse{Chunks: make([]cluster.ChunkData, len(req.Chunks))}
-	ep := st.chain.Acquire()
-	img := ep.Frozen()
-	for i, ref := range req.Chunks {
-		bits, err := img.ClassVector(ref.Class).Slice(ref.Lo, ref.Hi).MarshalBinary()
+	for i, v := range fleet.ReadChunks(st.chain, req.Chunks) {
+		bits, err := v.MarshalBinary()
 		if err != nil {
-			ep.Release()
 			writeErr(w, err)
 			return
 		}
+		ref := req.Chunks[i]
 		resp.Chunks[i] = cluster.ChunkData{Class: ref.Class, Lo: ref.Lo, Hi: ref.Hi, Bits: bits}
 	}
-	ep.Release()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -192,7 +164,7 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: no chunks pushed", ErrBadInput))
 		return
 	}
-	patches := make([]*bitvec.Vector, len(req.Chunks))
+	patches := make([]fleet.Patch, len(req.Chunks))
 	for i, cd := range req.Chunks {
 		if err := s.checkChunkRef(sys, cd.Class, cd.Lo, cd.Hi); err != nil {
 			writeErr(w, err)
@@ -207,31 +179,15 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, fmt.Errorf("%w: chunk %d carries %d bits for range [%d,%d)", ErrBadInput, i, v.Len(), cd.Lo, cd.Hi))
 			return
 		}
-		patches[i] = v
+		patches[i] = fleet.Patch{Class: cd.Class, Lo: cd.Lo, Bits: v}
 	}
-	changed := make([]int, len(req.Chunks))
-	seen := make(map[int]bool, len(req.Chunks))
-	var dirty []int
-	for _, cd := range req.Chunks {
-		if !seen[cd.Class] {
-			seen[cd.Class] = true
-			dirty = append(dirty, cd.Class)
-		}
-	}
+	changed := make([]int, len(patches))
 	s.mu.Lock()
-	m := sys.Model()
-	wrote := 0
-	for i, cd := range req.Chunks {
-		cv := m.ClassVector(cd.Class)
-		changed[i] = cv.Slice(cd.Lo, cd.Hi).Hamming(patches[i])
-		cv.OverwriteSlice(patches[i], cd.Lo)
-		wrote += cd.Hi - cd.Lo
+	for i, p := range patches {
+		changed[i] = sys.Model().ClassVector(p.Class).Slice(p.Lo, p.Lo+p.Bits.Len()).Hamming(p.Bits)
 	}
-	if st.sub != nil && wrote > 0 {
-		st.sub.NoteWrites(wrote)
-		st.publishSubStats()
-	}
-	st.chain.Publish(m, dirty)
+	fleet.RepairChunks(sys, st.sub, st.chain, patches)
+	st.publishSubStats()
 	s.mu.Unlock()
 	out := cluster.RepairResponse{Applied: len(req.Chunks)}
 	for i, cd := range req.Chunks {
@@ -291,17 +247,10 @@ func (s *Server) handleNodeReseed(w http.ResponseWriter, r *http.Request) {
 			sys.Classes(), sys.Dimensions(), sys.Features()))
 		return
 	}
-	snap := donor.Snapshot()
 	bits := sys.Classes() * sys.Dimensions()
 	s.mu.Lock()
-	sys.Restore(snap)
-	if st.sub != nil {
-		st.sub.NoteWrites(bits)
-		st.sub.Refresh()
-		st.publishSubStats()
-	}
-	// Every class was re-imaged: full publish.
-	st.chain.Publish(sys.Model(), nil)
+	fleet.ReseedImage(sys, st.sub, st.chain, donor.Snapshot())
+	st.publishSubStats()
 	s.mu.Unlock()
 	s.metrics.nodeReseeds.Add(1)
 	detail := "unstamped donor image"
