@@ -25,7 +25,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/hdc/am"
-	"repro/internal/hdc/cluster"
 	"repro/internal/hdc/encoding"
 	"repro/internal/hdc/model"
 	"repro/internal/hdc/regress"
@@ -748,28 +747,6 @@ func BenchmarkAssociativeRecall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := memory.Recall(q); !ok {
 			b.Fatal("recall failed")
-		}
-	}
-}
-
-// BenchmarkClusterRun measures hyperdimensional k-means over 300
-// points.
-func BenchmarkClusterRun(b *testing.B) {
-	rng := stats.NewRNG(31)
-	protos := make([]*bitvec.Vector, 5)
-	for c := range protos {
-		protos[c] = bitvec.Random(4096, rng)
-	}
-	var points []*bitvec.Vector
-	for i := 0; i < 300; i++ {
-		v := protos[i%5].Clone()
-		v.FlipBernoulli(0.1, rng)
-		points = append(points, v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Run(points, cluster.Config{K: 5, Seed: 32}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -42,10 +42,10 @@ func TestParse(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, line := range []string{
-		"BenchmarkFoo-8",                  // no iteration count
-		"BenchmarkFoo-8 abc 12 ns/op",     // bad count
-		"BenchmarkFoo-8 10 twelve ns/op",  // bad value
-		"NotABenchmark 10 12 ns/op",       // wrong prefix
+		"BenchmarkFoo-8",                 // no iteration count
+		"BenchmarkFoo-8 abc 12 ns/op",    // bad count
+		"BenchmarkFoo-8 10 twelve ns/op", // bad value
+		"NotABenchmark 10 12 ns/op",      // wrong prefix
 	} {
 		if _, ok := parseBenchLine(line); ok {
 			t.Errorf("parsed malformed line %q", line)

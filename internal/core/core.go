@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -128,17 +129,23 @@ func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, 
 	return s, nil
 }
 
-// scorer is the inference surface both backends share.
-type scorer interface {
-	Classes() int
-	Dimensions() int
+// backend is the surface the dense Model and the compressed LogHD
+// share: publication to an epoch chain, live scoring, and the deployed
+// rows (class vectors or planes) as a snapshot.
+type backend interface {
+	model.Freezer
 	Predict(q *bitvec.Vector) int
 	PredictWithConfidence(q *bitvec.Vector, temperature float64) (int, float64)
 	AccuracyParallel(qs []*bitvec.Vector, labels []int, workers int) float64
+	StorageBits() int
+	SnapshotDeployed() []*bitvec.Vector
+	RestoreDeployed(vs []*bitvec.Vector)
+	WriteDeployed(w io.Writer) error
 }
 
-// backend returns the active deployment.
-func (s *System) backend() scorer {
+// backend returns the active deployment for the operations both
+// backends implement.
+func (s *System) backend() backend {
 	if s.log != nil {
 		return s.log
 	}
@@ -198,23 +205,13 @@ func (s *System) Backend() string {
 
 // Freezer returns the active backend for epoch-chain publication
 // (model.NewEpochChain / EpochChain.Publish accept either).
-func (s *System) Freezer() model.Freezer {
-	if s.log != nil {
-		return s.log
-	}
-	return s.model
-}
+func (s *System) Freezer() model.Freezer { return s.backend() }
 
 // StorageBits returns the deployed class-memory footprint in bits of
 // the active backend: k·D for dense, n·D plus codewords and offsets
 // for LogHD. The ratio between the two is the compression number
 // EXPERIMENTS.md reports.
-func (s *System) StorageBits() int {
-	if s.log != nil {
-		return s.log.StorageBits()
-	}
-	return s.model.StorageBits()
-}
+func (s *System) StorageBits() int { return s.backend().StorageBits() }
 
 // Classes returns the number of classes.
 func (s *System) Classes() int { return s.backend().Classes() }
@@ -377,21 +374,10 @@ func (s *System) AttackBurst(spanFrac, flipProb float64, seed uint64) (attack.Re
 // Snapshot captures the deployed vectors — class hypervectors or base
 // planes, per backend (e.g. to measure recovery progress in
 // experiments; the production threat model has no such safe copy).
-func (s *System) Snapshot() []*bitvec.Vector {
-	if s.log != nil {
-		return s.log.SnapshotDeployed()
-	}
-	return s.model.SnapshotDeployed()
-}
+func (s *System) Snapshot() []*bitvec.Vector { return s.backend().SnapshotDeployed() }
 
 // Restore reinstalls a snapshot.
-func (s *System) Restore(snap []*bitvec.Vector) {
-	if s.log != nil {
-		s.log.RestoreDeployed(snap)
-		return
-	}
-	s.model.RestoreDeployed(snap)
-}
+func (s *System) Restore(snap []*bitvec.Vector) { s.backend().RestoreDeployed(snap) }
 
 // NewRecoverer attaches a recovery loop to the deployed model. The
 // LogHD backend has no per-class hypervectors for substitution to

@@ -120,14 +120,8 @@ func (s *System) SaveAnchored(w io.Writer, probeAccuracy float64, anchor *Journa
 	}
 	// The model section leads with its backend tag (dense RHDC vs
 	// compressed RHLG), so readers dispatch — or refuse — on it.
-	var werr error
-	if s.log != nil {
-		werr = s.log.WriteDeployed(mw)
-	} else {
-		werr = s.model.WriteDeployed(mw)
-	}
-	if werr != nil {
-		return werr
+	if err := s.backend().WriteDeployed(mw); err != nil {
+		return err
 	}
 	return binary.Write(w, binary.LittleEndian, sum.Sum32())
 }

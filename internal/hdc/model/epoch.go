@@ -65,10 +65,14 @@ type EpochChain struct {
 }
 
 // NewEpochChain freezes f's current image as epoch zero — f is either
-// a dense *Model or a compressed *LogHD deployment. The caller must
-// hold the backend's writer lock if it has concurrent writers.
+// a dense *Model or a compressed *LogHD deployment. The chain publishes
+// through the backend's own pool: a vector the chain recycles is
+// referenced by no later image of the chain, so sharing the pool with
+// the backend's scoring, or with another chain over the same backend,
+// is safe. The caller must hold the backend's writer lock if it has
+// concurrent writers.
 func NewEpochChain(f Freezer) *EpochChain {
-	c := &EpochChain{pool: f.newFrozenPool()}
+	c := &EpochChain{pool: f.view().pool}
 	e := &Epoch{img: f.Refreeze(nil, c.pool, nil)}
 	c.cur.Store(e)
 	c.published.Store(1)

@@ -56,14 +56,14 @@ func TestFrozenBitIdentical(t *testing.T) {
 			gs := make([]float64, classes)
 			ws := make([]float64, classes)
 			f.SimilaritiesInto(gs, q)
-			m.SimilaritiesInto(ws, q)
+			m.view().SimilaritiesInto(ws, q)
 			for c := range gs {
 				if gs[c] != ws[c] {
 					t.Fatalf("query %d class %d: similarity %v vs %v", i, c, gs[c], ws[c])
 				}
 			}
 			f.ConfidencesInto(gs, q, 80)
-			m.ConfidencesInto(ws, q, 80)
+			m.view().ConfidencesInto(ws, q, 80)
 			for c := range gs {
 				if gs[c] != ws[c] {
 					t.Fatalf("query %d class %d: confidence %v vs %v", i, c, gs[c], ws[c])
@@ -182,5 +182,38 @@ func TestFrozenPoolPinnedReader(t *testing.T) {
 	c.Publish(m, []int{0}) // next publish drains the backlog
 	if got := c.Stats().Backlog; got != 0 {
 		t.Fatalf("backlog %d after release + publish, want 0", got)
+	}
+}
+
+// TestScoringAllocFree pins the steady-state scorer at zero allocations
+// on every backend: the live views build on the stack, and LogHD's
+// decode table is a field, not rebuilt per call.
+func TestScoringAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const classes, dims = 6, 1024
+	m := trainedModel(t, classes, dims, 7)
+	l, err := CompressLogHD(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := bitvec.Random(dims, stats.NewRNG(8))
+	type predictor interface {
+		Predict(q *bitvec.Vector) int
+		PredictWithConfidence(q *bitvec.Vector, temperature float64) (int, float64)
+	}
+	for name, p := range map[string]predictor{
+		"model":        m,
+		"loghd":        l,
+		"frozen-model": m.Freeze(NewFrozenPool(classes, dims)),
+		"frozen-loghd": l.Freeze(l.pool),
+	} {
+		if n := testing.AllocsPerRun(100, func() { p.Predict(q) }); n != 0 {
+			t.Errorf("%s: Predict allocates %v per call", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.PredictWithConfidence(q, 0) }); n != 0 {
+			t.Errorf("%s: PredictWithConfidence allocates %v per call", name, n)
+		}
 	}
 }

@@ -18,6 +18,20 @@ func referenceSimilarities(m *Model, q *bitvec.Vector) []float64 {
 	return out
 }
 
+// similarities scores q against the live model through its view.
+func similarities(m *Model, q *bitvec.Vector) []float64 {
+	out := make([]float64, m.Classes())
+	m.view().SimilaritiesInto(out, q)
+	return out
+}
+
+// confidences is similarities' softmax counterpart.
+func confidences(m *Model, q *bitvec.Vector, temperature float64) []float64 {
+	out := make([]float64, m.Classes())
+	m.view().ConfidencesInto(out, q, temperature)
+	return out
+}
+
 func trainedKernelModel(t *testing.T, classes, dims, samples int, seed uint64) (*Model, []*bitvec.Vector) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
@@ -59,7 +73,7 @@ func TestFusedScoringMatchesReference(t *testing.T) {
 		m, queries := trainedKernelModel(t, 6, dims, 120, uint64(dims))
 		for qi, q := range queries {
 			ref := referenceSimilarities(m, q)
-			got := m.Similarities(q)
+			got := similarities(m, q)
 			for c := range ref {
 				if got[c] != ref[c] {
 					t.Fatalf("dims=%d q=%d class %d: fused similarity %v != reference %v",
@@ -74,7 +88,7 @@ func TestFusedScoringMatchesReference(t *testing.T) {
 				refConf[c] = ref[c] * DefaultConfidenceTemperature
 			}
 			stats.SoftmaxInto(refConf, refConf)
-			gotConf := m.Confidences(q, 0)
+			gotConf := confidences(m, q, 0)
 			for c := range refConf {
 				if gotConf[c] != refConf[c] {
 					t.Fatalf("dims=%d q=%d class %d: fused confidence %v != reference %v",
@@ -95,13 +109,13 @@ func TestFusedScoringMatchesReference(t *testing.T) {
 func TestScoringScratchIsolation(t *testing.T) {
 	m, queries := trainedKernelModel(t, 4, 2048, 80, 17)
 	q1, q2 := queries[0], queries[1]
-	want1 := m.Similarities(q1)
-	want2 := m.Similarities(q2)
+	want1 := similarities(m, q1)
+	want2 := similarities(m, q2)
 	for i := 0; i < 50; i++ {
 		s1 := make([]float64, m.Classes())
 		s2 := make([]float64, m.Classes())
-		m.SimilaritiesInto(s1, q1)
-		m.SimilaritiesInto(s2, q2)
+		m.view().SimilaritiesInto(s1, q1)
+		m.view().SimilaritiesInto(s2, q2)
 		for c := range want1 {
 			if s1[c] != want1[c] || s2[c] != want2[c] {
 				t.Fatalf("iteration %d: pooled scratch corrupted scores", i)
@@ -117,7 +131,39 @@ func TestSimilaritiesIntoValidatesShape(t *testing.T) {
 			t.Fatal("SimilaritiesInto accepted a wrong-sized dst")
 		}
 	}()
-	m.SimilaritiesInto(make([]float64, 2), queries[0])
+	m.view().SimilaritiesInto(make([]float64, 2), queries[0])
+}
+
+// TestConfidencesIntoMatchesConfidences checks ConfidencesInto against
+// a softmax of the reference similarities scaled by the temperature,
+// across temperatures including the default (0).
+func TestConfidencesIntoMatchesConfidences(t *testing.T) {
+	m, queries := trainedKernelModel(t, 4, 1000, 40, 41)
+	for _, temp := range []float64{0, 1, 50, 120} {
+		scale := temp
+		if scale <= 0 {
+			scale = DefaultConfidenceTemperature
+		}
+		for _, q := range queries[:5] {
+			want := referenceSimilarities(m, q)
+			for c := range want {
+				want[c] *= scale
+			}
+			stats.SoftmaxInto(want, want)
+			dst := make([]float64, m.Classes())
+			m.view().ConfidencesInto(dst, q, temp)
+			sum := 0.0
+			for c := range want {
+				if dst[c] != want[c] {
+					t.Fatalf("temp=%v class %d: ConfidencesInto %v != reference %v", temp, c, dst[c], want[c])
+				}
+				sum += dst[c]
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("temp=%v: confidences sum to %v", temp, sum)
+			}
+		}
+	}
 }
 
 // TestPredictIdenticalAfterInPlaceCorruption checks the fused kernel
@@ -134,27 +180,6 @@ func TestPredictIdenticalAfterInPlaceCorruption(t *testing.T) {
 			ref := referenceSimilarities(m, q)
 			if want, got := stats.ArgMax(ref), m.Predict(q); got != want {
 				t.Fatalf("round %d: post-corruption Predict %d != reference %d", round, got, want)
-			}
-		}
-	}
-}
-
-func TestConfidencesIntoMatchesConfidences(t *testing.T) {
-	m, queries := trainedKernelModel(t, 4, 1000, 40, 41)
-	for _, temp := range []float64{0, 1, 50, 120} {
-		for _, q := range queries[:5] {
-			want := m.Confidences(q, temp)
-			dst := make([]float64, m.Classes())
-			m.ConfidencesInto(dst, q, temp)
-			sum := 0.0
-			for c := range want {
-				if dst[c] != want[c] {
-					t.Fatalf("temp=%v class %d: ConfidencesInto %v != Confidences %v", temp, c, dst[c], want[c])
-				}
-				sum += dst[c]
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Fatalf("temp=%v: confidences sum to %v", temp, sum)
 			}
 		}
 	}

@@ -3,12 +3,8 @@ package model
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/stats"
 )
 
 // LogHD is the logarithmically class-compressed deployment of a
@@ -44,39 +40,21 @@ import (
 // per-class substitution recovery of the paper has no per-class
 // vectors to rewrite. The experiments package quantifies that trade.
 type LogHD struct {
-	dims    int
-	classes int
-	planes  []*bitvec.Vector
-	code    []uint32
-	// offsets[j] = Σ_c hamming(C_c, plane_j) at compression time — the
-	// per-plane centering constants decode subtracts (scaled by k).
-	offsets []int64
-
-	// score pools *logScratch so steady-state inference allocates
-	// nothing.
-	score sync.Pool
+	dims   int
+	planes []*bitvec.Vector
+	// decode holds the codewords and centering offsets. It is fixed at
+	// construction and shared by clones and frozen images.
+	decode *logDecode
+	pool   *FrozenPool
 }
 
-// logScratch is the per-call working state of LogHD scoring: plane
-// distances plus the per-class float views.
-type logScratch struct {
-	pd   []int
-	sims []float64
-	conf []float64
+// newLogHD assembles a deployment around its planes and decode table,
+// with a pool whose rows hold the planes while scoring scratch still
+// spans the classes.
+func newLogHD(dims int, planes []*bitvec.Vector, d *logDecode) *LogHD {
+	return &LogHD{dims: dims, planes: planes, decode: d,
+		pool: &FrozenPool{rows: len(planes), classes: d.classes, dims: dims}}
 }
-
-func (l *LogHD) getScratch() *logScratch {
-	if s, ok := l.score.Get().(*logScratch); ok {
-		return s
-	}
-	return &logScratch{
-		pd:   make([]int, len(l.planes)),
-		sims: make([]float64, l.classes),
-		conf: make([]float64, l.classes),
-	}
-}
-
-func (l *LogHD) putScratch(s *logScratch) { l.score.Put(s) }
 
 // maxLogHDPlanes bounds the plane count: codewords are stored in
 // uint32s and the deterministic codeword search scans the full 2^n
@@ -108,8 +86,7 @@ func CompressLogHD(m *Model, extraPlanes int) (*LogHD, error) {
 		return nil, fmt.Errorf("model: %d planes exceeds the %d-plane cap", n, maxLogHDPlanes)
 	}
 	code := assignCodewords(m.classes, n)
-	l := &LogHD{dims: m.dims, classes: m.classes, code: code,
-		planes: make([]*bitvec.Vector, n)}
+	planes := make([]*bitvec.Vector, n)
 
 	// Each class contributes its vector to planes where its codeword
 	// bit is set and its complement elsewhere; precompute the
@@ -130,21 +107,19 @@ func CompressLogHD(m *Model, extraPlanes int) (*LogHD, error) {
 		}
 		pc.Reset()
 		pc.AddMany(votes)
-		l.planes[j] = bitvec.New(m.dims)
-		pc.MajorityInto(l.planes[j])
+		planes[j] = bitvec.New(m.dims)
+		pc.MajorityInto(planes[j])
 	}
 	// Centering offsets: each plane's summed distance to the prototypes
 	// it was built from. Derived once here, fixed thereafter — attacks
 	// mutate planes, not the decode constants.
-	l.offsets = make([]int64, n)
-	for j, p := range l.planes {
-		var sum int64
+	offsets := make([]int64, n)
+	for j, p := range planes {
 		for _, v := range m.deployed {
-			sum += int64(v.Hamming(p))
+			offsets[j] += int64(v.Hamming(p))
 		}
-		l.offsets[j] = sum
 	}
-	return l, nil
+	return newLogHD(m.dims, planes, &logDecode{classes: m.classes, code: code, offsets: offsets}), nil
 }
 
 // assignCodewords picks k distinct n-bit codewords by deterministic
@@ -184,7 +159,7 @@ func assignCodewords(k, n int) []uint32 {
 func (l *LogHD) Dimensions() int { return l.dims }
 
 // Classes returns the number of classes k.
-func (l *LogHD) Classes() int { return l.classes }
+func (l *LogHD) Classes() int { return l.decode.classes }
 
 // Planes returns the number of stored base hypervectors n.
 func (l *LogHD) Planes() int { return len(l.planes) }
@@ -202,10 +177,10 @@ func (l *LogHD) PlaneVector(j int) *bitvec.Vector {
 
 // Codeword returns class c's n-bit codeword.
 func (l *LogHD) Codeword(c int) uint32 {
-	if c < 0 || c >= l.classes {
-		panic(fmt.Sprintf("model: class %d out of range [0,%d)", c, l.classes))
+	if c < 0 || c >= l.Classes() {
+		panic(fmt.Sprintf("model: class %d out of range [0,%d)", c, l.Classes()))
 	}
-	return l.code[c]
+	return l.decode.code[c]
 }
 
 // StorageBits returns the deployed memory footprint in bits: n planes
@@ -213,19 +188,13 @@ func (l *LogHD) Codeword(c int) uint32 {
 // Compare against the dense k·D (Model's class vectors) for the
 // compression ratio.
 func (l *LogHD) StorageBits() int {
-	return len(l.planes)*l.dims + 32*l.classes + 64*len(l.planes)
+	return len(l.planes)*l.dims + 32*l.Classes() + 64*len(l.planes)
 }
 
-// Clone deep-copies the deployment for concurrent use.
+// Clone deep-copies the planes for concurrent use; the immutable
+// decode table is shared.
 func (l *LogHD) Clone() *LogHD {
-	c := &LogHD{dims: l.dims, classes: l.classes,
-		planes:  make([]*bitvec.Vector, len(l.planes)),
-		code:    append([]uint32(nil), l.code...),
-		offsets: append([]int64(nil), l.offsets...)}
-	for j, p := range l.planes {
-		c.planes[j] = p.Clone()
-	}
-	return c
+	return newLogHD(l.dims, l.SnapshotDeployed(), l.decode)
 }
 
 // SnapshotDeployed deep-copies the deployed planes (the recovery
@@ -251,122 +220,20 @@ func (l *LogHD) RestoreDeployed(vs []*bitvec.Vector) {
 	}
 }
 
-// decodeScore folds centered plane distances through class c's
-// codeword: +(k·d_j − O_j) where the codeword bit is set, the negation
-// where clear. Centering cancels the class-independent bias that the
-// prototypes' shared component injects into every plane distance; the
-// true class minimizes the score, exactly as Hamming distance does for
-// the dense model. All-integer so both ends of a serialization score
-// bit-identically.
-func decodeScore(pd []int, code []uint32, offsets []int64, k, c int) int64 {
-	cw := code[c]
-	var score int64
-	for j, d := range pd {
-		t := int64(k)*int64(d) - offsets[j]
-		if cw>>uint(j)&1 == 1 {
-			score += t
-		} else {
-			score -= t
-		}
-	}
-	return score
-}
-
-// SimilaritiesInto writes the per-class normalized similarity of
-// encoded query q into dst (len Classes), allocation-free in steady
-// state. Similarity is 1/2 − score / (2·n·k·D) ∈ [0, 1], the
-// compressed analogue of Model.SimilaritiesInto's 1 − d/D: monotone
-// decreasing in the decoded score, so argmax similarity is argmin
-// score.
-func (l *LogHD) SimilaritiesInto(dst []float64, q *bitvec.Vector) {
-	if len(dst) != l.classes {
-		panic(fmt.Sprintf("model: dst has %d slots, want %d", len(dst), l.classes))
-	}
-	s := l.getScratch()
-	bitvec.HammingMany(q, l.planes, s.pd)
-	denom := 2 * float64(len(l.planes)*l.classes*l.dims)
-	for c := range dst {
-		dst[c] = 0.5 - float64(decodeScore(s.pd, l.code, l.offsets, l.classes, c))/denom
-	}
-	l.putScratch(s)
-}
-
 // Predict returns the class whose codeword-decoded score for q is
 // smallest (ties to the lowest class index, matching bitvec.Nearest).
-func (l *LogHD) Predict(q *bitvec.Vector) int {
-	s := l.getScratch()
-	bitvec.HammingMany(q, l.planes, s.pd)
-	best, bestD := 0, decodeScore(s.pd, l.code, l.offsets, l.classes, 0)
-	for c := 1; c < l.classes; c++ {
-		if d := decodeScore(s.pd, l.code, l.offsets, l.classes, c); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	l.putScratch(s)
-	return best
-}
-
-// ConfidencesInto computes softmax-normalized confidences into dst
-// (len Classes) at the given temperature (≤ 0 selects
-// DefaultConfidenceTemperature), the same contract as
-// Model.ConfidencesInto.
-func (l *LogHD) ConfidencesInto(dst []float64, q *bitvec.Vector, temperature float64) {
-	if temperature <= 0 {
-		temperature = DefaultConfidenceTemperature
-	}
-	s := l.getScratch()
-	l.SimilaritiesInto(s.sims, q)
-	for i := range s.sims {
-		s.sims[i] *= temperature
-	}
-	stats.SoftmaxInto(dst, s.sims)
-	l.putScratch(s)
-}
+func (l *LogHD) Predict(q *bitvec.Vector) int { return l.view().Predict(q) }
 
 // PredictWithConfidence returns the predicted class and its softmax
 // confidence, allocation-free in steady state — the same interface as
 // Model.PredictWithConfidence, so serving paths swap backends freely.
 func (l *LogHD) PredictWithConfidence(q *bitvec.Vector, temperature float64) (int, float64) {
-	s := l.getScratch()
-	l.ConfidencesInto(s.conf, q, temperature)
-	best := stats.ArgMax(s.conf)
-	conf := s.conf[best]
-	l.putScratch(s)
-	return best, conf
+	return l.view().PredictWithConfidence(q, temperature)
 }
 
 // AccuracyParallel evaluates accuracy over encoded queries across the
 // given worker count (<= 0 selects GOMAXPROCS), mirroring
 // Model.AccuracyParallel.
 func (l *LogHD) AccuracyParallel(qs []*bitvec.Vector, labels []int, workers int) float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	preds := make([]int, len(qs))
-	if workers <= 1 || len(qs) < predictParallelMin {
-		for i, q := range qs {
-			preds[i] = l.Predict(q)
-		}
-		return stats.Accuracy(preds, labels)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				preds[i] = l.Predict(qs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return stats.Accuracy(preds, labels)
+	return l.view().AccuracyParallel(qs, labels, workers)
 }

@@ -119,7 +119,7 @@ func TestLogHDPredictsLikeDense(t *testing.T) {
 		t.Fatalf("confidence %v outside (1/k, 1]", conf)
 	}
 	sims := make([]float64, l.Classes())
-	l.SimilaritiesInto(sims, qs[0])
+	l.view().SimilaritiesInto(sims, qs[0])
 	for c, s := range sims {
 		if s < 0 || s > 1 || math.IsNaN(s) {
 			t.Fatalf("similarity[%d] = %v outside [0,1]", c, s)
@@ -226,6 +226,40 @@ func TestReadLogHDRejectsGarbage(t *testing.T) {
 	if _, err := ReadLogHD(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
+
+	// Duplicate codewords: k=5 over 3 planes with class 4's codeword
+	// overwritten by class 3's. Class 4 would decode to class 3's score
+	// and never win a tie.
+	_, l5, _, _ := trainedLogHDPair(t, 5, 256, 0)
+	buf.Reset()
+	if err := l5.WriteDeployed(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dup := buf.Bytes()
+	cw := func(c int) int { return len(dup) - 8*l5.Planes() - 8*(l5.Classes()-c) }
+	copy(dup[cw(4):cw(4)+8], dup[cw(3):cw(3)+8])
+	if _, err := ReadLogHD(bytes.NewReader(dup)); err == nil {
+		t.Fatal("duplicate codewords accepted")
+	}
+}
+
+// TestReadLogHDBoundsAllocation is TestReadDeployedBoundsAllocation
+// for the compressed reader.
+func TestReadLogHDBoundsAllocation(t *testing.T) {
+	const bound = 1 << 20
+	for name, img := range map[string][]byte{
+		"classes": forgedImage(loghdMagic, 1<<20, 64, maxLogHDPlanes),
+		"blob":    forgedImage(loghdMagic, 2, 1<<29, 1, maxBlob(1<<29)),
+	} {
+		var err error
+		got := allocatedBy(func() { _, err = ReadLogHD(bytes.NewReader(img)) })
+		if err == nil {
+			t.Fatalf("%s: forged header accepted", name)
+		}
+		if got > bound {
+			t.Fatalf("%s: failing read allocated %d bytes, want <= %d", name, got, bound)
+		}
+	}
 }
 
 func TestLogHDEpochChainServesCompressedImages(t *testing.T) {
@@ -282,7 +316,7 @@ func TestLogHDFrozenSimilaritiesMatchLive(t *testing.T) {
 	live := make([]float64, l.Classes())
 	froz := make([]float64, l.Classes())
 	for _, q := range qs {
-		l.SimilaritiesInto(live, q)
+		l.view().SimilaritiesInto(live, q)
 		img.SimilaritiesInto(froz, q)
 		for c := range live {
 			if live[c] != froz[c] {

@@ -67,32 +67,53 @@ func ReadDeployed(r io.Reader) (*Model, error) {
 	if classes < 2 || classes > 1<<20 || dims == 0 || dims > 1<<32 {
 		return nil, fmt.Errorf("model: implausible shape %d classes × %d dims", classes, dims)
 	}
+	// Class vectors are read before New allocates the training
+	// counters, so a forged header costs nothing until the data backs
+	// it.
+	var vs []*bitvec.Vector
+	for c := uint64(0); c < classes; c++ {
+		v, err := readVector(br, dims)
+		if err != nil {
+			return nil, fmt.Errorf("model: read class %d: %w", c, err)
+		}
+		vs = append(vs, v)
+	}
 	m, err := New(int(classes), int(dims))
 	if err != nil {
 		return nil, err
 	}
-	for c := 0; c < int(classes); c++ {
-		var n uint64
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("model: read class %d: %w", c, err)
-		}
-		if n > 16+8*(dims/64+1)+64 {
-			return nil, fmt.Errorf("model: class %d blob of %d bytes too large", c, n)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("model: read class %d: %w", c, err)
-		}
-		var v bitvec.Vector
-		if err := v.UnmarshalBinary(data); err != nil {
-			return nil, fmt.Errorf("model: class %d: %w", c, err)
-		}
-		if v.Len() != int(dims) {
-			return nil, fmt.Errorf("model: class %d has %d dims, want %d", c, v.Len(), dims)
-		}
-		m.SetClassVector(c, &v)
+	for c, v := range vs {
+		m.SetClassVector(c, v)
 	}
 	return m, nil
+}
+
+// readVector reads one length-prefixed vector blob of dims bits. The
+// buffer grows with the bytes actually read, so a forged length
+// allocates in proportion to the data behind it, not to its claim.
+func readVector(r io.Reader, dims uint64) (*bitvec.Vector, error) {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	if n > 16+8*(dims/64+1)+64 {
+		return nil, fmt.Errorf("blob of %d bytes too large", n)
+	}
+	data, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(data)) != n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	var v bitvec.Vector
+	if err := v.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	if v.Len() != int(dims) {
+		return nil, fmt.Errorf("%d dims, want %d", v.Len(), dims)
+	}
+	return &v, nil
 }
 
 // WriteDeployed serializes the compressed deployment: header, the n
@@ -101,7 +122,7 @@ func ReadDeployed(r io.Reader) (*Model, error) {
 // its own backend tag.
 func (l *LogHD) WriteDeployed(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	header := []uint64{loghdMagic, uint64(l.classes), uint64(l.dims), uint64(len(l.planes))}
+	header := []uint64{loghdMagic, uint64(l.Classes()), uint64(l.dims), uint64(len(l.planes))}
 	for _, v := range header {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("model: write loghd header: %w", err)
@@ -119,12 +140,12 @@ func (l *LogHD) WriteDeployed(w io.Writer) error {
 			return fmt.Errorf("model: write plane %d: %w", j, err)
 		}
 	}
-	for c, cw := range l.code {
+	for c, cw := range l.decode.code {
 		if err := binary.Write(bw, binary.LittleEndian, uint64(cw)); err != nil {
 			return fmt.Errorf("model: write codeword %d: %w", c, err)
 		}
 	}
-	for j, o := range l.offsets {
+	for j, o := range l.decode.offsets {
 		if err := binary.Write(bw, binary.LittleEndian, uint64(o)); err != nil {
 			return fmt.Errorf("model: write offset %d: %w", j, err)
 		}
@@ -148,36 +169,25 @@ func ReadLogHD(r io.Reader) (*LogHD, error) {
 	if magic != loghdMagic {
 		return nil, fmt.Errorf("model: bad loghd magic %#x", magic)
 	}
-	if classes < 2 || classes > 1<<20 || dims == 0 || dims > 1<<32 ||
-		planes == 0 || planes > maxLogHDPlanes {
+	// Distinct codewords need classes <= 2^planes.
+	if planes == 0 || planes > maxLogHDPlanes || classes < 2 || classes > 1<<planes ||
+		dims == 0 || dims > 1<<32 {
 		return nil, fmt.Errorf("model: implausible loghd shape %d classes × %d dims × %d planes",
 			classes, dims, planes)
 	}
-	l := &LogHD{dims: int(dims), classes: int(classes),
-		planes: make([]*bitvec.Vector, planes),
-		code:   make([]uint32, classes)}
-	for j := range l.planes {
-		var n uint64
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	vs := make([]*bitvec.Vector, planes)
+	for j := range vs {
+		v, err := readVector(br, dims)
+		if err != nil {
 			return nil, fmt.Errorf("model: read plane %d: %w", j, err)
 		}
-		if n > 16+8*(dims/64+1)+64 {
-			return nil, fmt.Errorf("model: plane %d blob of %d bytes too large", j, n)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("model: read plane %d: %w", j, err)
-		}
-		var v bitvec.Vector
-		if err := v.UnmarshalBinary(data); err != nil {
-			return nil, fmt.Errorf("model: plane %d: %w", j, err)
-		}
-		if v.Len() != int(dims) {
-			return nil, fmt.Errorf("model: plane %d has %d dims, want %d", j, v.Len(), dims)
-		}
-		l.planes[j] = &v
+		vs[j] = v
 	}
-	for c := range l.code {
+	// Two classes sharing a codeword decode to equal scores, and the
+	// later one could never be predicted.
+	d := &logDecode{classes: int(classes), code: make([]uint32, classes), offsets: make([]int64, planes)}
+	seen := make(map[uint64]bool)
+	for c := range d.code {
 		var cw uint64
 		if err := binary.Read(br, binary.LittleEndian, &cw); err != nil {
 			return nil, fmt.Errorf("model: read codeword %d: %w", c, err)
@@ -185,13 +195,16 @@ func ReadLogHD(r io.Reader) (*LogHD, error) {
 		if cw>>planes != 0 {
 			return nil, fmt.Errorf("model: codeword %d (%#x) exceeds %d planes", c, cw, planes)
 		}
-		l.code[c] = uint32(cw)
+		if seen[cw] {
+			return nil, fmt.Errorf("model: codeword %d (%#x) duplicates an earlier class", c, cw)
+		}
+		seen[cw] = true
+		d.code[c] = uint32(cw)
 	}
 	// Centering offsets are summed Hamming distances, so each is bounded
 	// by k·D; anything larger is corruption.
-	l.offsets = make([]int64, planes)
 	maxOff := classes * dims
-	for j := range l.offsets {
+	for j := range d.offsets {
 		var o uint64
 		if err := binary.Read(br, binary.LittleEndian, &o); err != nil {
 			return nil, fmt.Errorf("model: read offset %d: %w", j, err)
@@ -199,9 +212,9 @@ func ReadLogHD(r io.Reader) (*LogHD, error) {
 		if o > maxOff {
 			return nil, fmt.Errorf("model: offset %d (%d) exceeds %d classes × %d dims", j, o, classes, dims)
 		}
-		l.offsets[j] = int64(o)
+		d.offsets[j] = int64(o)
 	}
-	return l, nil
+	return newLogHD(int(dims), vs, d), nil
 }
 
 // ReadBackend reads whichever deployed image the stream carries,

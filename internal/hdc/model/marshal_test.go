@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -100,4 +102,47 @@ func TestReadDeployedModelIsUsable(t *testing.T) {
 	loaded.ClassVector(0).Flip(0)
 	snap := loaded.SnapshotDeployed()
 	loaded.RestoreDeployed(snap)
+}
+
+// allocatedBy reports the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// forgedImage encodes header words followed by nothing else: a shape
+// claim with no data behind it.
+func forgedImage(words ...uint64) []byte {
+	var out []byte
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
+// maxBlob is the largest vector blob length the readers accept for
+// dims bits.
+func maxBlob(dims uint64) uint64 { return 16 + 8*(dims/64+1) + 64 }
+
+// TestReadDeployedBoundsAllocation feeds headers whose shape claims
+// far outrun their payload: the reader must fail having allocated in
+// proportion to the bytes it read, not to the claim.
+func TestReadDeployedBoundsAllocation(t *testing.T) {
+	const bound = 1 << 20
+	for name, img := range map[string][]byte{
+		"classes": forgedImage(deployedMagic, 512, 1<<16),
+		"blob":    forgedImage(deployedMagic, 2, 1<<24, maxBlob(1<<24)),
+	} {
+		var err error
+		got := allocatedBy(func() { _, err = ReadDeployed(bytes.NewReader(img)) })
+		if err == nil {
+			t.Fatalf("%s: forged header accepted", name)
+		}
+		if got > bound {
+			t.Fatalf("%s: failing read allocated %d bytes, want <= %d", name, got, bound)
+		}
+	}
 }

@@ -7,12 +7,9 @@ package model
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/stats"
 )
 
 // Model is an HDC classifier. The integer counters are the training
@@ -24,38 +21,15 @@ type Model struct {
 	counters []*bitvec.Counter
 	deployed []*bitvec.Vector
 
-	// score holds *scoreScratch buffers so the steady-state inference
-	// path (Predict / PredictWithConfidence) allocates nothing; the
-	// pool is shared safely by PredictBatchParallel workers.
-	score sync.Pool
+	// pool holds the scoring scratch and the vectors of the images an
+	// EpochChain publishes from this model.
+	pool *FrozenPool
 
 	// delta holds *trainDelta scratch (per-worker class-delta counters
 	// plus scoring buffers) so the map phase of the sharded training
 	// pipeline (parallel.go) allocates nothing in steady state.
 	delta sync.Pool
 }
-
-// scoreScratch is the per-call working state of the fused scoring
-// kernel: integer distances to every class plus the float views the
-// similarity/softmax conversions write into.
-type scoreScratch struct {
-	dists []int
-	sims  []float64
-	conf  []float64
-}
-
-func (m *Model) getScratch() *scoreScratch {
-	if s, ok := m.score.Get().(*scoreScratch); ok {
-		return s
-	}
-	return &scoreScratch{
-		dists: make([]int, m.classes),
-		sims:  make([]float64, m.classes),
-		conf:  make([]float64, m.classes),
-	}
-}
-
-func (m *Model) putScratch(s *scoreScratch) { m.score.Put(s) }
 
 // New returns an untrained model for the given class count and
 // hypervector dimensionality.
@@ -66,7 +40,7 @@ func New(classes, dims int) (*Model, error) {
 	if dims <= 0 {
 		return nil, fmt.Errorf("model: dimensions must be positive, got %d", dims)
 	}
-	m := &Model{dims: dims, classes: classes}
+	m := &Model{dims: dims, classes: classes, pool: NewFrozenPool(classes, dims)}
 	m.counters = make([]*bitvec.Counter, classes)
 	for c := range m.counters {
 		m.counters[c] = bitvec.NewCounter(dims)
@@ -126,9 +100,10 @@ func (m *Model) Retrain(encoded []*bitvec.Vector, labels []int, epochs int) (int
 	mistakes := 0
 	for e := 0; e < epochs; e++ {
 		mistakes = 0
+		v := m.view() // the deployed rows change only at Binarize
 		for i, h := range encoded {
 			y := labels[i]
-			pred := m.Predict(h)
+			pred := v.Predict(h)
 			if pred == y {
 				continue
 			}
@@ -213,7 +188,7 @@ func (m *Model) RestoreDeployed(vs []*bitvec.Vector) {
 // Cloned models let parallel experiment trials attack and recover
 // private copies instead of serializing on a shared system.
 func (m *Model) Clone() *Model {
-	out := &Model{dims: m.dims, classes: m.classes}
+	out := &Model{dims: m.dims, classes: m.classes, pool: NewFrozenPool(m.classes, m.dims)}
 	out.counters = make([]*bitvec.Counter, m.classes)
 	for c, cnt := range m.counters {
 		out.counters[c] = cnt.Clone()
@@ -227,96 +202,10 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// Similarities returns the normalized Hamming similarity of the query
-// to every deployed class hypervector.
-func (m *Model) Similarities(q *bitvec.Vector) []float64 {
-	out := make([]float64, m.classes)
-	m.SimilaritiesInto(out, q)
-	return out
-}
-
-// SimilaritiesInto writes the per-class similarities into dst without
-// allocating, scoring all classes through the fused bitvec.HammingMany
-// kernel (one blocked pass over the query instead of one full pass per
-// class). dst must have length Classes.
-func (m *Model) SimilaritiesInto(dst []float64, q *bitvec.Vector) {
-	if m.deployed == nil {
-		panic("model: not trained")
-	}
-	if len(dst) != m.classes {
-		panic(fmt.Sprintf("model: dst has %d slots, want %d", len(dst), m.classes))
-	}
-	s := m.getScratch()
-	bitvec.HammingMany(q, m.deployed, s.dists)
-	n := float64(m.dims)
-	for c, d := range s.dists {
-		dst[c] = 1 - float64(d)/n
-	}
-	m.putScratch(s)
-}
-
-// Predict returns the class whose hypervector is most similar to the
-// query. It runs the early-abandoning nearest-class kernel and is
-// bit-identical to an argmax over Similarities.
-func (m *Model) Predict(q *bitvec.Vector) int {
-	if m.deployed == nil {
-		panic("model: not trained")
-	}
-	s := m.getScratch()
-	best := bitvec.Nearest(q, m.deployed, s.dists)
-	m.putScratch(s)
-	return best
-}
-
-// PredictBatch classifies every query.
-func (m *Model) PredictBatch(qs []*bitvec.Vector) []int {
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		out[i] = m.Predict(q)
-	}
-	return out
-}
-
-// predictParallelMin is the batch size below which PredictBatchParallel
-// stays serial: spawning workers costs more than scoring a handful of
-// queries.
-const predictParallelMin = 64
-
-// PredictBatchParallel classifies every query across the given number
-// of worker goroutines (<= 0 selects GOMAXPROCS). Scoring reads only
-// the deployed class hypervectors, so workers share the model safely;
-// results are in input order and identical to PredictBatch. Callers
-// that mutate the model concurrently (recovery, attack drills) must
-// serialize those writes against this read, exactly as for Predict.
-func (m *Model) PredictBatchParallel(qs []*bitvec.Vector, workers int) []int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 || len(qs) < predictParallelMin {
-		return m.PredictBatch(qs)
-	}
-	out := make([]int, len(qs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				out[i] = m.Predict(qs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
+// Predict returns the class whose hypervector is nearest the query
+// (the early-abandoning bitvec.Nearest kernel; ties to the lowest
+// class index).
+func (m *Model) Predict(q *bitvec.Vector) int { return m.view().Predict(q) }
 
 // Accuracy evaluates classification accuracy on encoded queries,
 // scoring large batches in parallel across all cores.
@@ -327,7 +216,7 @@ func (m *Model) Accuracy(qs []*bitvec.Vector, labels []int) float64 {
 // AccuracyParallel evaluates accuracy with an explicit scoring worker
 // count (<= 0 selects GOMAXPROCS).
 func (m *Model) AccuracyParallel(qs []*bitvec.Vector, labels []int, workers int) float64 {
-	return stats.Accuracy(m.PredictBatchParallel(qs, workers), labels)
+	return m.view().AccuracyParallel(qs, labels, workers)
 }
 
 // DefaultConfidenceTemperature converts raw similarity values (which
@@ -335,41 +224,10 @@ func (m *Model) AccuracyParallel(qs []*bitvec.Vector, labels []int, workers int)
 // with a meaningful spread. δ′ = softmax(δ · temperature).
 const DefaultConfidenceTemperature = 120
 
-// Confidences returns the softmax-normalized confidence δ′ of the
-// query against each class (Section 4.1), using the given temperature
-// (≤ 0 selects DefaultConfidenceTemperature).
-func (m *Model) Confidences(q *bitvec.Vector, temperature float64) []float64 {
-	out := make([]float64, m.classes)
-	m.ConfidencesInto(out, q, temperature)
-	return out
-}
-
-// ConfidencesInto computes Confidences into dst without allocating.
-// dst must have length Classes.
-func (m *Model) ConfidencesInto(dst []float64, q *bitvec.Vector, temperature float64) {
-	if temperature <= 0 {
-		temperature = DefaultConfidenceTemperature
-	}
-	if len(dst) != m.classes {
-		panic(fmt.Sprintf("model: dst has %d slots, want %d", len(dst), m.classes))
-	}
-	s := m.getScratch()
-	m.SimilaritiesInto(s.sims, q)
-	for i := range s.sims {
-		s.sims[i] *= temperature
-	}
-	stats.SoftmaxInto(dst, s.sims)
-	m.putScratch(s)
-}
-
 // PredictWithConfidence returns the predicted class and its softmax
-// confidence. The steady-state call allocates nothing: scoring and the
-// softmax run in pooled scratch.
+// confidence δ′ = softmax(δ · temperature) (Section 4.1; temperature
+// ≤ 0 selects DefaultConfidenceTemperature). The steady-state call
+// allocates nothing.
 func (m *Model) PredictWithConfidence(q *bitvec.Vector, temperature float64) (int, float64) {
-	s := m.getScratch()
-	m.ConfidencesInto(s.conf, q, temperature)
-	best := stats.ArgMax(s.conf)
-	conf := s.conf[best]
-	m.putScratch(s)
-	return best, conf
+	return m.view().PredictWithConfidence(q, temperature)
 }

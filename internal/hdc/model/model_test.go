@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -147,7 +148,7 @@ func TestSimilaritiesShape(t *testing.T) {
 	if err := m.Train(tr, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	sims := m.Similarities(tr[1])
+	sims := similarities(m, tr[1])
 	if len(sims) != 3 {
 		t.Fatalf("similarities len %d", len(sims))
 	}
@@ -170,7 +171,7 @@ func TestConfidencesSumToOneAndOrder(t *testing.T) {
 	if err := m.Train(tr, try); err != nil {
 		t.Fatal(err)
 	}
-	conf := m.Confidences(tr[0], 0)
+	conf := confidences(m, tr[0], 0)
 	var sum float64
 	for _, p := range conf {
 		sum += p
@@ -179,11 +180,28 @@ func TestConfidencesSumToOneAndOrder(t *testing.T) {
 		t.Fatalf("confidences sum %v", sum)
 	}
 	best, p := m.PredictWithConfidence(tr[0], 0)
-	if best != stats.ArgMax(m.Similarities(tr[0])) {
+	if best != stats.ArgMax(similarities(m, tr[0])) {
 		t.Fatal("confidence argmax disagrees with similarity argmax")
 	}
 	if p < 1.0/4 {
 		t.Fatalf("best confidence %v below uniform", p)
+	}
+	for _, temp := range []float64{0, 1, 50, 120} {
+		for _, q := range tr[:5] {
+			conf := confidences(m, q, temp)
+			sum := 0.0
+			for _, p := range conf {
+				sum += p
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("temp=%v: confidences sum to %v", temp, sum)
+			}
+			best, p := m.PredictWithConfidence(q, temp)
+			if best != stats.ArgMax(conf) || p != conf[best] {
+				t.Fatalf("temp=%v: PredictWithConfidence (%d, %v) != confidences argmax (%d, %v)",
+					temp, best, p, stats.ArgMax(conf), conf[stats.ArgMax(conf)])
+			}
+		}
 	}
 }
 
@@ -283,7 +301,7 @@ func TestTrainOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestPredictBatchParallelMatchesSerial(t *testing.T) {
+func TestAccuracyParallelMatchesSerial(t *testing.T) {
 	tr, te, try, tey := encodeDataset(t, smallSpec(), 2048)
 	m, err := New(5, 2048)
 	if err != nil {
@@ -292,22 +310,21 @@ func TestPredictBatchParallelMatchesSerial(t *testing.T) {
 	if err := m.Train(tr, try); err != nil {
 		t.Fatal(err)
 	}
-	serial := m.PredictBatch(te)
+	// Scored against the serial predictions as labels, every worker
+	// count must reach exactly 1: each query predicts as it does alone.
+	serial := make([]int, len(te))
+	for i, q := range te {
+		serial[i] = m.Predict(q)
+	}
 	for _, workers := range []int{0, 1, 2, 7, 64, 1000} {
-		got := m.PredictBatchParallel(te, workers)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: length %d != %d", workers, len(got), len(serial))
-		}
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d query %d: parallel %d != serial %d", workers, i, got[i], serial[i])
-			}
+		if got := m.AccuracyParallel(te, serial, workers); got != 1 {
+			t.Fatalf("workers=%d: parallel predictions match serial on %.4f of queries", workers, got)
 		}
 	}
 	if a, b := m.Accuracy(te, tey), m.AccuracyParallel(te, tey, 1); a != b {
 		t.Fatalf("Accuracy %.4f != AccuracyParallel(workers=1) %.4f", a, b)
 	}
-	if got := m.PredictBatchParallel(nil, 4); len(got) != 0 {
-		t.Fatal("empty batch should yield empty predictions")
+	if got := m.AccuracyParallel(nil, nil, 4); got != 0 {
+		t.Fatalf("empty batch scored accuracy %v, want 0", got)
 	}
 }

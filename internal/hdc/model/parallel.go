@@ -20,13 +20,12 @@ import (
 // worker count and any shard boundaries.
 
 // trainDelta is one worker's private accumulation state: a full set of
-// per-class delta counters plus the scoring buffers the worker predicts
-// with. Instances are pooled on the model (the PR 2 scratch idiom) so
-// steady-state training epochs allocate nothing in the map phase.
+// per-class delta counters plus the distance buffer the worker predicts
+// with. Instances are pooled on the model so steady-state training
+// epochs allocate nothing in the map phase.
 type trainDelta struct {
 	counters []*bitvec.Counter
 	dists    []int
-	sims     []float64
 }
 
 func (m *Model) getDelta() *trainDelta {
@@ -36,7 +35,6 @@ func (m *Model) getDelta() *trainDelta {
 	d := &trainDelta{
 		counters: make([]*bitvec.Counter, m.classes),
 		dists:    make([]int, m.classes),
-		sims:     make([]float64, m.classes),
 	}
 	for c := range d.counters {
 		d.counters[c] = bitvec.NewCounter(m.dims)
@@ -300,103 +298,4 @@ func (m *Model) bundleShard(d *trainDelta, encoded []*bitvec.Vector, labels []in
 		d.counters[y].Add(h)
 	}
 	return 0, nil
-}
-
-// OnlineTrainParallel is the batch variant of OnlineTrain's
-// confident-skip rule, mapped across `workers` goroutines against the
-// *frozen* current deployed model: confidently correct samples are
-// skipped, weakly-held correct samples reinforce their class with unit
-// weight, and misclassified samples pull the true class and push the
-// impostor scaled by the similarity gap — then all deltas reduce and
-// the model binarizes once. It requires a trained model (no bootstrap
-// path) and returns the number of samples that produced an update.
-//
-// The result is deterministic and identical for every worker count,
-// but intentionally NOT bit-identical to the streaming OnlineTrain,
-// which re-binarizes after every update so later samples see earlier
-// ones; the frozen-model epoch is the order-independent form of the
-// same rule.
-func (m *Model) OnlineTrainParallel(encoded []*bitvec.Vector, labels []int, maxWeight, workers int) (int, error) {
-	if len(encoded) != len(labels) {
-		return 0, fmt.Errorf("model: %d samples but %d labels", len(encoded), len(labels))
-	}
-	if len(encoded) == 0 {
-		return 0, fmt.Errorf("model: no training samples")
-	}
-	if maxWeight < 1 || maxWeight > 127 {
-		return 0, fmt.Errorf("model: max weight %d out of [1,127]", maxWeight)
-	}
-	if m.deployed == nil {
-		return 0, fmt.Errorf("model: OnlineTrainParallel before Train")
-	}
-	dep := m.deployed
-	n := len(encoded)
-	workers = clampWorkers(workers, n)
-	var rd RetrainDelta
-	var err error
-	if workers == 1 {
-		d := m.getDelta()
-		updates, serr := m.onlineShard(d, dep, encoded, labels, maxWeight, 0, n)
-		if serr != nil {
-			m.putDelta(d)
-			return 0, serr
-		}
-		rd = RetrainDelta{Mistakes: updates, single: d}
-	} else {
-		rd, err = m.mapShards(n, workers, func(d *trainDelta, lo, hi int) (int, error) {
-			return m.onlineShard(d, dep, encoded, labels, maxWeight, lo, hi)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	updates := rd.Mistakes
-	m.ApplyRetrain(rd)
-	return updates, nil
-}
-
-// onlineShard applies the confident-skip update rule to samples
-// [lo, hi) against the frozen deployed model, mirroring OnlineTrain's
-// per-sample arithmetic exactly (same similarity floats, same margin
-// threshold, same weight scaling).
-func (m *Model) onlineShard(d *trainDelta, dep []*bitvec.Vector, encoded []*bitvec.Vector, labels []int, maxWeight, lo, hi int) (int, error) {
-	nf := float64(m.dims)
-	updates := 0
-	for i := lo; i < hi; i++ {
-		h, y := encoded[i], labels[i]
-		if y < 0 || y >= m.classes {
-			return 0, fmt.Errorf("model: label %d out of range [0,%d)", y, m.classes)
-		}
-		if h.Len() != m.dims {
-			return 0, fmt.Errorf("model: sample %d has %d dims, want %d", i, h.Len(), m.dims)
-		}
-		bitvec.HammingMany(h, dep, d.dists)
-		for c, dist := range d.dists {
-			d.sims[c] = 1 - float64(dist)/nf
-		}
-		pred := 0
-		for c := 1; c < m.classes; c++ {
-			if d.sims[c] > d.sims[pred] {
-				pred = c
-			}
-		}
-		if pred == y {
-			margin := d.sims[y] - secondBest(d.sims, y)
-			if margin > 0.05 {
-				continue
-			}
-			updates++
-			d.counters[y].AddWeighted(h, 1)
-		} else {
-			severity := d.sims[pred] - d.sims[y] // > 0
-			w := int32(1 + severity*20)
-			if w > int32(maxWeight) {
-				w = int32(maxWeight)
-			}
-			updates++
-			d.counters[y].AddWeighted(h, w)
-			d.counters[pred].Sub(h)
-		}
-	}
-	return updates, nil
 }

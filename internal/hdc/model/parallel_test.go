@@ -184,50 +184,6 @@ func TestRetrainParallelBeforeTrain(t *testing.T) {
 	}
 }
 
-func TestOnlineTrainParallelDeterministicAcrossWorkers(t *testing.T) {
-	base, _, tr, try := trainedPair(t)
-	var ref *Model
-	var refUpdates int
-	for _, w := range workerCounts() {
-		m := base.Clone()
-		updates, err := m.OnlineTrainParallel(tr, try, 16, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refUpdates = m, updates
-			continue
-		}
-		label := "OnlineTrainParallel(workers=" + itoa(w) + ")"
-		if updates != refUpdates {
-			t.Fatalf("%s: %d updates != %d at workers=1", label, updates, refUpdates)
-		}
-		assertSameDeployed(t, ref, m, label)
-		assertSameCounters(t, ref, m, label)
-	}
-	if refUpdates == 0 {
-		t.Fatal("online epoch produced no updates; test exercises nothing")
-	}
-}
-
-func TestOnlineTrainParallelErrors(t *testing.T) {
-	m, _ := New(2, 64)
-	rng := stats.NewRNG(4)
-	v := bitvec.Random(64, rng)
-	if _, err := m.OnlineTrainParallel([]*bitvec.Vector{v}, []int{0}, 16, 1); err == nil {
-		t.Fatal("OnlineTrainParallel before Train accepted")
-	}
-	if err := m.Train([]*bitvec.Vector{v, v.Clone()}, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.OnlineTrainParallel([]*bitvec.Vector{v}, []int{0}, 0, 1); err == nil {
-		t.Fatal("maxWeight=0 accepted")
-	}
-	if _, err := m.OnlineTrainParallel([]*bitvec.Vector{v}, []int{5}, 16, 1); err == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-}
-
 func TestModelCloneIndependent(t *testing.T) {
 	seq, _, tr, try := trainedPair(t)
 	snap := seq.SnapshotDeployed()

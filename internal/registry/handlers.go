@@ -326,4 +326,3 @@ func (r *Registry) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		"ready":  ready,
 	})
 }
-
