@@ -1,8 +1,8 @@
 // Networked-cluster benchmarks: the same quorum dispatch and
 // anti-entropy sweep as bench_fleet_test.go, paid over HTTP/JSON to
 // real node servers instead of in-process replicas — the wire tax of
-// surviving process death. cmd/benchjson turns this output into the
-// BENCH_cluster.json CI artifact.
+// surviving process death. CI's bench job runs them into its
+// BENCH.json artifact.
 package repro_test
 
 import (

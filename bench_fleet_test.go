@@ -1,7 +1,7 @@
 // Replica-fleet benchmarks: quorum dispatch on both serving paths
 // (the healthy single-replica fast path and the full quorum fan-out)
-// and the anti-entropy repair sweep. cmd/benchjson turns this output
-// into the BENCH_fleet.json CI artifact.
+// and the anti-entropy repair sweep. CI's bench job runs them into its
+// BENCH.json artifact.
 package repro_test
 
 import (

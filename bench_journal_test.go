@@ -1,7 +1,7 @@
 // Tamper-evident journal benchmarks: the hash-chained append on the
 // hot fleet-event path, the Merkle seal amortized over its batch, and
-// inclusion-proof generation over a long sealed log. cmd/benchjson
-// turns this output into the BENCH_journal.json CI artifact.
+// inclusion-proof generation over a long sealed log. CI's bench job
+// runs them into its BENCH.json artifact.
 package repro_test
 
 import (

@@ -2,7 +2,7 @@
 // request through the model registry (tenant lookup, drain guard,
 // consistent-hash shard selection) versus a bare serve.Server, and the
 // serving-time cost of the LogHD compressed backend next to dense.
-// CI packages these into BENCH_registry.json.
+// CI's bench job runs them into its BENCH.json artifact.
 package repro_test
 
 import (

@@ -280,7 +280,7 @@ func BenchmarkHammingMany(b *testing.B) {
 
 // forEachKernelBench runs fn once per registered kernel table
 // (portable first, best last), restoring the auto-selected table
-// afterwards — the per-tier speedup ladder behind BENCH_kernels.json.
+// afterwards — the per-tier speedup ladder in CI's BENCH.json.
 func forEachKernelBench(b *testing.B, fn func(b *testing.B)) {
 	prev := bitvec.KernelName()
 	defer func() { _ = bitvec.UseKernels(prev) }()

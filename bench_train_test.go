@@ -1,8 +1,8 @@
 // Training-pipeline benchmarks: the sequential retrain baseline, the
 // map-reduce parallel pipeline across worker counts, the pooled
 // delta-accumulation allocation contract, and the experiments harness
-// end to end at 1 vs all workers. cmd/benchjson turns this output into
-// the BENCH_train.json CI artifact.
+// end to end at 1 vs all workers. CI's bench job runs them into its
+// BENCH.json artifact.
 package repro_test
 
 import (

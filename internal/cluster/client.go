@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/fleet"
+	"repro/internal/httpjson"
 )
 
 // ErrNodeBad reports a node answering 4xx — the coordinator sent
@@ -114,6 +115,12 @@ func (c *nodeClient) postJSON(path string, in, out any) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNodeBad, err)
 	}
+	return c.post(path, body, out)
+}
+
+// post POSTs a JSON body and unmarshals the response into out (skipped
+// when out is nil).
+func (c *nodeClient) post(path string, body []byte, out any) error {
 	resp, err := c.do(http.MethodPost, path, "application/json", body)
 	if err != nil {
 		return err
@@ -139,10 +146,15 @@ func (c *nodeClient) getJSON(path string, out any) error {
 	return nil
 }
 
-// Score asks the node to encode and score a raw-feature batch.
+// Score asks the node to encode and score a raw-feature batch. The
+// body is the canonical one the node's decoder parses on its fast path.
 func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float64, error) {
+	body, err := httpjson.MarshalScore(xs, temperature)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrNodeBad, err)
+	}
 	var out ScoreResponse
-	if err := c.postJSON("/node/score", ScoreRequest{Xs: xs, Temperature: temperature}, &out); err != nil {
+	if err := c.post("/node/score", body, &out); err != nil {
 		return nil, nil, err
 	}
 	if len(out.Classes) != len(xs) || len(out.Confs) != len(xs) {

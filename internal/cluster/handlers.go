@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/fleet"
+	"repro/internal/httpjson"
 )
 
 // Handler returns the coordinator's HTTP API — the serve API's shape,
@@ -50,23 +51,17 @@ func (co *Coordinator) handleJournalProof(w http.ResponseWriter, r *http.Request
 		coordErr(w, http.StatusNotFound, perr)
 		return
 	}
-	coordJSON(w, http.StatusOK, p)
+	httpjson.Write(w, http.StatusOK, p)
 }
 
 // handleJournalVerify re-verifies the coordinator's journal file
 // against its live chain (GET /journal/verify).
 func (co *Coordinator) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	coordJSON(w, http.StatusOK, VerifyJournalDoc(co.cfg.Journal))
-}
-
-func coordJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	httpjson.Write(w, http.StatusOK, VerifyJournalDoc(co.cfg.Journal))
 }
 
 func coordErr(w http.ResponseWriter, status int, err error) {
-	coordJSON(w, status, map[string]string{"error": err.Error()})
+	httpjson.Write(w, status, map[string]string{"error": err.Error()})
 }
 
 // maxCoordBody bounds coordinator request bodies.
@@ -90,7 +85,7 @@ type coordPredictResponse struct {
 
 func (co *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req coordPredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxCoordBody)).Decode(&req); err != nil {
+	if err := httpjson.DecodePredict(r, maxCoordBody, &req, httpjson.Fields{X: &req.X, Xs: &req.Xs}); err != nil {
 		coordErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -123,10 +118,10 @@ func (co *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		preds[i] = ClusterPrediction{Class: classes[i], Confidence: confs[i]}
 	}
 	if req.X != nil {
-		coordJSON(w, http.StatusOK, coordPredictResponse{Prediction: &preds[0]})
+		httpjson.Write(w, http.StatusOK, coordPredictResponse{Prediction: &preds[0]})
 		return
 	}
-	coordJSON(w, http.StatusOK, coordPredictResponse{Predictions: preds})
+	httpjson.Write(w, http.StatusOK, coordPredictResponse{Predictions: preds})
 }
 
 // coordAttackRequest is serve's attack document plus the target node.
@@ -141,7 +136,7 @@ type coordAttackRequest struct {
 
 func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 	var req coordAttackRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxCoordBody)).Decode(&req); err != nil {
+	if err := httpjson.Decode(r, maxCoordBody, &req); err != nil {
 		coordErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -180,20 +175,20 @@ func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rep, err := co.SweepNow()
 	if err != nil {
-		coordJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "report": rep})
+		httpjson.Write(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "report": rep})
 		return
 	}
-	coordJSON(w, http.StatusOK, rep)
+	httpjson.Write(w, http.StatusOK, rep)
 }
 
 func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	coordJSON(w, http.StatusOK, co.Status())
+	httpjson.Write(w, http.StatusOK, co.Status())
 }
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if co.Active() == 0 {
-		coordJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no active nodes"})
+		httpjson.Write(w, http.StatusServiceUnavailable, map[string]string{"status": "no active nodes"})
 		return
 	}
-	coordJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpjson.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -34,7 +34,9 @@ import (
 // value), which the bit-identity oracle depends on.
 
 // ScoreRequest asks a node to encode and score a batch of raw feature
-// vectors against its local deployed model.
+// vectors against its local deployed model. nodeClient.Score writes it
+// with httpjson.MarshalScore, which emits json.Marshal's bytes for it,
+// and the node reads it on httpjson's canonical-body fast path.
 type ScoreRequest struct {
 	Xs          [][]float64 `json:"xs"`
 	Temperature float64     `json:"temperature"`

@@ -190,6 +190,13 @@ func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	if features == 0 || features > 1<<24 {
 		return nil, nan, nil, fmt.Errorf("core: implausible feature count %d", features)
 	}
+	// The sender computes the CRC, so it proves nothing about the
+	// header: nothing is sized from a header field before the bytes
+	// behind it are known to be present. The normalizer is two float64
+	// ranges per feature.
+	if need := 16 * features; uint64(br.Len()) < need {
+		return nil, nan, nil, fmt.Errorf("core: load normalizer: %d features need %d bytes, %d remain", features, need, br.Len())
+	}
 	mins := make([]float64, features)
 	maxs := make([]float64, features)
 	for _, slice := range [][]float64{mins, maxs} {
@@ -205,23 +212,25 @@ func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	if err != nil {
 		return nil, nan, nil, fmt.Errorf("core: %w", err)
 	}
-	enc, err := encoding.NewRecordEncoder(int(dims), int(features), int(levels), 0, 1, seed)
-	if err != nil {
-		return nil, nan, nil, fmt.Errorf("core: %w", err)
-	}
+	// The model section comes before the encoder: its readers bound
+	// their allocation by the bytes they read, so a dims that matches
+	// the model is proved by class vectors actually present before the
+	// encoder sizes its item memory from it.
 	m, l, err := model.ReadBackend(br)
 	if err != nil {
 		return nil, nan, nil, fmt.Errorf("core: %w", err)
 	}
 	sys := &System{
-		cfg:     Config{Dimensions: int(dims), Levels: int(levels), Seed: seed},
-		norm:    norm,
-		encoder: enc,
-		model:   m,
-		log:     l,
+		cfg:   Config{Dimensions: int(dims), Levels: int(levels), Seed: seed},
+		norm:  norm,
+		model: m,
+		log:   l,
 	}
 	if sys.Dimensions() != int(dims) {
 		return nil, nan, nil, fmt.Errorf("core: model dims %d != config dims %d", sys.Dimensions(), dims)
+	}
+	if sys.encoder, err = encoding.NewRecordEncoder(int(dims), int(features), int(levels), 0, 1, seed); err != nil {
+		return nil, nan, nil, fmt.Errorf("core: %w", err)
 	}
 	return sys, stamp, anchor, nil
 }

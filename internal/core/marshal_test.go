@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/recovery"
@@ -235,5 +236,39 @@ func TestLoadAnchoredRejectsZeroSealedSeq(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(payload))
 	if _, _, _, err := LoadAnchored(bytes.NewReader(raw)); err == nil {
 		t.Fatal("anchored snapshot with zero sealed seq accepted")
+	}
+}
+
+// TestLoadAnchoredBoundsAllocation feeds correctly sealed snapshots
+// whose headers claim far more than their payload holds. The CRC is
+// the sender's, so it gates nothing: the load must fail having
+// allocated in proportion to the bytes present, not to the claims.
+func TestLoadAnchoredBoundsAllocation(t *testing.T) {
+	const bound = 1 << 20
+	sealed := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	stamp := math.Float64bits(0.5)
+	for name, img := range map[string][]byte{
+		// 2^24 features and no normalizer behind them.
+		"features": sealed(systemMagic, 10000, 8, 1, 1<<24, stamp),
+		// One feature's normalizer, then D=2^23 and no model section.
+		"dims": sealed(systemMagic, 1<<23, 2, 1, 1, stamp, math.Float64bits(0), math.Float64bits(1)),
+	} {
+		var before, after runtime.MemStats
+		var err error
+		runtime.ReadMemStats(&before)
+		_, _, _, err = LoadAnchored(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: forged snapshot loaded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("%s: a %d-byte snapshot allocated %d bytes before failing (%v)", name, len(img), got, err)
+		}
 	}
 }

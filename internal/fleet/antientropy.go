@@ -68,12 +68,15 @@ func (d *Dispatcher[Q]) SweepNow() (SweepReport, error) {
 	d.sweeps.Add(1)
 	d.probeDown()
 
+	// Read after the rejoin probes, whose returnees this sweep measures,
+	// and before the summaries: settle arms from this word only.
+	start := d.health.Load()
 	act := d.actives()
 	rep := SweepReport{Compared: len(act)}
 	if len(act) < 2 {
 		// Nothing to vote with; a lone member is trivially "majority".
 		rep.Healthy = len(act) == len(d.slots)
-		d.healthy.Store(rep.Healthy)
+		d.settle(start, rep.Healthy)
 		d.journalAppend(Event{Kind: EventSweep, Replica: -1, Class: -1, Chunk: -1})
 		return rep, nil
 	}
@@ -199,7 +202,7 @@ func (d *Dispatcher[Q]) SweepNow() (SweepReport, error) {
 	// Repairs and reseeds happened after the summaries, so identity is
 	// proven only by the next clean sweep.
 	rep.Healthy = rep.DivergentBits == 0 && len(rep.Quarantined) == 0 && len(act) == len(d.slots)
-	d.healthy.Store(rep.Healthy)
+	d.settle(start, rep.Healthy)
 	d.journalAppend(Event{Kind: EventSweep, Replica: -1, Class: -1, Chunk: -1, Bits: rep.DivergentBits,
 		Detail: fmt.Sprintf("repaired %d chunks", rep.RepairedChunks)})
 	return rep, nil
@@ -219,7 +222,7 @@ func keep[Q, T any](act []*slot[Q], got []T, ok []bool) ([]*slot[Q], []T) {
 
 // tooFew ends a sweep that lost its quorum of reachable members.
 func (d *Dispatcher[Q]) tooFew(rep SweepReport, what string) (SweepReport, error) {
-	d.healthy.Store(false)
+	d.disarm()
 	d.journalAppend(Event{Kind: EventSweep, Replica: -1, Class: -1, Chunk: -1, Detail: "too few reachable members"})
 	return rep, fmt.Errorf("%w: %d %s reachable, need 2", ErrNoReplicas, rep.Compared, what)
 }
@@ -245,7 +248,7 @@ func (d *Dispatcher[Q]) probeDown() {
 		s.rejoins.Add(1)
 		// The returnee's model is whatever it restarted with; this sweep
 		// measures it and repairs or quarantines as needed.
-		d.healthy.Store(false)
+		d.disarm()
 		d.journalAppend(Event{Kind: EventActivate, Replica: s.id, Class: -1, Chunk: -1, Detail: "rejoined after probes"})
 	}
 }
@@ -255,7 +258,7 @@ func (d *Dispatcher[Q]) quarantine(s *slot[Q], frac float64, act []*slot[Q], bit
 	s.state.Store(stateQuarantined)
 	s.quarantines.Add(1)
 	d.quarantines.Add(1)
-	d.healthy.Store(false)
+	d.disarm()
 	rep.Quarantined = append(rep.Quarantined, s.id)
 	d.journalAppend(Event{Kind: EventQuarantine, Replica: s.id, Class: -1, Chunk: -1,
 		Detail: fmt.Sprintf("divergence %.4f", frac)})

@@ -135,16 +135,21 @@ type Dispatcher[Q any] struct {
 	// wear spread evenly.
 	cursor atomic.Uint64
 
-	// healthy gates the fast single-member path. It is set only by a
+	// health gates the fast single-member path. Bit 0 is the armed
+	// flag; the bits above it count disarms. It is armed only by a
 	// sweep that proves all members active and bit-identical, and
-	// cleared by anything that could make them diverge: substrate
+	// disarmed by anything that could make them diverge: substrate
 	// flips, recovery substitutions, external mutation, repairs,
-	// quarantines, a member going down or coming back. False negatives
-	// only cost fan-out; a false positive would serve unvoted answers,
-	// so every clearing site errs toward clearing. A new Dispatcher
-	// starts disarmed: its members are proven identical by the first
-	// clean sweep, unless their maker knows better (Fleet forks them).
-	healthy atomic.Bool
+	// quarantines, a member going down or coming back. Every disarm
+	// bumps the count, and a sweep arms only by a CompareAndSwap from
+	// the word it read before taking its summaries, so a disarm that
+	// lands mid-sweep is never overwritten by a proof that predates it.
+	// False negatives only cost fan-out; a false positive would serve
+	// unvoted answers, so every clearing site errs toward clearing. A
+	// new Dispatcher starts disarmed: its members are proven identical
+	// by the first clean sweep, unless their maker knows better (Fleet
+	// forks them).
+	health atomic.Uint64
 
 	// aeMu serializes sweeps and lifecycle transitions; it nests
 	// OUTSIDE every member lock.
@@ -200,7 +205,31 @@ func (d *Dispatcher[Q]) Size() int { return len(d.slots) }
 func (d *Dispatcher[Q]) Quorum() int { return d.cfg.Quorum }
 
 // Healthy reports whether the fast single-member path is engaged.
-func (d *Dispatcher[Q]) Healthy() bool { return d.healthy.Load() }
+func (d *Dispatcher[Q]) Healthy() bool { return d.health.Load()&1 != 0 }
+
+// disarm drops the fast path and bumps the disarm count, so a sweep
+// that read the health word before this call can no longer arm it.
+func (d *Dispatcher[Q]) disarm() {
+	for {
+		old := d.health.Load()
+		// (old|1)+1 clears the armed bit and carries into the count.
+		if d.health.CompareAndSwap(old, (old|1)+1) {
+			return
+		}
+	}
+}
+
+// settle ends a sweep that read the health word as start before its
+// summaries: a sweep that proved the members identical arms the fast
+// path unless a disarm has landed since start; any other sweep
+// disarms it.
+func (d *Dispatcher[Q]) settle(start uint64, proven bool) {
+	if !proven {
+		d.disarm()
+		return
+	}
+	d.health.CompareAndSwap(start, start|1)
+}
 
 // Active returns how many members are in rotation.
 func (d *Dispatcher[Q]) Active() int { return len(d.actives()) }
@@ -230,7 +259,7 @@ func (d *Dispatcher[Q]) note(s *slot[Q], err error) bool {
 	fails := s.consecFails.Add(1)
 	if int(fails) >= d.ladder.FailThreshold && s.state.CompareAndSwap(stateActive, stateDown) {
 		s.downs.Add(1)
-		d.healthy.Store(false)
+		d.disarm()
 		d.journalAppend(Event{Kind: EventWatchdog, Replica: s.id, Class: -1, Chunk: -1,
 			Detail: fmt.Sprintf("member down after %d consecutive failures", fails)})
 	}
@@ -240,13 +269,15 @@ func (d *Dispatcher[Q]) note(s *slot[Q], err error) bool {
 // Mutate runs fn — an external change to member id, such as an attack
 // drill — after disarming the fast path: a change that landed while it
 // stayed armed would serve unvoted answers from a possibly-corrupted
-// member. fn's error feeds the failure ladder.
+// member. It disarms again once fn returns, so a sweep whose summaries
+// raced fn cannot arm on them. fn's error feeds the failure ladder.
 func (d *Dispatcher[Q]) Mutate(id int, fn func() error) error {
 	if id < 0 || id >= len(d.slots) {
 		return fmt.Errorf("fleet: no member %d", id)
 	}
-	d.healthy.Store(false)
+	d.disarm()
 	err := fn()
+	d.disarm()
 	d.note(d.slots[id], err)
 	return err
 }
@@ -319,7 +350,7 @@ func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float6
 	if len(act) == 0 {
 		return nil, nil, ErrNoReplicas
 	}
-	if d.healthy.Load() && len(act) == len(d.slots) {
+	if d.Healthy() && len(act) == len(d.slots) {
 		classes, confs, err := d.score(act[d.cursor.Add(1)%uint64(len(act))], qs, temperature)
 		if err == nil {
 			d.fastPredicts.Add(int64(len(qs)))
@@ -330,7 +361,7 @@ func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float6
 			// would say the same, and this one is demonstrably alive.
 			return nil, nil, err
 		}
-		d.healthy.Store(false)
+		d.disarm()
 		if act = d.actives(); len(act) == 0 {
 			return nil, nil, ErrNoReplicas
 		}
@@ -468,7 +499,7 @@ func (d *Dispatcher[Q]) Status() Status {
 	js := d.cfg.Journal.Stats()
 	st := Status{
 		Quorum:           d.cfg.Quorum,
-		Healthy:          d.healthy.Load(),
+		Healthy:          d.Healthy(),
 		FastPredicts:     d.fastPredicts.Load(),
 		QuorumPredicts:   d.quorumPredicts.Load(),
 		Escalations:      d.escalations.Load(),

@@ -237,7 +237,7 @@ func New(seed *core.System, cfg Config) (*Fleet, error) {
 	f.Dispatcher = d
 	// Forks of one seed are bit-identical by construction, so the fast
 	// path starts armed without waiting for a sweep to prove it.
-	f.healthy.Store(true)
+	f.health.Store(1)
 	if cfg.Substrate != nil {
 		for _, r := range f.replicas {
 			// The scrubber feeds the fault process real elapsed time
@@ -307,7 +307,7 @@ func (f *Fleet) Observe(q *bitvec.Vector) {
 		r.sub.NoteWrites(d)
 	}
 	if d > 0 {
-		f.healthy.Store(false)
+		f.disarm()
 		f.journalAppend(Event{Kind: EventRecovery, Replica: r.id, Class: -1, Chunk: -1, Bits: d})
 	}
 }
@@ -328,7 +328,7 @@ func (f *Fleet) AdvanceReplica(id int, elapsed time.Duration) (int, error) {
 	res, err := r.sub.Advance(elapsed)
 	if res.BitsFlipped > 0 {
 		r.faultBits.Add(int64(res.BitsFlipped))
-		f.healthy.Store(false)
+		f.disarm()
 		// The fault process may have hit any class: full reimage.
 		r.chain.Publish(r.sys.Model(), nil)
 	}

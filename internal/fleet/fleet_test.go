@@ -120,7 +120,7 @@ func TestQuorumMatchesSingleModelWhenInSync(t *testing.T) {
 	}
 	check("fast")
 	// Force the quorum path without introducing divergence.
-	f.healthy.Store(false)
+	f.disarm()
 	check("quorum")
 	if f.Status().QuorumPredicts == 0 {
 		t.Fatal("quorum path did not run")
@@ -441,4 +441,72 @@ func (b *syncBuffer) Reader() *bytes.Reader {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return bytes.NewReader(append([]byte(nil), b.buf...))
+}
+
+// stubMember is a Member with one fixed summary, identical across
+// stubs, so every sweep over stubs proves them bit-identical.
+// onSummary, when set, runs inside the Summary call.
+type stubMember struct {
+	onSummary func()
+}
+
+func (m *stubMember) Score(qs []int, _ float64) ([]int, []float64, error) {
+	return make([]int, len(qs)), make([]float64, len(qs)), nil
+}
+
+func (m *stubMember) Summary(chunks int) (Summary, error) {
+	if m.onSummary != nil {
+		m.onSummary()
+	}
+	return Summary{Classes: 1, Dims: 64 * chunks, Chunks: chunks, Hashes: [][]uint64{make([]uint64, chunks)}}, nil
+}
+
+func (m *stubMember) Chunks([]ChunkRef) ([]*bitvec.Vector, error) {
+	return nil, errors.New("stub: no chunks")
+}
+func (m *stubMember) Repair([]Patch) error             { return nil }
+func (m *stubMember) Snapshot(float64) ([]byte, error) { return nil, errors.New("stub: no snapshot") }
+func (m *stubMember) Reseed([]byte) error              { return nil }
+func (m *stubMember) VerifyJournal() error             { return nil }
+func (m *stubMember) Probe() bool                      { return true }
+func (m *stubMember) Describe(*ReplicaStatus)          {}
+
+// TestSweepKeepsMidSweepDisarm: a mutation that lands while a sweep
+// takes its summaries disarms the fast path, and the sweep, whose
+// proof predates the mutation, must not re-arm it.
+func TestSweepKeepsMidSweepDisarm(t *testing.T) {
+	stubs := []*stubMember{{}, {}, {}}
+	members := make([]Member[int], len(stubs))
+	for i, s := range stubs {
+		members[i] = s
+	}
+	d, err := NewDispatcher(members, Config{}, Ladder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if rep, err := d.SweepNow(); err != nil || !rep.Healthy || !d.Healthy() {
+		t.Fatalf("clean sweep did not arm the fast path: %+v, %v", rep, err)
+	}
+
+	stubs[0].onSummary = func() {
+		if err := d.Mutate(1, func() error { return nil }); err != nil {
+			t.Error(err)
+		}
+	}
+	rep, err := d.SweepNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Healthy {
+		t.Fatalf("stub summaries agree, so the sweep should prove them identical: %+v", rep)
+	}
+	if d.Healthy() {
+		t.Fatal("sweep re-armed the fast path over a mutation that landed mid-sweep")
+	}
+
+	stubs[0].onSummary = nil
+	if _, err := d.SweepNow(); err != nil || !d.Healthy() {
+		t.Fatalf("clean sweep after the mutation did not re-arm the fast path: %v", err)
+	}
 }

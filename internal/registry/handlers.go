@@ -1,12 +1,12 @@
 package registry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/serve"
 )
 
@@ -42,12 +42,6 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeErr maps registry and serve errors onto HTTP statuses. Unknown
 // model ids are 404 — the resource does not exist — while malformed
 // requests (bad ids, bad payloads) are 400, duplicate creates 409, and
@@ -66,15 +60,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed), errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrNoModel):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", serve.ErrBadInput, err)
-	}
-	return nil
+	httpjson.Write(w, status, map[string]string{"error": err.Error()})
 }
 
 // predictRequest is serve's wire format plus the tenant selector and
@@ -94,8 +80,8 @@ type predictResponse struct {
 
 func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var pr predictRequest
-	if err := decodeJSON(req, &pr); err != nil {
-		writeErr(w, err)
+	if err := httpjson.DecodePredict(req, maxBodyBytes, &pr, httpjson.Fields{Model: &pr.Model, Key: &pr.Key, X: &pr.X, Xs: &pr.Xs}); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
 		return
 	}
 	if pr.Model == "" {
@@ -111,21 +97,21 @@ func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, predictResponse{Model: pr.Model, Prediction: &pred})
+		httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Prediction: &pred})
 	case len(pr.Xs) > 0:
 		preds, err := r.PredictMany(pr.Model, pr.Xs)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, predictResponse{Model: pr.Model, Predictions: preds})
+		httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Predictions: preds})
 	default:
 		writeErr(w, fmt.Errorf("%w: empty request: provide x or xs", serve.ErrBadInput))
 	}
 }
 
 func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"models":   r.List(),
 		"registry": r.StatsSnapshot(),
 	})
@@ -154,8 +140,8 @@ type createRequest struct {
 
 func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
 	var cr createRequest
-	if err := decodeJSON(req, &cr); err != nil {
-		writeErr(w, err)
+	if err := httpjson.Decode(req, maxBodyBytes, &cr); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
 		return
 	}
 	if err := ValidateModelID(cr.ID); err != nil {
@@ -201,7 +187,7 @@ func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	httpjson.Write(w, http.StatusCreated, map[string]any{
 		"model":      cr.ID,
 		"backend":    sys.Backend(),
 		"classes":    sys.Classes(),
@@ -236,7 +222,7 @@ func (r *Registry) handleCreateSnapshot(w http.ResponseWriter, req *http.Request
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	httpjson.Write(w, http.StatusCreated, map[string]any{
 		"model":      id,
 		"backend":    sys.Backend(),
 		"classes":    sys.Classes(),
@@ -253,7 +239,7 @@ func (r *Registry) handleGet(w http.ResponseWriter, req *http.Request) {
 	}
 	for _, info := range r.List() {
 		if info.Model == id {
-			writeJSON(w, http.StatusOK, info)
+			httpjson.Write(w, http.StatusOK, info)
 			return
 		}
 	}
@@ -267,7 +253,7 @@ func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"model": id, "deleted": true})
+	httpjson.Write(w, http.StatusOK, map[string]any{"model": id, "deleted": true})
 }
 
 // handleTenantPassthrough forwards /models/{id}/* to the tenant's own
@@ -305,7 +291,7 @@ func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	for id, t := range cur {
 		doc.Models[id] = t.srv.MetricsSnapshot()
 	}
-	writeJSON(w, http.StatusOK, doc)
+	httpjson.Write(w, http.StatusOK, doc)
 }
 
 func (r *Registry) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -320,7 +306,7 @@ func (r *Registry) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if ready == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	httpjson.Write(w, status, map[string]any{
 		"status": map[bool]string{true: "ok", false: "no models"}[ready > 0],
 		"models": len(ids),
 		"ready":  ready,

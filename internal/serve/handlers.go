@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/httpjson"
 )
 
 // maxBodyBytes bounds request bodies (training sets and snapshots
@@ -51,13 +51,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON emits a JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeErr maps serving errors onto HTTP statuses.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
@@ -71,15 +64,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrSuperseded):
 		status = http.StatusConflict
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	return nil
+	httpjson.Write(w, status, map[string]string{"error": err.Error()})
 }
 
 // predictRequest accepts a single sample or a batch.
@@ -95,8 +80,8 @@ type predictResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req predictRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.DecodePredict(r, maxBodyBytes, &req, httpjson.Fields{X: &req.X, Xs: &req.Xs}); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	switch {
@@ -108,14 +93,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, predictResponse{Prediction: &pred})
+		httpjson.Write(w, http.StatusOK, predictResponse{Prediction: &pred})
 	case len(req.Xs) > 0:
 		preds, err := s.PredictMany(req.Xs)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, predictResponse{Predictions: preds})
+		httpjson.Write(w, http.StatusOK, predictResponse{Predictions: preds})
 	default:
 		writeErr(w, fmt.Errorf("%w: empty request: provide x or xs", ErrBadInput))
 	}
@@ -153,8 +138,8 @@ type trainRequest struct {
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	if req.Online {
@@ -200,7 +185,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"classes":    sys.Classes(),
 		"dimensions": sys.Dimensions(),
 		"features":   sys.Features(),
@@ -222,7 +207,7 @@ func (s *Server) handleTrainOnline(w http.ResponseWriter, req *trainRequest) {
 		}
 	}
 	sys := s.system()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"online":         true,
 		"final_mistakes": mistakes,
 		"classes":        sys.Classes(),
@@ -315,7 +300,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if anchor != nil {
 		resp["journal_anchor_seq"] = anchor.SealedSeq
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // attackRequest injects a live fault drill.
@@ -336,8 +321,8 @@ type attackRequest struct {
 
 func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	var req attackRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	sys := s.system()
@@ -399,7 +384,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	if req.Replica != nil {
 		resp["replica"] = *req.Replica
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // fleetResponse is the /fleet status document.
@@ -415,11 +400,11 @@ type fleetResponse struct {
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	flt := s.fleet()
 	if flt == nil {
-		writeJSON(w, http.StatusOK, fleetResponse{Enabled: false})
+		httpjson.Write(w, http.StatusOK, fleetResponse{Enabled: false})
 		return
 	}
 	st := flt.Status()
-	writeJSON(w, http.StatusOK, fleetResponse{
+	httpjson.Write(w, http.StatusOK, fleetResponse{
 		Enabled:  true,
 		Replicas: flt.Size(),
 		Quorum:   flt.Quorum(),
@@ -444,27 +429,27 @@ func (s *Server) handleJournalProof(w http.ResponseWriter, r *http.Request) {
 	}
 	p, perr := j.Proof(int64(seq))
 	if perr != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": perr.Error()})
+		httpjson.Write(w, http.StatusNotFound, map[string]string{"error": perr.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	httpjson.Write(w, http.StatusOK, p)
 }
 
 // handleJournalVerify re-verifies the journal's backing file against
 // the live chain (GET /journal/verify) — the endpoint the coordinator
 // uses as its donor-trust gate.
 func (s *Server) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, cluster.VerifyJournalDoc(s.cfg.Journal))
+	httpjson.Write(w, http.StatusOK, cluster.VerifyJournalDoc(s.cfg.Journal))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	httpjson.Write(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no model"})
+		httpjson.Write(w, http.StatusServiceUnavailable, map[string]string{"status": "no model"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpjson.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 }

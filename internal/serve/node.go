@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/httpjson"
 )
 
 // Node API: the server side of the remote fleet.Member
@@ -52,8 +53,8 @@ func (s *Server) registerNodeAPI(mux *http.ServeMux) {
 // wire stays narrow.
 func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ScoreRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.DecodePredict(r, maxBodyBytes, &req, httpjson.Fields{Xs: &req.Xs, Temperature: &req.Temperature}); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	st := s.live.Load()
@@ -81,7 +82,7 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 	var resp cluster.ScoreResponse
 	resp.Classes, resp.Confs = fleet.ScoreEpoch(st.chain, encoded, req.Temperature)
 	s.metrics.nodeScored.Add(int64(len(encoded)))
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // handleNodeSummary reports per-class chunk hashes of the deployed
@@ -104,15 +105,15 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: chunks %d out of [1,%d]", ErrBadInput, chunks, dims))
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.SummaryDoc(fleet.Summarize(st.chain, chunks)))
+	httpjson.Write(w, http.StatusOK, cluster.SummaryDoc(fleet.Summarize(st.chain, chunks)))
 }
 
 // handleNodeChunks returns the bits of the named chunks so the
 // coordinator can majority-vote only where summaries disagree.
 func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ChunksRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	st := s.live.Load()
@@ -141,7 +142,7 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 		ref := req.Chunks[i]
 		resp.Chunks[i] = cluster.ChunkData{Class: ref.Class, Lo: ref.Lo, Hi: ref.Hi, Bits: bits}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // handleNodeRepair overwrites the named chunks with coordinator-voted
@@ -150,8 +151,8 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 // journaled per chunk with the bits that actually changed.
 func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RepairRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
+	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	st := s.live.Load()
@@ -198,7 +199,7 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.nodeRepairs.Add(int64(len(req.Chunks)))
 	s.metrics.nodeRepairBits.Add(int64(out.Bits))
-	writeJSON(w, http.StatusOK, out)
+	httpjson.Write(w, http.StatusOK, out)
 }
 
 // handleNodeSnapshot streams a stamped snapshot of the live system.
@@ -271,7 +272,7 @@ func (s *Server) handleNodeReseed(w http.ResponseWriter, r *http.Request) {
 	if !math.IsNaN(stamp) {
 		resp["stamp"] = stamp
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // checkChunkRef rejects out-of-range chunk coordinates before any
