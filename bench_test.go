@@ -196,32 +196,42 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeCached isolates the bound-pair cache: the same
-// encoder-level Encode with the cache active (the default) versus
-// forced off (bind recomputed into scratch every feature).
-func BenchmarkEncodeCached(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "cache=off"
-		if cached {
-			name = "cache=on"
+// BenchmarkEncodeBatch measures batch-major record encoding at D=10k
+// for the three served feature counts (PAMAP 75, UCIHAR 561, ISOLET
+// 617) and batch sizes 1, 8 and 16. Every op encodes the next batch of
+// a 64-sample pool, so table rows are not artificially hot. Each
+// parallel goroutine owns its scratch and destinations, so -cpu 2 runs
+// two concurrent encoders; ns/sample is wall time per encoded sample.
+func BenchmarkEncodeBatch(b *testing.B) {
+	for _, features := range []int{75, 561, 617} {
+		enc, err := encoding.NewRecordEncoder(10000, features, 8, 0, 1, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			enc, err := encoding.NewRecordEncoder(10000, 75, 8, 0, 1, 1)
-			if err != nil {
-				b.Fatal(err)
+		rng := stats.NewRNG(2)
+		pool := make([][]float64, 64)
+		for i := range pool {
+			pool[i] = make([]float64, features)
+			for j := range pool[i] {
+				pool[i][j] = rng.Float64()
 			}
-			enc.SetBoundCache(cached)
-			rng := stats.NewRNG(2)
-			x := make([]float64, 75)
-			for i := range x {
-				x[i] = rng.Float64()
-			}
-			enc.Encode(x) // warm the cache outside the timed region
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				enc.Encode(x)
-			}
-		})
+		}
+		for _, batch := range []int{1, 8, 16} {
+			b.Run(fmt.Sprintf("features=%d/batch=%d", features, batch), func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					dsts := make([]*bitvec.Vector, batch)
+					for i := range dsts {
+						dsts[i] = bitvec.New(10000)
+					}
+					scratch := enc.NewScratch()
+					for next := 0; pb.Next(); next = (next + batch) % len(pool) {
+						enc.EncodeBatchInto(dsts, pool[next:next+batch], scratch)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
+			})
+		}
 	}
 }
 

@@ -37,6 +37,32 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, wordsFor(n)), n: n}
 }
 
+// NewMany returns one zeroed vector per entry of lens, lens[i] bits
+// long, all carved from one backing word array and one header array:
+// three allocations in all instead of two per vector. The vectors are
+// independent — writing one never touches another's bits — but they
+// stay reachable as a set, so it suits batches with one lifetime (a
+// sweep's chunk copies and votes). It panics on a negative length.
+func NewMany(lens []int) []*Vector {
+	total := 0
+	for _, n := range lens {
+		if n < 0 {
+			panic("bitvec: negative length")
+		}
+		total += wordsFor(n)
+	}
+	words := make([]uint64, total)
+	hdrs := make([]Vector, len(lens))
+	out := make([]*Vector, len(lens))
+	for i, n := range lens {
+		w := wordsFor(n)
+		hdrs[i] = Vector{words: words[:w:w], n: n}
+		words = words[w:]
+		out[i] = &hdrs[i]
+	}
+	return out
+}
+
 // Random returns a vector of n uniformly random bits drawn from rng.
 func Random(n int, rng *rand.Rand) *Vector {
 	v := New(n)
@@ -466,12 +492,19 @@ func shiftRightWords(dst, src []uint64, k int) {
 func (v *Vector) Slice(lo, hi int) *Vector {
 	v.checkRange(lo, hi)
 	out := New(hi - lo)
-	if hi == lo {
-		return out
-	}
-	shiftRightWords(out.words, v.words, lo)
-	out.maskTail()
+	v.SliceInto(out, lo)
 	return out
+}
+
+// SliceInto writes bits [lo, lo+dst.Len()) of v into dst without
+// allocating.
+func (v *Vector) SliceInto(dst *Vector, lo int) {
+	v.checkRange(lo, lo+dst.n)
+	if dst.n == 0 {
+		return
+	}
+	shiftRightWords(dst.words, v.words, lo)
+	dst.maskTail()
 }
 
 func (v *Vector) mustMatch(o *Vector) {

@@ -462,3 +462,36 @@ func TestZeroLengthVector(t *testing.T) {
 		t.Fatal("zero-length rotate misbehaves")
 	}
 }
+
+// TestNewManyIndependentVectors checks that vectors carved from one
+// backing array have their own lengths and bits, and that SliceInto
+// matches Slice on each of them.
+func TestNewManyIndependentVectors(t *testing.T) {
+	lens := []int{0, 1, 63, 64, 65, 156, 157, 10}
+	vs := NewMany(lens)
+	if len(vs) != len(lens) {
+		t.Fatalf("%d vectors for %d lengths", len(vs), len(lens))
+	}
+	rng := stats.NewRNG(41)
+	src := Random(400, rng)
+	for i, v := range vs {
+		if v.Len() != lens[i] || v.OnesCount() != 0 {
+			t.Fatalf("vector %d: len %d ones %d, want len %d zeroed", i, v.Len(), v.OnesCount(), lens[i])
+		}
+		src.SliceInto(v, 7*i)
+		if !v.Equal(src.Slice(7*i, 7*i+lens[i])) {
+			t.Fatalf("vector %d: SliceInto differs from Slice", i)
+		}
+	}
+	for i, v := range vs {
+		if !v.Equal(src.Slice(7*i, 7*i+lens[i])) {
+			t.Fatalf("vector %d: overwritten by a neighbour", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative length accepted")
+		}
+	}()
+	NewMany([]int{3, -1})
+}

@@ -164,3 +164,56 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAddMany pins the two-level carry-save bundler to per-vector Add:
+// 0–300 rows of 1–700 bits, each row random, all ones or all zeros as
+// the fuzzed kind mask picks, bundled by AddMany in two calls split at
+// a fuzzed point. Every count, the add total and the majority (with its
+// even-count parity ties) must match.
+func FuzzAddMany(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint16(1), uint16(0), uint8(0))
+	f.Add(uint64(2), uint16(8), uint16(64), uint16(3), uint8(0x55))
+	f.Add(uint64(3), uint16(64), uint16(65), uint16(64), uint8(0x0F))
+	f.Add(uint64(4), uint16(300), uint16(700), uint16(150), uint8(0xF0))
+	f.Add(uint64(5), uint16(72), uint16(257), uint16(9), uint8(0xFF))
+	f.Fuzz(func(t *testing.T, seed uint64, rowsRaw, dimsRaw, splitRaw uint16, kinds uint8) {
+		rows, dims := int(rowsRaw)%301, int(dimsRaw)%700+1
+		rng := newTestRNG(seed)
+		ones := New(dims)
+		for i := 0; i < dims; i++ {
+			ones.Set(i, true)
+		}
+		vs := make([]*Vector, rows)
+		for i := range vs {
+			// Two bits of the kind mask per row, cycling: 0 random,
+			// 1 all ones, 2 all zeros, 3 random.
+			switch kinds >> (2 * uint(i%4)) & 3 {
+			case 1:
+				vs[i] = ones
+			case 2:
+				vs[i] = New(dims)
+			default:
+				vs[i] = Random(dims, rng)
+			}
+		}
+		want := NewPlaneCounter(dims)
+		for _, v := range vs {
+			want.Add(v)
+		}
+		got := NewPlaneCounter(dims)
+		split := int(splitRaw) % (rows + 1)
+		got.AddMany(vs[:split])
+		got.AddMany(vs[split:])
+		if got.Adds() != want.Adds() {
+			t.Fatalf("AddMany counted %d adds, Add %d", got.Adds(), want.Adds())
+		}
+		for i := 0; i < dims; i++ {
+			if g, w := got.Count(i), want.Count(i); g != w {
+				t.Fatalf("rows=%d dims=%d split=%d: dim %d count %d, want %d", rows, dims, split, i, g, w)
+			}
+		}
+		if !got.Majority().Equal(want.Majority()) {
+			t.Fatalf("rows=%d dims=%d split=%d: majority diverges", rows, dims, split)
+		}
+	})
+}

@@ -146,10 +146,17 @@ func popcntXorGo(a, b []uint64) int {
 }
 
 func csaAdd8Go(ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
+	return csaAdd8From(0, ones, twos, fours, eights, vs)
+}
+
+// csaAdd8From is csaAdd8Go over words [from, len(ones)). SIMD wrappers
+// finish their ragged tails with it in place, without re-slicing the
+// eight inputs.
+func csaAdd8From(from int, ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
 	w0, w1, w2, w3 := vs[0], vs[1], vs[2], vs[3]
 	w4, w5, w6, w7 := vs[4], vs[5], vs[6], vs[7]
 	var any uint64
-	for i := range ones {
+	for i := from; i < len(ones); i++ {
 		// Three CSA layers: eight weight-1 inputs fold into the
 		// running ones/twos/fours accumulators; only the weight-8
 		// carry escapes to the caller.

@@ -70,11 +70,7 @@ func csaAdd8AVX2(ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
 			&vs[4][0], &vs[5][0], &vs[6][0], &vs[7][0], n)
 	}
 	if n < len(ones) {
-		var tail [8][]uint64
-		for k := range tail {
-			tail[k] = vs[k][n:]
-		}
-		any |= csaAdd8Go(ones[n:], twos[n:], fours[n:], eights[n:], &tail)
+		any |= csaAdd8From(n, ones, twos, fours, eights, vs)
 	}
 	return any
 }

@@ -12,23 +12,42 @@ import (
 // accumulator behind record encoding, where every sample bundles
 // hundreds of bound feature hypervectors.
 //
-// A PlaneCounter is built for reuse: Add's carry scratch lives on the
-// counter (no per-call allocation), Presize pre-allocates the planes a
-// known add-count needs, and Reset keeps every buffer for the next
+// Bulk adds (AddMany, AddGroup) go through a two-level carry-save front
+// end instead of the planes. Level one folds eight weight-1 rows into
+// running ones/twos/fours accumulators and emits one weight-8 row; eight
+// pending weight-8 rows fold through level two into weight-8/16/32
+// accumulators, so only weight-64 carries ripple into the planes. The
+// front end is settled into the planes before any read (Count,
+// Threshold, Majority).
+//
+// A PlaneCounter is built for reuse: every scratch row lives on the
+// counter (no per-call allocation), Presize pre-allocates what a known
+// add-count needs, and Reset keeps every buffer for the next
 // accumulation. Encoding scratch pools rely on this — a warmed counter
 // makes the steady-state encode path allocation-free.
 type PlaneCounter struct {
 	planes [][]uint64
-	carry  []uint64 // Add's ripple-carry scratch, reused across calls
-	// AddMany's carry-save accumulators (weights 1, 2, and 4), reused
-	// across calls.
-	ones, twos, fours []uint64
-	// compareInto's running greater-than / still-equal masks, reused
-	// across calls.
-	gtBuf, eqBuf []uint64
-	words        int
-	n            int
-	adds         int
+	// carry is Add's ripple-carry scratch and level two's weight-64
+	// output, reused across calls.
+	carry []uint64
+	// acc holds the front end's accumulators, weights 1, 2, 4 (level
+	// one) and 8, 16, 32 (level two); acc[w] settles into plane w.
+	acc [6][]uint64
+	// pend holds level one's pending weight-8 rows; pend[npend] is
+	// free between calls, since level two folds them at eight.
+	pend  [8][]uint64
+	npend int
+	// group gathers the rows of one carry-save step; it lives on the
+	// counter because the kernel call would move a local to the heap.
+	group [8][]uint64
+	// zero pads ragged groups; no kernel writes through it.
+	zero []uint64
+	// unsettled is set while the front end may hold counts the planes
+	// do not.
+	unsettled bool
+	words     int
+	n         int
+	adds      int
 }
 
 // NewPlaneCounter returns a zeroed counter over n dimensions.
@@ -46,15 +65,38 @@ func (p *PlaneCounter) Len() int { return p.n }
 func (p *PlaneCounter) Adds() int { return p.adds }
 
 // Presize allocates enough planes up front for per-dimension counts up
-// to adds, so no Add in a bundle of that many vectors grows the plane
-// stack. Presizing an already-large counter is a no-op; the planes
-// survive Reset, so a pooled counter pays the allocation once.
+// to adds, plus the carry-save front end, so no add in a bundle of that
+// many vectors grows the counter. Presizing an already-large counter is
+// a no-op; everything survives Reset, so a pooled counter pays the
+// allocation once.
 func (p *PlaneCounter) Presize(adds int) {
-	if adds < 0 || p.words == 0 {
+	if adds <= 0 || p.words == 0 {
 		return
 	}
 	for len(p.planes) < bits.Len(uint(adds)) {
 		p.planes = append(p.planes, make([]uint64, p.words))
+	}
+	p.ensureRows()
+}
+
+// ensureRows allocates the carry scratch and the front-end rows in one
+// backing array.
+func (p *PlaneCounter) ensureRows() {
+	if p.carry != nil {
+		return
+	}
+	slab := make([]uint64, (2+len(p.acc)+len(p.pend))*p.words)
+	next := func() []uint64 {
+		row := slab[:p.words:p.words]
+		slab = slab[p.words:]
+		return row
+	}
+	p.carry, p.zero = next(), next()
+	for i := range p.acc {
+		p.acc[i] = next()
+	}
+	for i := range p.pend {
+		p.pend[i] = next()
 	}
 }
 
@@ -64,105 +106,141 @@ func (p *PlaneCounter) Add(v *Vector) {
 	if v.n != p.n {
 		panic(fmt.Sprintf("bitvec: plane counter length %d != vector length %d", p.n, v.n))
 	}
+	p.adds++
 	if p.words == 0 {
-		p.adds++
 		return
 	}
 	// Ripple-carry across planes: carry starts as the incoming bits.
-	if p.carry == nil {
-		p.carry = make([]uint64, p.words)
-	}
+	p.ensureRows()
 	copy(p.carry, v.words)
 	p.rippleFrom(0, p.carry)
-	p.adds++
 }
 
 // rippleFrom propagates carry (one word per counter word) into the
 // planes starting at plane index start, growing the plane stack if the
-// carry escapes the top. carry is consumed: on return it holds the
-// residual carry words (all zero unless the stack grew). Each per-plane
-// half-adder pass runs through the dispatched rippleStep kernel.
+// carry escapes the top. carry is consumed: on return it is all zero.
+// Each per-plane half-adder pass runs through the dispatched rippleStep
+// kernel.
 func (p *PlaneCounter) rippleFrom(start int, carry []uint64) {
 	for pi := start; pi < len(p.planes); pi++ {
 		if kern.rippleStep(p.planes[pi], carry) == 0 {
 			return
 		}
 	}
+	if start >= len(p.planes) && isZero(carry) {
+		return
+	}
 	// Carry out of the top plane: grow. Missing intermediate planes
 	// (start beyond the current stack) are zero-filled first. The carry
-	// scratch is reused next call, so the new plane is an independent
-	// copy.
+	// is scratch reused by the caller, so the new plane is an
+	// independent copy.
 	for len(p.planes) < start {
 		p.planes = append(p.planes, make([]uint64, p.words))
 	}
 	top := make([]uint64, p.words)
 	copy(top, carry)
 	p.planes = append(p.planes, top)
-	for i := range carry {
-		carry[i] = 0
+	clear(carry)
+}
+
+func isZero(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
 	}
+	return true
 }
 
 // AddMany accumulates every vector in vs, equivalent to calling Add on
-// each in turn but substantially faster for large bundles: vectors are
-// compressed eight at a time through a carry-save adder tree (Harley-
-// Seal style ones/twos/fours accumulators), so the bit-sliced planes
-// are only touched by the rare weight-8 carries and one final flush,
-// instead of once per added vector. This is the record-encoding hot
-// path: bundling a sample's bound feature vectors dominates encode
-// time.
+// each in turn but substantially faster for large bundles: vectors go
+// through the two-level carry-save front end eight at a time, the
+// ragged tail padded with the zero row, so the bit-sliced planes are only
+// touched by the rare weight-64 carries and one final settle. LogHD
+// plane construction bundles through it.
 func (p *PlaneCounter) AddMany(vs []*Vector) {
 	for _, v := range vs {
 		if v.n != p.n {
 			panic(fmt.Sprintf("bitvec: plane counter length %d != vector length %d", p.n, v.n))
 		}
 	}
-	if p.words == 0 {
-		p.adds += len(vs)
+	for len(vs) > 0 {
+		n := min(len(vs), len(p.group))
+		for k, v := range vs[:n] {
+			p.group[k] = v.words
+		}
+		p.addGroup(n)
+		vs = vs[n:]
+	}
+}
+
+// AddGroup accumulates up to eight rows of raw words as one carry-save
+// step; absent rows count as zero. Every row must hold exactly the
+// counter's word count, ceil(Len()/64). It is AddMany's step, for callers that bundle rows of a flat table
+// rather than Vectors — record encoding feeds it bound rows directly.
+func (p *PlaneCounter) AddGroup(rows [][]uint64) {
+	if len(rows) > 8 {
+		panic(fmt.Sprintf("bitvec: carry-save group of %d rows, max 8", len(rows)))
+	}
+	for k, r := range rows {
+		if len(r) != p.words {
+			panic(fmt.Sprintf("bitvec: plane counter row of %d words != %d", len(r), p.words))
+		}
+		p.group[k] = r
+	}
+	p.addGroup(len(rows))
+}
+
+// addGroup folds group[:n] through level one, padding the rest with
+// the zero row, and folds the pending weight-8 rows through level two
+// once eight are waiting.
+func (p *PlaneCounter) addGroup(n int) {
+	p.adds += n
+	if n == 0 || p.words == 0 {
 		return
 	}
-	if len(vs) < 8 {
-		for _, v := range vs {
-			p.Add(v)
+	p.ensureRows()
+	g := &p.group
+	for k := n; k < len(g); k++ {
+		g[k] = p.zero
+	}
+	p.unsettled = true
+	if kern.csaAdd8(p.acc[0], p.acc[1], p.acc[2], p.pend[p.npend], g) != 0 {
+		if p.npend++; p.npend == len(p.pend) {
+			p.foldPending()
 		}
+	}
+}
+
+// foldPending folds the pending weight-8 rows through level two (the
+// ragged rest padded with the zero row) and ripples the weight-64 carry
+// into the planes from plane 6.
+func (p *PlaneCounter) foldPending() {
+	g := &p.group
+	copy(g[:], p.pend[:p.npend])
+	for k := p.npend; k < len(g); k++ {
+		g[k] = p.zero
+	}
+	p.npend = 0
+	if kern.csaAdd8(p.acc[3], p.acc[4], p.acc[5], p.carry, g) != 0 {
+		p.rippleFrom(6, p.carry)
+	}
+}
+
+// settle moves everything the front end holds into the planes: the
+// pending weight-8 rows through level two, then each accumulator at its
+// weight. The accumulators are left zero.
+func (p *PlaneCounter) settle() {
+	if !p.unsettled {
 		return
 	}
-	p.Presize(p.adds + len(vs))
-	if p.carry == nil {
-		p.carry = make([]uint64, p.words)
+	if p.npend > 0 {
+		p.foldPending()
 	}
-	if p.ones == nil {
-		p.ones = make([]uint64, p.words)
-		p.twos = make([]uint64, p.words)
-		p.fours = make([]uint64, p.words)
+	for w, acc := range p.acc {
+		p.rippleFrom(w, acc)
 	}
-	ones, twos, fours, eights := p.ones, p.twos, p.fours, p.carry
-	for i := range ones {
-		ones[i], twos[i], fours[i] = 0, 0, 0
-	}
-	g := 0
-	var group [8][]uint64
-	for ; g+8 <= len(vs); g += 8 {
-		// Three CSA layers fold eight weight-1 inputs into the running
-		// ones/twos/fours accumulators; only the weight-8 carry escapes
-		// to the planes. The fold runs through the dispatched 8-wide
-		// carry-save kernel.
-		for k := range group {
-			group[k] = vs[g+k].words
-		}
-		if kern.csaAdd8(ones, twos, fours, eights, &group) != 0 {
-			p.rippleFrom(3, eights)
-		}
-	}
-	// Flush the pending sub-8 accumulators into the planes at their
-	// weights, then fold in any leftover vectors one at a time.
-	p.rippleFrom(0, ones)
-	p.rippleFrom(1, twos)
-	p.rippleFrom(2, fours)
-	p.adds += g
-	for ; g < len(vs); g++ {
-		p.Add(vs[g])
-	}
+	p.unsettled = false
 }
 
 // Count returns the accumulated count for dimension i.
@@ -170,6 +248,7 @@ func (p *PlaneCounter) Count(i int) int {
 	if i < 0 || i >= p.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, p.n))
 	}
+	p.settle()
 	w, b := i/wordBits, uint(i)%wordBits
 	count := 0
 	for plane := range p.planes {
@@ -204,6 +283,7 @@ func (p *PlaneCounter) compareInto(dst *Vector, thresh int, withTies bool) {
 	if p.words == 0 {
 		return
 	}
+	p.settle()
 	nPlanes := len(p.planes)
 	if thresh < 0 || thresh>>uint(nPlanes) != 0 {
 		// thresh outside the representable count range: no count can
@@ -224,12 +304,10 @@ func (p *PlaneCounter) compareInto(dst *Vector, thresh int, withTies bool) {
 	// kernel, with the threshold bit broadcast per plane instead of
 	// re-tested per word. Bit-identical to the word-major formulation —
 	// each word's gt/eq lane is independent, only the high-to-low plane
-	// order matters.
-	if p.gtBuf == nil {
-		p.gtBuf = make([]uint64, p.words)
-		p.eqBuf = make([]uint64, p.words)
-	}
-	gt, eq := p.gtBuf, p.eqBuf
+	// order matters. The running masks live in the settled front end's
+	// free pending rows.
+	p.ensureRows()
+	gt, eq := p.pend[0], p.pend[1]
 	for i := range gt {
 		gt[i] = 0
 		eq[i] = ^uint64(0)
@@ -270,12 +348,16 @@ func (p *PlaneCounter) MajorityInto(dst *Vector) {
 	p.compareInto(dst, p.adds/2, p.adds%2 == 0)
 }
 
-// Reset zeroes the counter for reuse without reallocating planes.
+// Reset zeroes the counter for reuse without reallocating anything.
 func (p *PlaneCounter) Reset() {
 	for _, plane := range p.planes {
-		for i := range plane {
-			plane[i] = 0
+		clear(plane)
+	}
+	if p.unsettled {
+		for _, acc := range p.acc {
+			clear(acc)
 		}
+		p.npend, p.unsettled = 0, false
 	}
 	p.adds = 0
 }

@@ -59,6 +59,22 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// Validate checks the encoder shape a configuration asks for, with
+// zero fields at their defaults: positive dimensions, and a level count
+// of at least 2 whose level memory fits encoding.MaxLevelMemory. Train
+// and snapshot loading apply the same rule; request handlers call it
+// before training.
+func (c Config) Validate() error {
+	c.fillDefaults()
+	if c.Dimensions <= 0 {
+		return fmt.Errorf("core: dimensions must be positive, got %d", c.Dimensions)
+	}
+	if err := encoding.ValidateLevels(c.Dimensions, c.Levels); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
 // System is a trained RobustHD classifier. Exactly one backend is
 // non-nil: the dense per-class model (the paper's deployment, which
 // the recovery loop can heal) or the LogHD-compressed deployment
@@ -76,20 +92,18 @@ type System struct {
 	enc sync.Pool
 }
 
-// encodeScratch is one worker's reusable encode state.
+// encodeScratch is one worker's reusable encode state: a normalized
+// row per batch slot and the encoder's scratch.
 type encodeScratch struct {
-	features []float64
-	scratch  *encoding.Scratch
+	rows    [][]float64
+	scratch *encoding.Scratch
 }
 
 func (s *System) getScratch() *encodeScratch {
 	if sc, ok := s.enc.Get().(*encodeScratch); ok {
 		return sc
 	}
-	return &encodeScratch{
-		features: make([]float64, s.encoder.Features()),
-		scratch:  s.encoder.NewScratch(),
-	}
+	return &encodeScratch{scratch: s.encoder.NewScratch()}
 }
 
 func (s *System) putScratch(sc *encodeScratch) { s.enc.Put(sc) }
@@ -98,6 +112,9 @@ func (s *System) putScratch(sc *encodeScratch) { s.enc.Put(sc) }
 // in [0, classes).
 func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, error) {
 	cfg.fillDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(trainX) == 0 {
 		return nil, fmt.Errorf("core: no training data")
 	}
@@ -228,9 +245,8 @@ func (s *System) Features() int { return s.encoder.Features() }
 // returned hypervector is allocated; normalization and bundling run in
 // pooled scratch.
 func (s *System) Encode(x []float64) *bitvec.Vector {
-	sc := s.getScratch()
-	out := s.encodeWith(x, sc)
-	s.putScratch(sc)
+	out := bitvec.New(s.encoder.Dimensions())
+	s.EncodeInto(out, x)
 	return out
 }
 
@@ -239,27 +255,40 @@ func (s *System) Encode(x []float64) *bitvec.Vector {
 // vectors. dst must have the system's dimensionality.
 func (s *System) EncodeInto(dst *bitvec.Vector, x []float64) {
 	sc := s.getScratch()
-	s.norm.ApplyInto(sc.features, x)
-	s.encoder.EncodeInto(dst, sc.features, sc.scratch)
+	s.encodeBatch([]*bitvec.Vector{dst}, [][]float64{x}, sc)
 	s.putScratch(sc)
 }
 
-// encodeWith encodes through the given scratch, allocating only the
-// output vector.
-func (s *System) encodeWith(x []float64, sc *encodeScratch) *bitvec.Vector {
-	s.norm.ApplyInto(sc.features, x)
-	out := bitvec.New(s.encoder.Dimensions())
-	s.encoder.EncodeInto(out, sc.features, sc.scratch)
-	return out
+// encodeBatch normalizes xs into the scratch rows and encodes them
+// into out in batch-major passes.
+func (s *System) encodeBatch(out []*bitvec.Vector, xs [][]float64, sc *encodeScratch) {
+	for len(sc.rows) < min(len(xs), encoding.MaxBatch) {
+		sc.rows = append(sc.rows, make([]float64, s.encoder.Features()))
+	}
+	for len(xs) > 0 {
+		n := min(len(xs), encoding.MaxBatch)
+		rows := sc.rows[:n]
+		for i, x := range xs[:n] {
+			s.norm.ApplyInto(rows[i], x)
+		}
+		s.encoder.EncodeBatchInto(out[:n], rows, sc.scratch)
+		out, xs = out[n:], xs[n:]
+	}
+}
+
+// encodeAllInto allocates out[i] and encodes xs[i] into it.
+func (s *System) encodeAllInto(out []*bitvec.Vector, xs [][]float64, sc *encodeScratch) {
+	for i := range out {
+		out[i] = bitvec.New(s.encoder.Dimensions())
+	}
+	s.encodeBatch(out, xs, sc)
 }
 
 // EncodeAll encodes a batch of raw feature vectors.
 func (s *System) EncodeAll(xs [][]float64) []*bitvec.Vector {
 	out := make([]*bitvec.Vector, len(xs))
 	sc := s.getScratch()
-	for i, x := range xs {
-		out[i] = s.encodeWith(x, sc)
-	}
+	s.encodeAllInto(out, xs, sc)
 	s.putScratch(sc)
 	return out
 }
@@ -267,18 +296,20 @@ func (s *System) EncodeAll(xs [][]float64) []*bitvec.Vector {
 // EncodeAllParallel encodes a batch across the given number of worker
 // goroutines (<= 0 selects GOMAXPROCS). Encoding dominates HDC
 // training time and parallelizes embarrassingly: the encoder is
-// read-only and each sample is independent. Results are in input
-// order and bit-identical to EncodeAll.
+// read-only and each sample is independent. Workers take contiguous
+// chunks of ceil(n/workers) samples, at most encoding.MaxBatch, so
+// each chunk is one batch-major pass. Results are in input order and
+// bit-identical to EncodeAll.
 func (s *System) EncodeAllParallel(xs [][]float64, workers int) []*bitvec.Vector {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	if workers <= 1 {
+	chunk := min(encoding.MaxBatch, (len(xs)+workers-1)/workers)
+	if workers == 1 || chunk >= len(xs) {
 		return s.EncodeAll(xs)
 	}
+	chunks := (len(xs) + chunk - 1) / chunk
+	workers = min(workers, chunks)
 	out := make([]*bitvec.Vector, len(xs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -286,16 +317,17 @@ func (s *System) EncodeAllParallel(xs [][]float64, workers int) []*bitvec.Vector
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local scratch: one normalization buffer and one
-			// bundling counter per goroutine for the whole batch.
+			// Worker-local scratch: normalization rows and bundling
+			// counters per goroutine for the whole batch.
 			sc := s.getScratch()
 			defer s.putScratch(sc)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
+				lo := int(next.Add(1)-1) * chunk
+				if lo >= len(xs) {
 					return
 				}
-				out[i] = s.encodeWith(xs[i], sc)
+				hi := min(lo+chunk, len(xs))
+				s.encodeAllInto(out[lo:hi], xs[lo:hi], sc)
 			}
 		}()
 	}

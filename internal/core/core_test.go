@@ -186,17 +186,29 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeAllParallelMatchesSerial checks the chunked parallel
+// encode and the serial batch encode against per-sample encoding, for
+// worker counts below, at and above the chunk count and batch sizes on
+// both sides of the batch-major pass length.
 func TestEncodeAllParallelMatchesSerial(t *testing.T) {
 	s, ds := trainSmall(t)
-	serial := s.EncodeAll(ds.TestX)
-	for _, workers := range []int{0, 1, 2, 8, 1000} {
-		parallel := s.EncodeAllParallel(ds.TestX, workers)
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: length mismatch", workers)
+	for _, n := range []int{0, 1, 15, 16, 17, 33} {
+		xs := ds.TestX[:n]
+		serial := s.EncodeAll(xs)
+		for i, x := range xs {
+			if want := s.encoder.Encode(s.norm.Apply(x)); !serial[i].Equal(want) {
+				t.Fatalf("n=%d sample %d: EncodeAll differs from per-sample encoding", n, i)
+			}
 		}
-		for i := range serial {
-			if !parallel[i].Equal(serial[i]) {
-				t.Fatalf("workers=%d sample %d: parallel encoding differs", workers, i)
+		for _, workers := range []int{0, 1, 2, 7, 64} {
+			parallel := s.EncodeAllParallel(xs, workers)
+			if len(parallel) != n {
+				t.Fatalf("n=%d workers=%d: %d results", n, workers, len(parallel))
+			}
+			for i := range serial {
+				if !parallel[i].Equal(serial[i]) {
+					t.Fatalf("n=%d workers=%d sample %d: parallel encoding differs", n, workers, i)
+				}
 			}
 		}
 	}

@@ -187,6 +187,14 @@ func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	if !math.IsNaN(stamp) && (stamp < 0 || stamp > 1) {
 		return nil, nan, nil, fmt.Errorf("core: accuracy stamp %v out of [0,1]", stamp)
 	}
+	// The level memory is sized from the header alone, so its shape is
+	// bounded before anything else is read.
+	if dims == 0 || dims > math.MaxInt32 || levels > math.MaxInt32 {
+		return nil, nan, nil, fmt.Errorf("core: implausible shape: %d dims, %d levels", dims, levels)
+	}
+	if err := encoding.ValidateLevels(int(dims), int(levels)); err != nil {
+		return nil, nan, nil, fmt.Errorf("core: %w", err)
+	}
 	if features == 0 || features > 1<<24 {
 		return nil, nan, nil, fmt.Errorf("core: implausible feature count %d", features)
 	}

@@ -272,3 +272,33 @@ func TestLoadAnchoredBoundsAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadAnchoredBoundsLevels seals a genuine snapshot whose header
+// claims 2^20 levels of 1024 bits: the level memory alone would be
+// 128 MiB. The load must refuse the header before building it.
+func TestLoadAnchoredBoundsLevels(t *testing.T) {
+	xs := [][]float64{{0}, {1}, {0.1}, {0.9}}
+	sys, err := Train(xs, []int{0, 1, 0, 1}, 2, Config{Dimensions: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveStamped(&buf, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	payload := img[:len(img)-4]
+	// Header words: magic, dims, levels, ...
+	binary.LittleEndian.PutUint64(payload[16:], 1<<20)
+	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(payload))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = LoadAnchored(bytes.NewReader(img))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("snapshot with 2^20 levels loaded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte snapshot allocated %d bytes before failing (%v)", len(img), got, err)
+	}
+}

@@ -131,8 +131,9 @@ func (d *Dispatcher[Q]) SweepNow() (SweepReport, error) {
 			return d.tooFew(rep, "chunk fetches")
 		}
 		voters := make([]*bitvec.Vector, len(act))
+		majs := bitvec.NewMany(chunkLens(refs))
 		for j, ref := range refs {
-			maj := bitvec.New(ref.Hi - ref.Lo)
+			maj := majs[j]
 			for i := range act {
 				voters[i] = bits[i][j]
 			}

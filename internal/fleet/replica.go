@@ -148,11 +148,20 @@ func ReadChunks(chain *model.EpochChain, refs []ChunkRef) []*bitvec.Vector {
 	ep := chain.Acquire()
 	defer ep.Release()
 	img := ep.Frozen()
-	out := make([]*bitvec.Vector, len(refs))
+	out := bitvec.NewMany(chunkLens(refs))
 	for i, ref := range refs {
-		out[i] = img.ClassVector(ref.Class).Slice(ref.Lo, ref.Hi)
+		img.ClassVector(ref.Class).SliceInto(out[i], ref.Lo)
 	}
 	return out
+}
+
+// chunkLens returns the bit length of each ref's range.
+func chunkLens(refs []ChunkRef) []int {
+	lens := make([]int, len(refs))
+	for i, ref := range refs {
+		lens[i] = ref.Hi - ref.Lo
+	}
+	return lens
 }
 
 // RepairChunks overwrites each patch's range of sys's class vectors,

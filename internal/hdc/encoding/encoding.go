@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/hdc"
@@ -33,13 +32,24 @@ type Encoder interface {
 	Dimensions() int
 }
 
-// DefaultBoundCacheBudget caps the memory the bound-pair cache may
+// DefaultBoundCacheBudget caps the memory the flat bound table may
 // occupy (64 MiB). The full table costs BoundCacheBytes; encoders whose
-// table fits the budget materialize cached bound vectors lazily, others
-// fall back to computing the bind on the fly into scratch.
+// table fits the budget build it at construction, others compute each
+// bind on the fly into scratch.
 const DefaultBoundCacheBudget = 64 << 20
 
-// BoundCacheBytes returns the memory cost of a full bound-pair cache:
+// MaxLevelMemory caps the level memory (levels · dims/8 bytes) an
+// encoder may be asked to build (16 MiB, over 13k levels at D=10k), so
+// a configuration or snapshot header cannot demand an unbounded
+// allocation.
+const MaxLevelMemory = 16 << 20
+
+// MaxBatch is the most samples one batch-major pass encodes together:
+// the per-sample carry-save state of a pass stays cache-resident next to
+// the table rows it shares. Longer batches run as consecutive passes.
+const MaxBatch = 16
+
+// BoundCacheBytes returns the memory cost of a full bound table:
 // features·levels vectors of dims bits, i.e. features·levels·dims/8
 // bytes (rounded up to whole 64-bit words per vector).
 func BoundCacheBytes(dims, features, levels int) int64 {
@@ -47,40 +57,63 @@ func BoundCacheBytes(dims, features, levels int) int64 {
 	return int64(features) * int64(levels) * words * 8
 }
 
+// ValidateLevels checks a level count against dims: at least 2 levels,
+// and at most MaxLevelMemory bytes of level hypervectors.
+func ValidateLevels(dims, levels int) error {
+	if levels < 2 {
+		return fmt.Errorf("encoding: need at least 2 levels, got %d", levels)
+	}
+	if dims > 0 && int64(levels) > MaxLevelMemory*8/int64(dims) {
+		return fmt.Errorf("encoding: %d levels of %d bits exceed the %d-byte level-memory cap", levels, dims, MaxLevelMemory)
+	}
+	return nil
+}
+
 // RecordEncoder is the paper's ID–level encoder. It is deterministic
 // given (dims, features, levels, seed), so an encoder never needs to be
-// stored in attackable memory — it can always be regenerated. Encode
-// is safe for concurrent use: the item/level tables are materialized at
-// construction and the bound-pair cache fills lazily through atomic
-// slots (every filler computes the same deterministic vector).
+// stored in attackable memory — it can always be regenerated. Encoding
+// is safe for concurrent use: everything it reads is built at
+// construction.
 //
-// The bound-pair cache stores the bind L(l) ⊕ B_k for each
-// (feature, level) slot that encoding actually touches, turning the
-// per-feature XOR of the encode hot loop into a cached-vector add. It
-// is enabled whenever the full table fits DefaultBoundCacheBudget.
+// The bound table stores every bind L(l) ⊕ B_k as one flat row, so
+// the encode hot loop bundles table rows instead of binding. It is
+// built whenever it fits DefaultBoundCacheBudget; otherwise the base
+// hypervectors are kept and each group of eight binds is computed into
+// scratch before feeding the same bundler.
 type RecordEncoder struct {
-	items    *hdc.ItemMemory
 	levels   *hdc.LevelMemory
+	dims     int
+	words    int
 	features int
 	lo, hi   float64
 
-	// bound[k·levels+l] lazily holds L(l) ⊕ B_k; nil slice = cache
-	// disabled (table would exceed the budget).
-	bound   []atomic.Pointer[bitvec.Vector]
-	scratch sync.Pool // *Scratch, for Encode calls without caller scratch
+	// table holds L(l) ⊕ B_k at word offset (k·levels + l)·words; nil
+	// when over budget, in which case items holds B_k.
+	table   []uint64
+	items   []*bitvec.Vector
+	scratch sync.Pool // *Scratch, for calls without caller scratch
 }
 
 // NewRecordEncoder builds an encoder for feature vectors of length
 // features, quantizing each feature into levels buckets over the
 // value range [lo, hi].
 func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (*RecordEncoder, error) {
+	return newRecordEncoder(dims, features, levels, lo, hi, seed, DefaultBoundCacheBudget)
+}
+
+// newRecordEncoder is NewRecordEncoder with an explicit bound-table
+// budget; tests pass 0 to reach the over-budget path.
+func newRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64, budget int64) (*RecordEncoder, error) {
 	if features <= 0 {
 		return nil, fmt.Errorf("encoding: features must be positive, got %d", features)
 	}
 	if lo >= hi {
 		return nil, fmt.Errorf("encoding: invalid value range [%v, %v]", lo, hi)
 	}
-	items, err := hdc.NewItemMemory(dims, seed)
+	if err := ValidateLevels(dims, levels); err != nil {
+		return nil, err
+	}
+	im, err := hdc.NewItemMemory(dims, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -88,61 +121,60 @@ func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (
 	if err != nil {
 		return nil, err
 	}
-	// Pre-materialize every positional base hypervector so Encode is
-	// purely read-only afterwards — safe for concurrent use.
-	for k := 0; k < features; k++ {
-		items.Vector(k)
+	items := make([]*bitvec.Vector, features)
+	for k := range items {
+		items[k] = im.Vector(k)
 	}
-	e := &RecordEncoder{items: items, levels: lv, features: features, lo: lo, hi: hi}
-	if BoundCacheBytes(dims, features, levels) <= DefaultBoundCacheBudget {
-		e.bound = make([]atomic.Pointer[bitvec.Vector], features*levels)
+	e := &RecordEncoder{levels: lv, dims: dims, words: (dims + 63) / 64, features: features, lo: lo, hi: hi}
+	if BoundCacheBytes(dims, features, levels) > budget {
+		e.items = items
+		return e, nil
+	}
+	e.table = make([]uint64, features*levels*e.words)
+	row := e.table
+	for _, b := range items {
+		for l := 0; l < levels; l++ {
+			lw, bw := lv.Vector(l).Words(), b.Words()
+			for i := range lw {
+				row[i] = lw[i] ^ bw[i]
+			}
+			row = row[e.words:]
+		}
 	}
 	return e, nil
 }
 
-// SetBoundCache enables or disables the bound-pair cache explicitly,
-// overriding the budget decision (tests exercise the uncached path
-// through it; memory-constrained embedders may force it off). It must
-// not be called concurrently with Encode.
-func (e *RecordEncoder) SetBoundCache(enabled bool) {
-	if !enabled {
-		e.bound = nil
-		return
-	}
-	if e.bound == nil {
-		e.bound = make([]atomic.Pointer[bitvec.Vector], e.features*e.levels.Levels())
-	}
-}
-
-// BoundCacheEnabled reports whether the bound-pair cache is active.
-func (e *RecordEncoder) BoundCacheEnabled() bool { return e.bound != nil }
+// BoundCacheEnabled reports whether the flat bound table was built.
+func (e *RecordEncoder) BoundCacheEnabled() bool { return e.table != nil }
 
 // Dimensions returns the hypervector dimensionality.
-func (e *RecordEncoder) Dimensions() int { return e.items.Dimensions() }
+func (e *RecordEncoder) Dimensions() int { return e.dims }
 
 // Features returns the expected original-space feature count.
 func (e *RecordEncoder) Features() int { return e.features }
 
-// Scratch holds the reusable working state of one encode call: the
-// bit-sliced bundling counter and (for the uncached path) the bound
-// vector the per-feature bind is computed into. A Scratch is not safe
-// for concurrent use — give each worker its own.
+// Scratch holds the reusable working state of encode calls: one
+// bit-sliced bundling counter per sample of a batch-major pass, the
+// row gather list, and (over budget) the bind rows. A Scratch is not
+// safe for concurrent use — give each worker its own.
 type Scratch struct {
-	counter *bitvec.PlaneCounter
-	bound   *bitvec.Vector
-	vecs    []*bitvec.Vector // cached-path gather list for AddMany
+	counters []*bitvec.PlaneCounter
+	group    [8][]uint64
+	binds    [8]*bitvec.Vector
 }
 
-// NewScratch returns encode scratch sized for this encoder, with the
-// counter pre-sized so the steady-state encode path never allocates.
+// NewScratch returns encode scratch sized for this encoder. Counters
+// for batch slots are added on first use and kept, so once a scratch
+// has encoded a batch of some size, batches up to that size allocate
+// nothing.
 func (e *RecordEncoder) NewScratch() *Scratch {
-	c := bitvec.NewPlaneCounter(e.Dimensions())
-	c.Presize(e.features)
-	return &Scratch{
-		counter: c,
-		bound:   bitvec.New(e.Dimensions()),
-		vecs:    make([]*bitvec.Vector, 0, e.features),
+	s := &Scratch{}
+	if e.table == nil {
+		for j := range s.binds {
+			s.binds[j] = bitvec.New(e.dims)
+		}
 	}
+	return s
 }
 
 // Encode maps a feature vector to a hypervector: bind each feature's
@@ -150,69 +182,85 @@ func (e *RecordEncoder) NewScratch() *Scratch {
 // majority. Only the returned vector is allocated; working state comes
 // from an internal scratch pool.
 func (e *RecordEncoder) Encode(features []float64) *bitvec.Vector {
-	out := bitvec.New(e.Dimensions())
+	out := bitvec.New(e.dims)
 	e.EncodeInto(out, features, nil)
 	return out
 }
 
-// EncodeInto encodes features into dst, reusing s for all intermediate
-// state; with a caller-owned dst and scratch the call is allocation-
-// free. A nil s borrows scratch from the encoder's internal pool. dst
-// must have the encoder's dimensionality. The result is bit-identical
-// to Encode.
+// EncodeInto encodes features into dst, a batch of one. With a caller-
+// owned dst and scratch the call is allocation-free; a nil s borrows
+// scratch from the encoder's internal pool.
 func (e *RecordEncoder) EncodeInto(dst *bitvec.Vector, features []float64, s *Scratch) {
-	if len(features) != e.features {
-		panic(fmt.Sprintf("encoding: got %d features, want %d", len(features), e.features))
+	e.EncodeBatchInto([]*bitvec.Vector{dst}, [][]float64{features}, s)
+}
+
+// EncodeBatchInto encodes rows[i] into dsts[i] for every i, bit-
+// identical to encoding each row on its own. It walks feature groups
+// of eight in the outer loop and the batch's samples in the inner one,
+// each sample keeping its own carry-save state, so a group's table rows
+// stay in cache across the whole batch; batches longer than MaxBatch
+// run as consecutive passes. Every row must have Features() values and
+// every dst Dimensions() bits. With caller-owned dsts and scratch the
+// call is allocation-free once the scratch has seen a batch this size;
+// a nil s borrows scratch from the encoder's internal pool.
+func (e *RecordEncoder) EncodeBatchInto(dsts []*bitvec.Vector, rows [][]float64, s *Scratch) {
+	if len(dsts) != len(rows) {
+		panic(fmt.Sprintf("encoding: %d destinations for %d rows", len(dsts), len(rows)))
 	}
-	if dst.Len() != e.Dimensions() {
-		panic(fmt.Sprintf("encoding: dst has %d dims, want %d", dst.Len(), e.Dimensions()))
+	for i, row := range rows {
+		if len(row) != e.features {
+			panic(fmt.Sprintf("encoding: got %d features, want %d", len(row), e.features))
+		}
+		if dsts[i].Len() != e.dims {
+			panic(fmt.Sprintf("encoding: dst has %d dims, want %d", dsts[i].Len(), e.dims))
+		}
 	}
 	if s == nil {
-		if pooled, ok := e.scratch.Get().(*Scratch); ok {
-			s = pooled
-		} else {
+		var ok bool
+		if s, ok = e.scratch.Get().(*Scratch); !ok {
 			s = e.NewScratch()
 		}
 		defer e.scratch.Put(s)
 	}
-	c := s.counter
-	c.Reset()
-	c.Presize(len(features))
-	if e.bound != nil {
-		// Cached path: every bound vector is a stable cache entry, so
-		// the whole bundle can be gathered and fed to the carry-save
-		// AddMany kernel in one shot.
-		vs := s.vecs[:0]
-		for k, f := range features {
-			level := e.levels.Quantize(f, e.lo, e.hi)
-			vs = append(vs, e.cachedBound(k, level))
-		}
-		s.vecs = vs[:0]
-		c.AddMany(vs)
-	} else {
-		// Uncached path: binds share one scratch vector, so they must
-		// be accumulated one at a time.
-		for k, f := range features {
-			level := e.levels.Quantize(f, e.lo, e.hi)
-			e.levels.Vector(level).XorInto(s.bound, e.items.Vector(k))
-			c.Add(s.bound)
-		}
+	for len(rows) > 0 {
+		n := min(len(rows), MaxBatch)
+		e.encodePass(dsts[:n], rows[:n], s)
+		dsts, rows = dsts[n:], rows[n:]
 	}
-	c.MajorityInto(dst)
 }
 
-// cachedBound returns the cached L(level) ⊕ B_k, filling the slot on
-// first touch. The cache must be enabled.
-func (e *RecordEncoder) cachedBound(k, level int) *bitvec.Vector {
-	slot := &e.bound[k*e.levels.Levels()+level]
-	if v := slot.Load(); v != nil {
-		return v
+// encodePass runs one batch-major pass over at most MaxBatch samples.
+func (e *RecordEncoder) encodePass(dsts []*bitvec.Vector, rows [][]float64, s *Scratch) {
+	for len(s.counters) < len(rows) {
+		c := bitvec.NewPlaneCounter(e.dims)
+		c.Presize(e.features)
+		s.counters = append(s.counters, c)
 	}
-	v := e.levels.Vector(level).Xor(e.items.Vector(k))
-	if !slot.CompareAndSwap(nil, v) {
-		v = slot.Load() // another goroutine won with identical bits
+	cs := s.counters[:len(rows)]
+	for _, c := range cs {
+		c.Reset()
 	}
-	return v
+	nl := e.levels.Levels()
+	for k0 := 0; k0 < e.features; k0 += len(s.group) {
+		g := s.group[:min(len(s.group), e.features-k0)]
+		for i, row := range rows {
+			for j := range g {
+				k := k0 + j
+				l := e.levels.Quantize(row[k], e.lo, e.hi)
+				if e.table != nil {
+					off := (k*nl + l) * e.words
+					g[j] = e.table[off : off+e.words : off+e.words]
+				} else {
+					e.levels.Vector(l).XorInto(s.binds[j], e.items[k])
+					g[j] = s.binds[j].Words()
+				}
+			}
+			cs[i].AddGroup(g)
+		}
+	}
+	for i, c := range cs {
+		c.MajorityInto(dsts[i])
+	}
 }
 
 // NGramEncoder encodes symbol sequences by binding permuted symbol

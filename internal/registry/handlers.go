@@ -152,12 +152,17 @@ func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, fmt.Errorf("%w: need x, matching y, and classes >= 2", serve.ErrBadInput))
 		return
 	}
-	sys, err := core.Train(cr.X, cr.Y, cr.Classes, core.Config{
+	cfg := core.Config{
 		Dimensions:    cr.Dimensions,
 		Levels:        cr.Levels,
 		RetrainEpochs: cr.RetrainEpochs,
 		Seed:          cr.Seed,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
+		return
+	}
+	sys, err := core.Train(cr.X, cr.Y, cr.Classes, cfg)
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
 		return

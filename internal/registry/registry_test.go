@@ -284,6 +284,11 @@ func TestRegistryUnknownModelWalls(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad id create: %d", resp.StatusCode)
 	}
+	resp, _ = postJSON(t, ts.URL+"/models", map[string]any{
+		"id": "huge", "x": ds.TrainX[:8], "y": ds.TrainY[:8], "classes": 5, "dimensions": 1024, "levels": 1 << 20})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with 128 MiB of level memory: %d", resp.StatusCode)
+	}
 	if err := r.Create("live", base.Fork()); !errors.Is(err, ErrModelExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}

@@ -156,6 +156,10 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		RetrainEpochs: req.RetrainEpochs,
 		Seed:          req.Seed,
 	}
+	if err := cfg.Validate(); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
+		return
+	}
 	// Training is expensive; run it outside any lock and swap the
 	// finished system in atomically.
 	sys, err := core.Train(req.X, req.Y, req.Classes, cfg)

@@ -353,6 +353,9 @@ func TestTrainRejectsBadRequests(t *testing.T) {
 		{"no data", map[string]any{"classes": 5}},
 		{"length mismatch", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:2], "classes": 5}},
 		{"one class", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 1}},
+		{"one level", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 5, "levels": 1}},
+		{"level memory over the cap", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 5,
+			"dimensions": 1024, "levels": 1 << 20}},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/train", tc.body)
