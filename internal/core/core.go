@@ -121,6 +121,14 @@ func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, 
 	if len(trainX) != len(trainY) {
 		return nil, fmt.Errorf("core: %d samples but %d labels", len(trainX), len(trainY))
 	}
+	// The item memory and the training counters are sized by the
+	// request, not by its bytes: bound both before allocating either.
+	if err := encoding.ValidateFeatures(cfg.Dimensions, len(trainX[0])); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if err := encoding.ValidateClasses(cfg.Dimensions, classes); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	norm, err := encoding.FitNormalizer(trainX)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

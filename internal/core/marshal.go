@@ -146,30 +146,48 @@ func LoadStamped(r io.Reader) (*System, float64, error) {
 // stamp and journal anchor (nil for RHS2 snapshots, which predate
 // anchoring or were written without a sealed journal). The CRC32
 // trailer is verified before any of the payload is trusted; a mismatch
-// returns ErrChecksum.
+// returns ErrChecksum. The fixed header is read and bounded first, so
+// a header asking for more encoder memory than the caps allow is
+// refused before the rest of the snapshot is even read.
 func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	nan := math.NaN()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nan, nil, fmt.Errorf("core: load snapshot: %w", err)
+	var head [6 * 8]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, nan, nil, fmt.Errorf("core: load header: %w", err)
 	}
-	if len(data) < 4 {
-		return nil, nan, nil, fmt.Errorf("core: snapshot truncated (%d bytes)", len(data))
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-		return nil, nan, nil, ErrChecksum
-	}
-	br := bytes.NewReader(payload)
 	var magic, dims, levels, seed, features, stampBits uint64
-	for _, p := range []*uint64{&magic, &dims, &levels, &seed, &features, &stampBits} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, nan, nil, fmt.Errorf("core: load header: %w", err)
-		}
+	for i, p := range []*uint64{&magic, &dims, &levels, &seed, &features, &stampBits} {
+		*p = binary.LittleEndian.Uint64(head[8*i:])
 	}
 	if magic != systemMagic && magic != systemMagicAnchored {
 		return nil, nan, nil, fmt.Errorf("core: bad magic %#x", magic)
 	}
+	// The level and item memories are sized from the header alone, so
+	// their shape is bounded before anything else is read.
+	if dims == 0 || dims > math.MaxInt32 || levels > math.MaxInt32 {
+		return nil, nan, nil, fmt.Errorf("core: implausible shape: %d dims, %d levels", dims, levels)
+	}
+	if err := encoding.ValidateLevels(int(dims), int(levels)); err != nil {
+		return nil, nan, nil, fmt.Errorf("core: %w", err)
+	}
+	if features == 0 || features > 1<<24 {
+		return nil, nan, nil, fmt.Errorf("core: implausible feature count %d", features)
+	}
+	if err := encoding.ValidateFeatures(int(dims), int(features)); err != nil {
+		return nil, nan, nil, fmt.Errorf("core: %w", err)
+	}
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nan, nil, fmt.Errorf("core: load snapshot: %w", err)
+	}
+	if len(rest) < 4 {
+		return nil, nan, nil, fmt.Errorf("core: snapshot truncated (%d bytes)", len(head)+len(rest))
+	}
+	payload, trailer := rest[:len(rest)-4], rest[len(rest)-4:]
+	if crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(trailer) {
+		return nil, nan, nil, ErrChecksum
+	}
+	br := bytes.NewReader(payload)
 	var anchor *JournalAnchor
 	if magic == systemMagicAnchored {
 		anchor = &JournalAnchor{}
@@ -186,17 +204,6 @@ func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	stamp := math.Float64frombits(stampBits)
 	if !math.IsNaN(stamp) && (stamp < 0 || stamp > 1) {
 		return nil, nan, nil, fmt.Errorf("core: accuracy stamp %v out of [0,1]", stamp)
-	}
-	// The level memory is sized from the header alone, so its shape is
-	// bounded before anything else is read.
-	if dims == 0 || dims > math.MaxInt32 || levels > math.MaxInt32 {
-		return nil, nan, nil, fmt.Errorf("core: implausible shape: %d dims, %d levels", dims, levels)
-	}
-	if err := encoding.ValidateLevels(int(dims), int(levels)); err != nil {
-		return nil, nan, nil, fmt.Errorf("core: %w", err)
-	}
-	if features == 0 || features > 1<<24 {
-		return nil, nan, nil, fmt.Errorf("core: implausible feature count %d", features)
 	}
 	// The sender computes the CRC, so it proves nothing about the
 	// header: nothing is sized from a header field before the bytes

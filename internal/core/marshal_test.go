@@ -302,3 +302,102 @@ func TestLoadAnchoredBoundsLevels(t *testing.T) {
 		t.Fatalf("a %d-byte snapshot allocated %d bytes before failing (%v)", len(img), got, err)
 	}
 }
+
+// TestLoadAnchoredBoundsItemMemory seals a snapshot whose header and
+// normalizer describe 2^15 features at D=2^15: every byte the
+// normalizer needs is present, so only the item memory bound — 128 MiB
+// of base hypervectors — stands between the header and the allocation.
+// The load must refuse the header before building it.
+func TestLoadAnchoredBoundsItemMemory(t *testing.T) {
+	const features = 1 << 15
+	xs := [][]float64{{0}, {1}, {0.1}, {0.9}}
+	sys, err := Train(xs, []int{0, 1, 0, 1}, 2, Config{Dimensions: 1 << 15, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveStamped(&buf, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// Header words: magic, dims, levels, seed, features, stamp; then one
+	// feature's min and max, then the model section.
+	const header = 6 * 8
+	binary.LittleEndian.PutUint64(img[32:], features)
+	norm := make([]byte, 16*features)
+	for i := features; i < 2*features; i++ {
+		binary.LittleEndian.PutUint64(norm[8*i:], math.Float64bits(1))
+	}
+	forged := append(append(append([]byte(nil), img[:header]...), norm...), img[header+16:len(img)-4]...)
+	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = LoadAnchored(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("snapshot with 2^15 features at D=2^15 loaded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte snapshot allocated %d bytes before failing (%v)", len(forged), got, err)
+	}
+}
+
+// FuzzLoadAnchored feeds arbitrary bytes to the snapshot loader. It must
+// never panic, and any image it accepts must survive a save/load round
+// trip unchanged: shape, backend, stamp, anchor and deployed bits.
+func FuzzLoadAnchored(f *testing.F) {
+	xs := [][]float64{{0, 1, 0.5}, {1, 0, 0.2}, {0.1, 0.9, 0.7}, {0.9, 0.2, 0.1}, {0.5, 0.5, 0.9}, {0.3, 0.6, 0.4}}
+	sys, err := Train(xs, []int{0, 1, 2, 0, 1, 2}, 3, Config{Dimensions: 256, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	compressed, err := sys.CompressLogHD(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	anchor := &JournalAnchor{Root: [32]byte{1, 2, 3}, SealedSeq: 7}
+	for _, seed := range []struct {
+		sys    *System
+		stamp  float64
+		anchor *JournalAnchor
+	}{{sys, math.NaN(), nil}, {compressed, 0.75, nil}, {sys, 0.9, anchor}} {
+		var buf bytes.Buffer
+		if err := seed.sys.SaveAnchored(&buf, seed.stamp, seed.anchor); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, stamp, anchor, err := LoadAnchored(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := s.SaveAnchored(&buf, stamp, anchor); err != nil {
+			t.Fatalf("accepted image does not re-save: %v", err)
+		}
+		s2, stamp2, anchor2, err := LoadAnchored(&buf)
+		if err != nil {
+			t.Fatalf("re-saved image does not reload: %v", err)
+		}
+		if s2.Backend() != s.Backend() || s2.Classes() != s.Classes() || s2.Dimensions() != s.Dimensions() ||
+			s2.Features() != s.Features() || s2.Config() != s.Config() {
+			t.Fatalf("shape changed in round trip: %s %+v -> %s %+v", s.Backend(), s.Config(), s2.Backend(), s2.Config())
+		}
+		if math.Float64bits(stamp2) != math.Float64bits(stamp) && !(math.IsNaN(stamp) && math.IsNaN(stamp2)) {
+			t.Fatalf("stamp changed in round trip: %v -> %v", stamp, stamp2)
+		}
+		if (anchor == nil) != (anchor2 == nil) || (anchor != nil && *anchor != *anchor2) {
+			t.Fatalf("anchor changed in round trip: %v -> %v", anchor, anchor2)
+		}
+		a, b := s.Snapshot(), s2.Snapshot()
+		if len(a) != len(b) {
+			t.Fatalf("deployed rows changed in round trip: %d -> %d", len(a), len(b))
+		}
+		for i := range a {
+			if !a[i].Equal(b[i]) {
+				t.Fatalf("deployed row %d changed in round trip", i)
+			}
+		}
+	})
+}

@@ -25,9 +25,10 @@
 //
 // Dispatcher (dispatch.go) is the one implementation of that
 // algorithm, written against the Member interface. Fleet drives it over
-// in-process replicas (replica.go): forks of one seed system, each with
-// its own recovery.Recoverer, substrate.FaultProcess and epoch chain.
-// internal/cluster drives it over servehd nodes in other processes.
+// in-process replicas: forks of one seed system, each a Replica
+// (replica.go) with its own recovery.Recoverer, substrate.FaultProcess,
+// epoch chain and writer lock. internal/cluster drives it over servehd
+// nodes in other processes, each serving one Replica of its own.
 //
 // Locking: each replica carries its own single-writer RWMutex
 // (innermost). Sweeps serialize on the dispatcher's aeMu and never
@@ -43,7 +44,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/hdc/model"
 	"repro/internal/recovery"
 	"repro/internal/stats"
 	"repro/internal/substrate"
@@ -191,7 +191,7 @@ func (c Config) Validate() error {
 // access for drills.
 type Fleet struct {
 	*Dispatcher[*bitvec.Vector]
-	replicas []*replica
+	replicas []*Replica
 }
 
 // New builds a fleet of cfg.Replicas forks of seed. The seed system
@@ -209,26 +209,22 @@ func New(seed *core.System, cfg Config) (*Fleet, error) {
 	f := &Fleet{}
 	members := make([]Member[*bitvec.Vector], cfg.Replicas)
 	for i := range members {
-		r := &replica{id: i, sys: seed.Fork()}
-		r.chain = model.NewEpochChain(r.sys.Model())
+		var rc *recovery.Config
 		if !cfg.DisableRecovery {
-			rec, err := r.sys.NewRecoverer(cfg.Recovery, derivedSeed(cfg.Seed, i, 0x7ec0))
-			if err != nil {
-				return nil, err
-			}
-			r.rec = rec
+			rc = &cfg.Recovery
 		}
+		var sc *substrate.Config
 		if cfg.Substrate != nil {
-			sc := *cfg.Substrate
-			sc.Seed = derivedSeed(cfg.Seed, i, 0x50b5)
-			p, err := substrate.New(sc, r.sys.AttackImage())
-			if err != nil {
-				return nil, err
-			}
-			r.sub = p
+			c := *cfg.Substrate
+			c.Seed = derivedSeed(cfg.Seed, i, 0x50b5)
+			sc = &c
+		}
+		r, err := NewReplica(seed.Fork(), rc, derivedSeed(cfg.Seed, i, 0x7ec0), sc)
+		if err != nil {
+			return nil, err
 		}
 		f.replicas = append(f.replicas, r)
-		members[i] = r
+		members[i] = member{r}
 	}
 	d, err := NewDispatcher(members, cfg, Ladder{})
 	if err != nil {
@@ -239,12 +235,12 @@ func New(seed *core.System, cfg Config) (*Fleet, error) {
 	// path starts armed without waiting for a sweep to prove it.
 	f.health.Store(1)
 	if cfg.Substrate != nil {
-		for _, r := range f.replicas {
+		for id := range f.replicas {
 			// The scrubber feeds the fault process real elapsed time
-			// (serve.scrubLoop's pattern).
+			// (the single-model scrubber's pattern).
 			last := time.Now()
 			f.every(cfg.ScrubTick, func(now time.Time) {
-				_, _ = f.AdvanceReplica(r.id, now.Sub(last))
+				_, _ = f.AdvanceReplica(id, now.Sub(last))
 				last = now
 			})
 		}
@@ -278,59 +274,32 @@ func (f *Fleet) SweepNow() SweepReport {
 }
 
 // Observe feeds one trusted query to a replica's recoverer (round-
-// robin over actives), billing substitution writes to that replica's
-// substrate. This is the fleet analogue of serve's recovery loop; the
-// fleet stays in rotation while the replica self-heals because only
-// one replica's write lock is held.
+// robin over actives). This is the fleet analogue of serve's recovery
+// loop; the fleet stays in rotation while the replica self-heals
+// because only one replica's write lock is held.
 func (f *Fleet) Observe(q *bitvec.Vector) {
 	act := f.actives()
 	if len(act) == 0 {
 		return
 	}
-	r := f.replicas[act[f.cursor.Add(1)%uint64(len(act))].id]
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rec == nil || q.Len() != r.sys.Dimensions() {
-		return
-	}
-	before := r.rec.Stats().BitsSubstituted
-	pred, updated := r.rec.Observe(q)
-	if !updated {
-		return
-	}
-	// Observe substitutes chunks only inside the predicted class's
-	// hypervector: publish that one class as a new epoch, still under
-	// this replica's write lock.
-	r.chain.Publish(r.sys.Model(), []int{pred})
-	d := r.rec.Stats().BitsSubstituted - before
-	if d > 0 && r.sub != nil {
-		r.sub.NoteWrites(d)
-	}
-	if d > 0 {
+	id := act[f.cursor.Add(1)%uint64(len(act))].id
+	if d := f.replicas[id].Observe(q); d > 0 {
 		f.disarm()
-		f.journalAppend(Event{Kind: EventRecovery, Replica: r.id, Class: -1, Chunk: -1, Bits: d})
+		f.journalAppend(Event{Kind: EventRecovery, Replica: id, Class: -1, Chunk: -1, Bits: d})
 	}
 }
 
 // AdvanceReplica advances one replica's fault process by elapsed
-// simulated wall time under its write lock — the deterministic drill
-// hook mirroring serve.ScrubNow. It is a no-op without a substrate.
+// simulated wall time — the deterministic drill hook mirroring
+// serve.ScrubNow. It is a no-op without a substrate.
 func (f *Fleet) AdvanceReplica(id int, elapsed time.Duration) (int, error) {
 	r, err := f.replica(id)
 	if err != nil {
 		return 0, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sub == nil {
-		return 0, nil
-	}
-	res, err := r.sub.Advance(elapsed)
+	res, err := r.Advance(elapsed)
 	if res.BitsFlipped > 0 {
-		r.faultBits.Add(int64(res.BitsFlipped))
 		f.disarm()
-		// The fault process may have hit any class: full reimage.
-		r.chain.Publish(r.sys.Model(), nil)
 	}
 	return res.BitsFlipped, err
 }
@@ -339,18 +308,10 @@ func (f *Fleet) AdvanceReplica(id int, elapsed time.Duration) (int, error) {
 // the hook attack drills use to corrupt a single fleet member. Any
 // external mutation invalidates the fast path.
 func (f *Fleet) WithReplica(id int, fn func(*core.System) error) error {
-	return f.Mutate(id, func() error {
-		r := f.replicas[id]
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		err := fn(r.sys)
-		// fn may have rewritten anything (attack drills do): full reimage.
-		r.chain.Publish(r.sys.Model(), nil)
-		return err
-	})
+	return f.Mutate(id, func() error { return f.replicas[id].Mutate(fn) })
 }
 
-func (f *Fleet) replica(id int) (*replica, error) {
+func (f *Fleet) replica(id int) (*Replica, error) {
 	if id < 0 || id >= len(f.replicas) {
 		return nil, fmt.Errorf("fleet: no replica %d", id)
 	}

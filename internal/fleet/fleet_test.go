@@ -239,7 +239,7 @@ func TestSweepRepairsMinorityChunksAndBillsWrites(t *testing.T) {
 	}
 }
 
-func replicaWrites(r *replica) int64 {
+func replicaWrites(r *Replica) int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.sub == nil {
@@ -508,5 +508,44 @@ func TestSweepKeepsMidSweepDisarm(t *testing.T) {
 	stubs[0].onSummary = nil
 	if _, err := d.SweepNow(); err != nil || !d.Healthy() {
 		t.Fatalf("clean sweep after the mutation did not re-arm the fast path: %v", err)
+	}
+}
+
+// TestFleetStatusLockFree pins Status off the replica writer locks: a
+// status scrape must return while a drill holds one replica's writer
+// lock inside WithReplica, and still report that replica's substrate
+// counters.
+func TestFleetStatusLockFree(t *testing.T) {
+	_, sys := problem(t)
+	f := newFleet(t, sys, Config{
+		Replicas:  3,
+		Seed:      11,
+		ScrubTick: manualTick,
+		Substrate: &substrate.Config{Kind: "endurance"},
+	})
+	held, release := make(chan struct{}), make(chan struct{})
+	drill := make(chan error, 1)
+	go func() {
+		drill <- f.WithReplica(1, func(*core.System) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	done := make(chan Status, 1)
+	go func() { done <- f.Status() }()
+	select {
+	case st := <-done:
+		if len(st.Replicas) != 3 || st.Replicas[1].Substrate == nil {
+			t.Fatalf("status under a held writer lock lost the replica rows: %+v", st.Replicas)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Status blocked on a replica's writer lock")
+	}
+	close(release)
+	if err := <-drill; err != nil {
+		t.Fatal(err)
 	}
 }

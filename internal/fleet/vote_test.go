@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/hdc/model"
+	"repro/internal/core"
 )
 
 // referenceChunkHash is the wire format's definition of the chunk
@@ -66,16 +66,22 @@ func TestChunkHashAllocationFree(t *testing.T) {
 // one in-process member's share of every anti-entropy sweep.
 func BenchmarkSummarize(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 0))
-	m, err := model.New(12, 10000)
+	xs := make([][]float64, 48)
+	ys := make([]int, len(xs))
+	for i := range xs {
+		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		ys[i] = i % 12
+	}
+	sys, err := core.Train(xs, ys, 12, core.Config{Dimensions: 10000, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for c := 0; c < 12; c++ {
-		m.SetClassVector(c, bitvec.Random(10000, rng))
+	r, err := NewReplica(sys, nil, 0, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	chain := model.NewEpochChain(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Summarize(chain, 64)
+		_, _ = r.Summary(64)
 	}
 }

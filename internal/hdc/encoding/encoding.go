@@ -44,6 +44,17 @@ const DefaultBoundCacheBudget = 64 << 20
 // allocation.
 const MaxLevelMemory = 16 << 20
 
+// MaxItemMemory caps the item memory (features · dims/8 bytes, one base
+// hypervector per feature) an encoder may be asked to build (64 MiB,
+// over 50k features at D=10k). The bound table on top of it is capped
+// by DefaultBoundCacheBudget.
+const MaxItemMemory = 64 << 20
+
+// MaxCounterMemory caps the int32 training counters (classes · dims · 4
+// bytes) a model over this encoding may be asked to train (256 MiB,
+// over 6,700 classes at D=10k).
+const MaxCounterMemory = 256 << 20
+
 // MaxBatch is the most samples one batch-major pass encodes together:
 // the per-sample carry-save state of a pass stays cache-resident next to
 // the table rows it shares. Longer batches run as consecutive passes.
@@ -65,6 +76,27 @@ func ValidateLevels(dims, levels int) error {
 	}
 	if dims > 0 && int64(levels) > MaxLevelMemory*8/int64(dims) {
 		return fmt.Errorf("encoding: %d levels of %d bits exceed the %d-byte level-memory cap", levels, dims, MaxLevelMemory)
+	}
+	return nil
+}
+
+// ValidateFeatures checks a feature count against dims: at least one
+// feature, and at most MaxItemMemory bytes of base hypervectors.
+func ValidateFeatures(dims, features int) error {
+	if features <= 0 {
+		return fmt.Errorf("encoding: features must be positive, got %d", features)
+	}
+	if words := int64((dims + 63) / 64); words > 0 && int64(features) > MaxItemMemory/(8*words) {
+		return fmt.Errorf("encoding: %d features of %d bits exceed the %d-byte item-memory cap", features, dims, MaxItemMemory)
+	}
+	return nil
+}
+
+// ValidateClasses checks a class count against dims: at most
+// MaxCounterMemory bytes of int32 training counters.
+func ValidateClasses(dims, classes int) error {
+	if dims > 0 && int64(classes) > MaxCounterMemory/(4*int64(dims)) {
+		return fmt.Errorf("encoding: %d classes of %d counters exceed the %d-byte training-counter cap", classes, dims, MaxCounterMemory)
 	}
 	return nil
 }
@@ -104,8 +136,8 @@ func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (
 // newRecordEncoder is NewRecordEncoder with an explicit bound-table
 // budget; tests pass 0 to reach the over-budget path.
 func newRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64, budget int64) (*RecordEncoder, error) {
-	if features <= 0 {
-		return nil, fmt.Errorf("encoding: features must be positive, got %d", features)
+	if err := ValidateFeatures(dims, features); err != nil {
+		return nil, err
 	}
 	if lo >= hi {
 		return nil, fmt.Errorf("encoding: invalid value range [%v, %v]", lo, hi)

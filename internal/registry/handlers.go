@@ -117,25 +117,11 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// createRequest trains a tenant on the fly: serve's train fields plus
-// the tenant id. Backend "loghd" compresses the freshly trained model
-// before install.
+// createRequest trains a tenant on the fly: serve's fresh-train body
+// plus the tenant id.
 type createRequest struct {
-	ID      string      `json:"id"`
-	X       [][]float64 `json:"x"`
-	Y       []int       `json:"y"`
-	Classes int         `json:"classes"`
-
-	Dimensions    int    `json:"dimensions,omitempty"`
-	Levels        int    `json:"levels,omitempty"`
-	RetrainEpochs int    `json:"retrain_epochs,omitempty"`
-	Seed          uint64 `json:"seed,omitempty"`
-
-	Backend     string `json:"backend,omitempty"`
-	ExtraPlanes int    `json:"extra_planes,omitempty"`
-
-	ProbeX [][]float64 `json:"probe_x,omitempty"`
-	ProbeY []int       `json:"probe_y,omitempty"`
+	ID string `json:"id"`
+	serve.TrainRequest
 }
 
 func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
@@ -148,74 +134,42 @@ func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if len(cr.X) == 0 || len(cr.X) != len(cr.Y) || cr.Classes < 2 {
-		writeErr(w, fmt.Errorf("%w: need x, matching y, and classes >= 2", serve.ErrBadInput))
-		return
-	}
-	cfg := core.Config{
-		Dimensions:    cr.Dimensions,
-		Levels:        cr.Levels,
-		RetrainEpochs: cr.RetrainEpochs,
-		Seed:          cr.Seed,
-	}
-	if err := cfg.Validate(); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
-		return
-	}
-	sys, err := core.Train(cr.X, cr.Y, cr.Classes, cfg)
+	sys, err := cr.Build()
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
-		return
-	}
-	switch cr.Backend {
-	case "", "dense":
-	case "loghd":
-		sys, err = sys.CompressLogHD(cr.ExtraPlanes)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
-			return
-		}
-	default:
-		writeErr(w, fmt.Errorf("%w: unknown backend %q (want dense or loghd)", serve.ErrBadInput, cr.Backend))
+		writeErr(w, err)
 		return
 	}
 	if err := r.Create(cr.ID, sys); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(cr.ProbeX) > 0 {
-		srv, err := r.Server(cr.ID)
-		if err == nil {
-			if perr := srv.SetProbe(cr.ProbeX, cr.ProbeY); perr != nil {
-				writeErr(w, perr)
-				return
-			}
+	if srv, err := r.Server(cr.ID); err == nil {
+		if err := cr.ApplyProbe(srv); err != nil {
+			writeErr(w, err)
+			return
 		}
 	}
-	httpjson.Write(w, http.StatusCreated, map[string]any{
-		"model":      cr.ID,
-		"backend":    sys.Backend(),
-		"classes":    sys.Classes(),
-		"dimensions": sys.Dimensions(),
-		"features":   sys.Features(),
-	})
+	writeCreated(w, cr.ID, sys)
 }
 
 // handleCreateSnapshot creates a tenant from an uploaded stamped
-// snapshot (the /snapshot wire format, dense RHDC or LogHD RHLG). A
-// ?backend=dense|loghd query parameter asserts the expected backend
-// tag: a snapshot whose tag contradicts the declaration is refused
-// with 400 — the wall that stops an operator installing a compressed
-// image where the dense per-class layout was promised, or vice versa.
+// snapshot (the /snapshot wire format, dense RHDC or LogHD RHLG),
+// admitted by the same rules as the tenant template's /restore: the
+// checkpoint accuracy floor, and journal-anchor verification when the
+// template has a journal. A ?backend=dense|loghd query parameter
+// asserts the expected backend tag: a snapshot whose tag contradicts
+// the declaration is refused with 400 — the wall that stops an
+// operator installing a compressed image where the dense per-class
+// layout was promised, or vice versa.
 func (r *Registry) handleCreateSnapshot(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if err := ValidateModelID(id); err != nil {
 		writeErr(w, err)
 		return
 	}
-	sys, _, _, err := core.LoadAnchored(http.MaxBytesReader(nil, req.Body, maxBodyBytes))
+	sys, _, _, err := r.cfg.Serve.AdmitSnapshot(http.MaxBytesReader(nil, req.Body, maxBodyBytes))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
+		writeErr(w, err)
 		return
 	}
 	if want := req.URL.Query().Get("backend"); want != "" && want != sys.Backend() {
@@ -227,6 +181,11 @@ func (r *Registry) handleCreateSnapshot(w http.ResponseWriter, req *http.Request
 		writeErr(w, err)
 		return
 	}
+	writeCreated(w, id, sys)
+}
+
+// writeCreated answers a successful create with the tenant's shape.
+func writeCreated(w http.ResponseWriter, id string, sys *core.System) {
 	httpjson.Write(w, http.StatusCreated, map[string]any{
 		"model":      id,
 		"backend":    sys.Backend(),

@@ -289,6 +289,23 @@ func TestRegistryUnknownModelWalls(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("create with 128 MiB of level memory: %d", resp.StatusCode)
 	}
+	// 8000 classes at D=10k ask for 320 MB of training counters; 1000
+	// features at D=2^20 for 128 MiB of item memory.
+	resp, _ = postJSON(t, ts.URL+"/models", map[string]any{
+		"id": "wide", "x": ds.TrainX[:8], "y": ds.TrainY[:8], "classes": 8000})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with 320 MB of training counters: %d", resp.StatusCode)
+	}
+	ones := make([]float64, 1000)
+	for i := range ones {
+		ones[i] = 1
+	}
+	resp, _ = postJSON(t, ts.URL+"/models", map[string]any{
+		"id": "tall", "x": [][]float64{make([]float64, 1000), ones}, "y": []int{0, 1},
+		"classes": 2, "dimensions": 1 << 20})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with 128 MiB of item memory: %d", resp.StatusCode)
+	}
 	if err := r.Create("live", base.Fork()); !errors.Is(err, ErrModelExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
@@ -306,7 +323,9 @@ func TestRegistryUnknownModelWalls(t *testing.T) {
 // TestRegistrySnapshotUploadRoundTrip creates tenants from uploaded
 // stamped snapshots — dense and LogHD — and pins the backend-tag
 // declaration wall: a snapshot whose tag contradicts ?backend= is
-// refused with 400 in both directions.
+// refused with 400 in both directions. Uploads pass /restore's
+// admission rules too: a stamp below the checkpoint floor, or an
+// anchor the template's journal cannot verify, is refused with 400.
 func TestRegistrySnapshotUploadRoundTrip(t *testing.T) {
 	ds, _, base := problem(t)
 	r, ts := freshRegistry(t, Config{})
@@ -381,6 +400,49 @@ func TestRegistrySnapshotUploadRoundTrip(t *testing.T) {
 	resp, _ = doReq(t, http.MethodPut, ts.URL+"/models/junk", "application/octet-stream", []byte("not a snapshot"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload: %d", resp.StatusCode)
+	}
+
+	// A snapshot stamped below the checkpoint floor (default 0.5) claims
+	// an already-degraded model: refused.
+	var low bytes.Buffer
+	if err := base.SaveStamped(&low, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	resp, data = doReq(t, http.MethodPut, ts.URL+"/models/degraded", "application/octet-stream", low.Bytes())
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "floor") {
+		t.Fatalf("upload stamped 0.1: %d %s", resp.StatusCode, data)
+	}
+
+	// With a journal on the template, a snapshot anchored to a foreign
+	// journal's lineage is refused; an unanchored one still installs.
+	sealed := func() *fleet.Journal {
+		j := fleet.NewJournal(io.Discard)
+		for i := 0; i < 4; i++ {
+			if err := j.Append(fleet.Event{Kind: fleet.EventQuarantine, Replica: -1, Class: -1, Chunk: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.SealNow(); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	_, jts := freshRegistry(t, Config{Serve: serve.Config{Journal: sealed()}})
+	fa, ok := sealed().Anchor()
+	if !ok {
+		t.Fatal("foreign journal has no anchor after seal")
+	}
+	var foreign bytes.Buffer
+	if err := base.SaveAnchored(&foreign, 0.99, &fa); err != nil {
+		t.Fatal(err)
+	}
+	resp, data = doReq(t, http.MethodPut, jts.URL+"/models/foreign", "application/octet-stream", foreign.Bytes())
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("foreign-anchored upload: %d %s", resp.StatusCode, data)
+	}
+	resp, data = doReq(t, http.MethodPut, jts.URL+"/models/plain", "application/octet-stream", denseSnap)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("unanchored upload with a journal: %d %s", resp.StatusCode, data)
 	}
 }
 

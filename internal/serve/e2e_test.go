@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -79,11 +81,9 @@ func driveTraffic(t *testing.T, srv *Server, ts *httptest.Server, xs [][]float64
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The loop may still be inside its final Observe; a write-lock
-	// round-trip guarantees it finished before we probe.
-	srv.mu.Lock()
-	//lint:ignore SA2001 barrier: recovery holds mu for each Observe
-	srv.mu.Unlock()
+	// The loop may still be inside its final Observe; a round-trip
+	// through the replica's lock guarantees it finished before we probe.
+	_ = srv.live.Load().rep.Save(io.Discard, math.NaN(), nil)
 }
 
 // TestE2EServeAttackRecoverAcceptance is the acceptance-criteria

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
@@ -106,14 +107,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// trainRequest carries an inline training set plus the core
+// TrainRequest is the fresh-train body /train and the registry's
+// POST /models share: an inline training set plus the core
 // configuration. ProbeX/ProbeY optionally install a held-out set for
-// the accuracy probe in the same call. With Online set, the samples
-// refine the live system in place through Server.RetrainOnline
-// (RetrainEpochs mistake-driven epochs, default 1) instead of
-// training a replacement; Classes/Dimensions/Levels/Seed are ignored
-// — the live model's shape is authoritative.
-type trainRequest struct {
+// the accuracy probe in the same call.
+type TrainRequest struct {
 	X       [][]float64 `json:"x"`
 	Y       []int       `json:"y"`
 	Classes int         `json:"classes"`
@@ -122,8 +120,6 @@ type trainRequest struct {
 	Levels        int    `json:"levels,omitempty"`
 	RetrainEpochs int    `json:"retrain_epochs,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
-
-	Online bool `json:"online,omitempty"`
 
 	// Backend selects the deployed representation: "" or "dense" keeps
 	// the k class hypervectors; "loghd" compresses the freshly trained
@@ -136,6 +132,59 @@ type trainRequest struct {
 	ProbeY []int       `json:"probe_y,omitempty"`
 }
 
+// Build validates the request and trains the system it describes.
+// Training is expensive: callers run it outside any lock and install
+// the finished system in one swap. Every error wraps ErrBadInput —
+// core.Train refuses shapes over the encoder's memory caps before
+// allocating them.
+func (req *TrainRequest) Build() (*core.System, error) {
+	if len(req.X) == 0 || len(req.X) != len(req.Y) || req.Classes < 2 {
+		return nil, fmt.Errorf("%w: need x, matching y, and classes >= 2", ErrBadInput)
+	}
+	cfg := core.Config{
+		Dimensions:    req.Dimensions,
+		Levels:        req.Levels,
+		RetrainEpochs: req.RetrainEpochs,
+		Seed:          req.Seed,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	sys, err := core.Train(req.X, req.Y, req.Classes, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	switch req.Backend {
+	case "", "dense":
+	case "loghd":
+		if sys, err = sys.CompressLogHD(req.ExtraPlanes); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown backend %q (want dense or loghd)", ErrBadInput, req.Backend)
+	}
+	return sys, nil
+}
+
+// ApplyProbe installs the request's held-out probe set on srv, if it
+// carries one.
+func (req *TrainRequest) ApplyProbe(srv *Server) error {
+	if len(req.ProbeX) == 0 {
+		return nil
+	}
+	return srv.SetProbe(req.ProbeX, req.ProbeY)
+}
+
+// trainRequest is /train's body. With Online set, the samples refine
+// the live system in place through Server.RetrainOnline (RetrainEpochs
+// mistake-driven epochs, default 1) instead of training a replacement;
+// Classes/Dimensions/Levels/Seed/Backend are ignored — the live model's
+// shape is authoritative.
+type trainRequest struct {
+	TrainRequest
+	Online bool `json:"online,omitempty"`
+}
+
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
 	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
@@ -146,48 +195,18 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.handleTrainOnline(w, &req)
 		return
 	}
-	if len(req.X) == 0 || len(req.X) != len(req.Y) || req.Classes < 2 {
-		writeErr(w, fmt.Errorf("%w: need x, matching y, and classes >= 2", ErrBadInput))
-		return
-	}
-	cfg := core.Config{
-		Dimensions:    req.Dimensions,
-		Levels:        req.Levels,
-		RetrainEpochs: req.RetrainEpochs,
-		Seed:          req.Seed,
-	}
-	if err := cfg.Validate(); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-		return
-	}
-	// Training is expensive; run it outside any lock and swap the
-	// finished system in atomically.
-	sys, err := core.Train(req.X, req.Y, req.Classes, cfg)
+	sys, err := req.Build()
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-		return
-	}
-	switch req.Backend {
-	case "", "dense":
-	case "loghd":
-		sys, err = sys.CompressLogHD(req.ExtraPlanes)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-			return
-		}
-	default:
-		writeErr(w, fmt.Errorf("%w: unknown backend %q (want dense or loghd)", ErrBadInput, req.Backend))
+		writeErr(w, err)
 		return
 	}
 	if err := s.install(sys); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(req.ProbeX) > 0 {
-		if err := s.SetProbe(req.ProbeX, req.ProbeY); err != nil {
-			writeErr(w, err)
-			return
-		}
+	if err := req.ApplyProbe(s); err != nil {
+		writeErr(w, err)
+		return
 	}
 	httpjson.Write(w, http.StatusOK, map[string]any{
 		"classes":    sys.Classes(),
@@ -204,11 +223,9 @@ func (s *Server) handleTrainOnline(w http.ResponseWriter, req *trainRequest) {
 		writeErr(w, err)
 		return
 	}
-	if len(req.ProbeX) > 0 {
-		if err := s.SetProbe(req.ProbeX, req.ProbeY); err != nil {
-			writeErr(w, err)
-			return
-		}
+	if err := req.ApplyProbe(s); err != nil {
+		writeErr(w, err)
+		return
 	}
 	sys := s.system()
 	httpjson.Write(w, http.StatusOK, map[string]any{
@@ -221,38 +238,46 @@ func (s *Server) handleTrainOnline(w http.ResponseWriter, req *trainRequest) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sys := s.system()
-	if sys == nil {
+	st := s.live.Load()
+	if st == nil {
 		writeErr(w, ErrNoModel)
 		return
 	}
 	// Stamp the snapshot with the latest probe accuracy when one ran,
 	// so a later /restore (or rollback) can verify the image was taken
-	// while the model was still healthy. Serialize under the writer
-	// mutex so a concurrent recovery write, attack drill, or scrub tick
-	// cannot tear the snapshot (the lock-free read path is unaffected).
+	// while the model was still healthy.
 	stamp := math.NaN()
 	if s.metrics.probes.Load() > 0 {
 		stamp = math.Float64frombits(s.metrics.probeAcc.Load())
 	}
-	s.writeSnapshot(w, sys, stamp)
+	s.writeSnapshot(w, st, stamp)
 }
 
-// writeSnapshot serializes sys as a stamped binary checkpoint onto w,
-// holding the writer mutex only for the serialization itself. When a
-// journal with at least one seal is attached, the snapshot is anchored
-// to the latest sealed Merkle root, binding the image to the healing
-// history that produced it.
-func (s *Server) writeSnapshot(w http.ResponseWriter, sys *core.System, stamp float64) {
-	var anchor *core.JournalAnchor
+// anchor returns the journal's latest sealed root, which binds a
+// snapshot to the healing history that produced it (nil without a
+// journal or before its first seal).
+func (s *Server) anchor() *core.JournalAnchor {
 	if a, ok := s.cfg.Journal.Anchor(); ok {
-		anchor = &a
+		return &a
 	}
+	return nil
+}
+
+// save serializes the installed model: under the replica's read lock,
+// so no writer tears the image (the lock-free read path is
+// unaffected), or directly for a fleet's seed, which nothing writes.
+func (st *liveState) save(w io.Writer, stamp float64, anchor *core.JournalAnchor) error {
+	if st.rep != nil {
+		return st.rep.Save(w, stamp, anchor)
+	}
+	return st.sys.SaveAnchored(w, stamp, anchor)
+}
+
+// writeSnapshot serializes the live model as a stamped, anchored
+// binary checkpoint onto w.
+func (s *Server) writeSnapshot(w http.ResponseWriter, st *liveState, stamp float64) {
 	var buf bytes.Buffer
-	s.mu.Lock()
-	err := sys.SaveAnchored(&buf, stamp, anchor)
-	s.mu.Unlock()
-	if err != nil {
+	if err := st.save(&buf, stamp, s.anchor()); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -261,33 +286,43 @@ func (s *Server) writeSnapshot(w http.ResponseWriter, sys *core.System, stamp fl
 	_, _ = w.Write(buf.Bytes())
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	sys, stamp, anchor, err := core.LoadAnchored(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+// AdmitSnapshot loads a checkpoint (the /snapshot format) and applies
+// the admission rules a server built from c enforces before installing
+// one. Every error wraps ErrBadInput.
+//
+//   - Corrupted (CRC mismatch), truncated, or wrong-format snapshots
+//     are the caller's fault, not the server's.
+//   - A stamped snapshot whose held-out accuracy was already below the
+//     checkpoint floor (Watchdog.MinCheckpointAccuracy) when it was
+//     taken is not a restore target — it would install a degraded
+//     model as "known good". Unstamped (NaN) snapshots carry no claim.
+//   - An anchored snapshot claims descent from a sealed journal
+//     lineage. When c has a journal, the claim must verify against it
+//     — a snapshot anchored to a foreign or rewritten history is
+//     refused. Unanchored snapshots (RHS2, or taken before the first
+//     seal) carry no claim; without a journal none can be checked.
+func (c Config) AdmitSnapshot(r io.Reader) (*core.System, float64, *core.JournalAnchor, error) {
+	c.fillDefaults()
+	sys, stamp, anchor, err := core.LoadAnchored(r)
 	if err != nil {
-		// Corrupted (CRC mismatch), truncated, or wrong-format
-		// snapshots are the caller's fault, not the server's.
-		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-		return
+		return nil, stamp, nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	// A stamped snapshot whose held-out accuracy was already below the
-	// checkpoint floor when it was taken is not a restore target — it
-	// would install a degraded model as "known good". Unstamped (NaN)
-	// snapshots carry no claim and install as before.
-	if floor := s.cfg.Watchdog.MinCheckpointAccuracy; !math.IsNaN(stamp) && stamp < floor {
-		writeErr(w, fmt.Errorf("%w: snapshot stamped at accuracy %.4f, below the %.4f checkpoint floor", ErrBadInput, stamp, floor))
-		return
+	if floor := c.Watchdog.MinCheckpointAccuracy; !math.IsNaN(stamp) && stamp < floor {
+		return nil, stamp, nil, fmt.Errorf("%w: snapshot stamped at accuracy %.4f, below the %.4f checkpoint floor", ErrBadInput, stamp, floor)
 	}
-	// An anchored snapshot claims descent from a sealed journal
-	// lineage. When this server keeps a journal, the claim must verify
-	// against it — a snapshot anchored to a foreign or rewritten
-	// history is refused. Unanchored snapshots (RHS2, or taken before
-	// the first seal) carry no claim; servers without a journal cannot
-	// check one.
-	if anchor != nil && s.cfg.Journal != nil {
-		if verr := s.cfg.Journal.VerifyAnchor(*anchor); verr != nil {
-			writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, verr))
-			return
+	if anchor != nil && c.Journal != nil {
+		if err := c.Journal.VerifyAnchor(*anchor); err != nil {
+			return nil, stamp, nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 		}
+	}
+	return sys, stamp, anchor, nil
+}
+
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+	sys, stamp, anchor, err := s.cfg.AdmitSnapshot(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
 	if err := s.install(sys); err != nil {
 		writeErr(w, err)
@@ -329,48 +364,41 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
-	sys := s.system()
-	if sys == nil {
+	st := s.live.Load()
+	if st == nil {
 		writeErr(w, ErrNoModel)
 		return
 	}
-	drill := func(target *core.System) (attack.Result, error) {
+	// The drill rewrites deployed memory: it runs as a replica write,
+	// under the writer lock and followed by a full reimage publish (an
+	// attack may touch any class).
+	var res attack.Result
+	drill := func(target *core.System) error {
+		var err error
 		switch req.Kind {
 		case "random":
-			return target.AttackRandom(req.Rate, req.Seed)
+			res, err = target.AttackRandom(req.Rate, req.Seed)
 		case "targeted":
-			return target.AttackTargeted(req.Rate, req.Seed)
+			res, err = target.AttackTargeted(req.Rate, req.Seed)
 		case "burst":
-			return target.AttackBurst(req.SpanFrac, req.FlipProb, req.Seed)
+			res, err = target.AttackBurst(req.SpanFrac, req.FlipProb, req.Seed)
+		default:
+			err = fmt.Errorf("%w: unknown attack kind %q", ErrBadInput, req.Kind)
 		}
-		return attack.Result{}, fmt.Errorf("%w: unknown attack kind %q", ErrBadInput, req.Kind)
+		return err
 	}
-	var res attack.Result
 	var err error
-	if flt := s.fleet(); flt != nil {
-		if req.Replica == nil {
-			writeErr(w, fmt.Errorf("%w: fleet mode: specify \"replica\" (0..%d)", ErrBadInput, flt.Size()-1))
-			return
-		}
-		err = flt.WithReplica(*req.Replica, func(target *core.System) error {
-			var derr error
-			res, derr = drill(target)
-			return derr
-		})
-	} else {
-		if req.Replica != nil {
-			writeErr(w, fmt.Errorf("%w: \"replica\" %d targets a fleet member, but this server runs a single model", ErrBadInput, *req.Replica))
-			return
-		}
-		// The drill rewrites deployed memory: writer mutex, like any
-		// other model write, plus a full reimage publish (an attack may
-		// touch any class).
-		s.mu.Lock()
-		res, err = drill(sys)
-		if st := s.live.Load(); err == nil && st != nil && st.chain != nil && st.sys == sys && res.BitsFlipped > 0 {
-			st.chain.Publish(sys.Freezer(), nil)
-		}
-		s.mu.Unlock()
+	switch {
+	case st.flt != nil && req.Replica == nil:
+		writeErr(w, fmt.Errorf("%w: fleet mode: specify \"replica\" (0..%d)", ErrBadInput, st.flt.Size()-1))
+		return
+	case st.flt != nil:
+		err = st.flt.WithReplica(*req.Replica, drill)
+	case req.Replica != nil:
+		writeErr(w, fmt.Errorf("%w: \"replica\" %d targets a fleet member, but this server runs a single model", ErrBadInput, *req.Replica))
+		return
+	default:
+		err = st.rep.Mutate(drill)
 	}
 	if err != nil {
 		if !errors.Is(err, ErrBadInput) {

@@ -31,13 +31,12 @@ type metrics struct {
 	probeAcc atomic.Uint64 // float bits: latest probe accuracy
 	probeAt  atomic.Int64  // unix nanos of the latest probe
 
-	scrubs         atomic.Int64 // substrate scrub ticks run
-	scrubBits      atomic.Int64 // bits the substrate flipped (decay/wear/campaign)
-	recoveryWrites atomic.Int64 // recovery substitution writes charged to the substrate
-	watchdogRuns   atomic.Int64 // watchdog windows evaluated
-	watchdogTrips  atomic.Int64 // watchdog escalations (tier 0 → 1)
-	rollbacks      atomic.Int64 // verified checkpoint rollbacks executed
-	checkpoints    atomic.Int64 // verified checkpoints captured
+	scrubs        atomic.Int64 // substrate scrub ticks run
+	scrubBits     atomic.Int64 // bits the substrate flipped (decay/wear/campaign)
+	watchdogRuns  atomic.Int64 // watchdog windows evaluated
+	watchdogTrips atomic.Int64 // watchdog escalations (tier 0 → 1)
+	rollbacks     atomic.Int64 // verified checkpoint rollbacks executed
+	checkpoints   atomic.Int64 // verified checkpoints captured
 
 	nodeScored     atomic.Int64 // queries scored through /node/score
 	nodeRepairs    atomic.Int64 // chunks applied through /node/repair
@@ -119,7 +118,7 @@ type SubstrateInfo struct {
 	Scrubs      int64 `json:"scrubs"`
 	BitsDecayed int64 `json:"bits_decayed"`
 	// RecoveryWritesCharged counts recovery substitution writes billed
-	// to the substrate as wear traffic.
+	// to the installed model's substrate as wear traffic.
 	RecoveryWritesCharged int64 `json:"recovery_writes_charged"`
 	// Process is the fault process's own cumulative counters.
 	Process substrate.Stats `json:"process"`
@@ -217,10 +216,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 		Dropped: m.recoveryDropped.Load(),
 	}
 	out.Substrate = SubstrateInfo{
-		Enabled:               s.cfg.Substrate != nil,
-		Scrubs:                m.scrubs.Load(),
-		BitsDecayed:           m.scrubBits.Load(),
-		RecoveryWritesCharged: m.recoveryWrites.Load(),
+		Enabled:     s.cfg.Substrate != nil,
+		Scrubs:      m.scrubs.Load(),
+		BitsDecayed: m.scrubBits.Load(),
 	}
 	if s.cfg.Journal != nil {
 		js := s.cfg.Journal.Stats()
@@ -228,12 +226,12 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	// The whole live-state section is lock-free: model shape is
 	// immutable per install, recovery.Stats() is internally mutexed, and
-	// the substrate counters are re-published atomically by every writer
-	// that touches the fault process (substrate.Stats() itself is not
-	// thread-safe). The substrate numbers may therefore trail the live
-	// process by at most one in-flight write — an acceptable staleness
-	// for a scrape endpoint, in exchange for never contending with
-	// writers.
+	// the replica re-publishes its substrate counters atomically after
+	// every write that touches the fault process (substrate.Stats()
+	// itself is not thread-safe). The substrate numbers may therefore
+	// trail the live process by at most one in-flight write — an
+	// acceptable staleness for a scrape endpoint, in exchange for never
+	// contending with writers.
 	if st := s.live.Load(); st != nil {
 		out.Ready = true
 		out.Model = &ModelInfo{
@@ -243,17 +241,13 @@ func (s *Server) MetricsSnapshot() Metrics {
 			Backend:     st.sys.Backend(),
 			StorageBits: st.sys.StorageBits(),
 		}
-		if st.rec != nil {
-			out.Recovery.Stats = st.rec.Stats()
-		}
-		if st.sub != nil {
-			out.Substrate.Kind = st.sub.Name()
-			if ss := st.subStats.Load(); ss != nil {
-				out.Substrate.Process = *ss
+		if rep := st.rep; rep != nil {
+			if rec := rep.Recoverer(); rec != nil {
+				out.Recovery.Stats = rec.Stats()
 			}
-		}
-		if st.chain != nil {
-			es := st.chain.Stats()
+			out.Substrate.Kind, out.Substrate.Process, _ = rep.Substrate()
+			out.Substrate.RecoveryWritesCharged = rep.RecoveryWrites()
+			es := rep.EpochStats()
 			out.Epochs = &es
 		}
 	}

@@ -29,11 +29,11 @@ import (
 // Every handler validates ids and ranges before touching the model and
 // answers 400 on anything out of range — a confused or malicious
 // coordinator must not be able to panic a node. Past that wall each
-// handler runs the same model-side code as an in-process replica
-// (fleet.ScoreEpoch, Summarize, ReadChunks, RepairChunks, ReseedImage):
-// reads go lock-free through the current model epoch, and repair and
-// reseed take the writer mutex, bill their writes to the node's
-// substrate, and publish the classes they rewrote as a new epoch.
+// handler calls the node's fleet.Replica, the same writer type an
+// in-process fleet member is: reads go lock-free through the current
+// model epoch, and repair and reseed take the replica's writer lock,
+// bill their writes to the node's substrate, and publish the classes
+// they rewrote as a new epoch.
 
 // registerNodeAPI mounts the node endpoints (Handler calls it when
 // Config.NodeAPI is set).
@@ -80,7 +80,7 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 	}
 	encoded := sys.EncodeAllParallel(req.Xs, s.cfg.EncodeWorkers)
 	var resp cluster.ScoreResponse
-	resp.Classes, resp.Confs = fleet.ScoreEpoch(st.chain, encoded, req.Temperature)
+	resp.Classes, resp.Confs, _ = st.rep.Score(encoded, req.Temperature)
 	s.metrics.nodeScored.Add(int64(len(encoded)))
 	httpjson.Write(w, http.StatusOK, resp)
 }
@@ -105,7 +105,8 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: chunks %d out of [1,%d]", ErrBadInput, chunks, dims))
 		return
 	}
-	httpjson.Write(w, http.StatusOK, cluster.SummaryDoc(fleet.Summarize(st.chain, chunks)))
+	sum, _ := st.rep.Summary(chunks)
+	httpjson.Write(w, http.StatusOK, cluster.SummaryDoc(sum))
 }
 
 // handleNodeChunks returns the bits of the named chunks so the
@@ -133,7 +134,8 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := cluster.ChunksResponse{Chunks: make([]cluster.ChunkData, len(req.Chunks))}
-	for i, v := range fleet.ReadChunks(st.chain, req.Chunks) {
+	vs, _ := st.rep.Chunks(req.Chunks)
+	for i, v := range vs {
 		bits, err := v.MarshalBinary()
 		if err != nil {
 			writeErr(w, err)
@@ -182,14 +184,7 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 		}
 		patches[i] = fleet.Patch{Class: cd.Class, Lo: cd.Lo, Bits: v}
 	}
-	changed := make([]int, len(patches))
-	s.mu.Lock()
-	for i, p := range patches {
-		changed[i] = sys.Model().ClassVector(p.Class).Slice(p.Lo, p.Lo+p.Bits.Len()).Hamming(p.Bits)
-	}
-	fleet.RepairChunks(sys, st.sub, st.chain, patches)
-	st.publishSubStats()
-	s.mu.Unlock()
+	changed := st.rep.Repair(patches)
 	out := cluster.RepairResponse{Applied: len(req.Chunks)}
 	for i, cd := range req.Chunks {
 		out.Bits += cd.Hi - cd.Lo
@@ -207,8 +202,8 @@ func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 // agreement with the fleet majority); absent, the image goes out
 // unstamped.
 func (s *Server) handleNodeSnapshot(w http.ResponseWriter, r *http.Request) {
-	sys := s.system()
-	if sys == nil {
+	st := s.live.Load()
+	if st == nil {
 		writeErr(w, ErrNoModel)
 		return
 	}
@@ -221,7 +216,7 @@ func (s *Server) handleNodeSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		stamp = v
 	}
-	s.writeSnapshot(w, sys, stamp)
+	s.writeSnapshot(w, st, stamp)
 }
 
 // handleNodeReseed re-images the deployed class hypervectors from a
@@ -242,17 +237,11 @@ func (s *Server) handleNodeReseed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
-	if donor.Classes() != sys.Classes() || donor.Dimensions() != sys.Dimensions() || donor.Features() != sys.Features() {
-		writeErr(w, fmt.Errorf("%w: donor shape (%d classes, D=%d, %d features) != live (%d, %d, %d)",
-			ErrBadInput, donor.Classes(), donor.Dimensions(), donor.Features(),
-			sys.Classes(), sys.Dimensions(), sys.Features()))
+	if err := st.rep.Reseed(donor); err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
 	bits := sys.Classes() * sys.Dimensions()
-	s.mu.Lock()
-	fleet.ReseedImage(sys, st.sub, st.chain, donor.Snapshot())
-	st.publishSubStats()
-	s.mu.Unlock()
 	s.metrics.nodeReseeds.Add(1)
 	detail := "unstamped donor image"
 	if !math.IsNaN(stamp) {

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bitvec"
+	"repro/internal/core"
+	"repro/internal/fleet"
 )
 
 // ErrSuperseded reports that a /train or /restore replaced the live
@@ -17,17 +18,16 @@ var ErrSuperseded = errors.New("serve: model replaced during online retrain")
 // work runs entirely outside the model lock:
 //
 //  1. Encode every sample lock-free (the encoder is immutable).
-//  2. Per epoch, snapshot the deployed class vectors under a
-//     microsecond hold of the writer mutex, then run the map phase
-//     (model.AccumulateRetrain) against that frozen snapshot with no
-//     lock held at all. Predict batches never notice either way — the
-//     read path goes through epoch snapshots, not a lock — but the
-//     snapshot keeps the accumulate pass from racing concurrent
+//  2. Per epoch, copy the deployed class vectors out of the current
+//     model epoch — lock-free, and exactly the deployed model as of the
+//     last write, since every writer publishes in its critical section
+//     — then run the map phase (model.AccumulateRetrain) against that
+//     copy with no lock held at all, so the pass never races concurrent
 //     writers (recovery, scrub, drills) on deployed memory.
-//  3. Take the writer mutex again for the merge + binarize swap
-//     (model.ApplyRetrain) and its epoch publish, guarded against the
-//     system having been swapped out underneath (ErrSuperseded;
-//     deltas are discarded).
+//  3. Apply the merge + binarize swap (model.ApplyRetrain) as a replica
+//     write, guarded by the install-swap lock against the system having
+//     been swapped out underneath (ErrSuperseded; deltas are
+//     discarded).
 //
 // ApplyRetrain re-derives the deployed vectors from the training
 // counters, which overwrites any bits the recovery loop substituted
@@ -38,15 +38,20 @@ var ErrSuperseded = errors.New("serve: model replaced during online retrain")
 // Concurrent RetrainOnline calls are serialized; epochs from two
 // interleaved retrains would otherwise double-apply mistake deltas
 // computed against the same snapshot. It returns the final epoch's
-// mistake count, exactly as Model.Retrain would.
+// mistake count, exactly as Model.Retrain would. Fleet mode refuses:
+// its replicas are forks of a seed no retrain reaches.
 func (s *Server) RetrainOnline(xs [][]float64, ys []int, epochs int) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	sys := s.system()
-	if sys == nil {
+	st := s.live.Load()
+	if st == nil {
 		return 0, ErrNoModel
 	}
+	if st.rep == nil {
+		return 0, fmt.Errorf("%w: online retrain refines a single model, not a replica fleet", ErrBadInput)
+	}
+	sys, rep := st.sys, st.rep
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("%w: %d samples but %d labels", ErrBadInput, len(xs), len(ys))
 	}
@@ -69,18 +74,21 @@ func (s *Server) RetrainOnline(xs [][]float64, ys []int, epochs int) (int, error
 		// into; retrain the dense source and re-compress instead.
 		return 0, fmt.Errorf("%w: online retrain requires the dense backend, got %q", ErrBadInput, sys.Backend())
 	}
+	live := func() bool {
+		cur := s.live.Load()
+		return cur != nil && cur.rep == rep
+	}
 	encoded := sys.EncodeAllParallel(xs, s.cfg.EncodeWorkers)
+	classes := make([]fleet.ChunkRef, sys.Classes())
+	for c := range classes {
+		classes[c] = fleet.ChunkRef{Class: c, Hi: sys.Dimensions()}
+	}
 	mistakes := 0
 	for e := 0; e < epochs; e++ {
-		var dep []*bitvec.Vector
-		s.mu.Lock()
-		if st := s.live.Load(); st != nil && st.sys == sys {
-			dep = m.SnapshotDeployed()
-		}
-		s.mu.Unlock()
-		if dep == nil {
+		if !live() {
 			return mistakes, ErrSuperseded
 		}
+		dep, _ := rep.Chunks(classes)
 
 		rd, err := m.AccumulateRetrain(dep, encoded, ys, s.cfg.EncodeWorkers)
 		if err != nil {
@@ -88,17 +96,16 @@ func (s *Server) RetrainOnline(xs [][]float64, ys []int, epochs int) (int, error
 		}
 
 		s.mu.Lock()
-		st := s.live.Load()
-		if st == nil || st.sys != sys {
+		if !live() {
 			s.mu.Unlock()
 			m.DiscardRetrain(rd)
 			return mistakes, ErrSuperseded
 		}
-		m.ApplyRetrain(rd)
-		if st.chain != nil {
-			// ApplyRetrain re-binarizes every class: full reimage.
-			st.chain.Publish(m, nil)
-		}
+		// ApplyRetrain re-binarizes every class: Mutate's full reimage.
+		_ = rep.Mutate(func(*core.System) error {
+			m.ApplyRetrain(rd)
+			return nil
+		})
 		s.mu.Unlock()
 
 		mistakes = rd.Mistakes

@@ -6,18 +6,36 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/fleet"
 )
 
+// holdWriter parks a write inside rep's writer lock until the returned
+// release is called — the replica analogue of holding a writer mutex.
+func holdWriter(rep *fleet.Replica) (release func()) {
+	held, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		_ = rep.Mutate(func(*core.System) error {
+			close(held)
+			<-done
+			return nil
+		})
+	}()
+	<-held
+	return func() { close(done) }
+}
+
 // TestPredictLockFree is the acceptance check for the RCU read path:
-// predictions must complete while the writer mutex is held. Before the
-// refactor the serving path took s.mu.RLock per batch, so a held write
-// lock stalled every predict; now the batcher scores against the
-// current epoch and never touches the mutex.
+// predictions must complete while the writer lock is held. Before the
+// RCU refactor the serving path took a read lock per batch, so a held
+// write lock stalled every predict; now the batcher scores against the
+// current epoch and never touches the replica's writer lock.
 func TestPredictLockFree(t *testing.T) {
 	srv, _, ds := freshServer(t, Config{Shards: 2, BatchSize: 8, BatchWindow: time.Millisecond})
 
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
+	release := holdWriter(srv.live.Load().rep)
+	defer release()
 
 	done := make(chan error, 1)
 	go func() {
@@ -40,15 +58,15 @@ func TestPredictLockFree(t *testing.T) {
 }
 
 // TestMetricsDuringRetrain pins the /metrics path lock-free: a
-// snapshot must complete while the writer mutex is held (the old
-// implementation RLocked s.mu for model/recovery/substrate info and
-// would deadlock here), and scrapes must keep succeeding while an
-// online retrain churns the model.
+// snapshot must complete while the writer lock is held (an older
+// implementation read-locked the writer mutex for model/recovery/
+// substrate info and would deadlock here), and scrapes must keep
+// succeeding while an online retrain churns the model.
 func TestMetricsDuringRetrain(t *testing.T) {
 	srv, ts, ds := freshServer(t, Config{Shards: 2, BatchSize: 8, BatchWindow: time.Millisecond})
 
-	// Part 1: snapshot with the writer mutex held.
-	srv.mu.Lock()
+	// Part 1: snapshot with the writer lock held.
+	release := holdWriter(srv.live.Load().rep)
 	done := make(chan Metrics, 1)
 	go func() { done <- srv.MetricsSnapshot() }()
 	select {
@@ -60,10 +78,10 @@ func TestMetricsDuringRetrain(t *testing.T) {
 			t.Fatalf("snapshot missing epoch counters: %+v", m.Epochs)
 		}
 	case <-time.After(10 * time.Second):
-		srv.mu.Unlock()
-		t.Fatal("MetricsSnapshot blocked on the writer mutex")
+		release()
+		t.Fatal("MetricsSnapshot blocked on the writer lock")
 	}
-	srv.mu.Unlock()
+	release()
 
 	// Part 2: scrape while a retrain applies epochs.
 	var stop atomic.Bool
@@ -120,7 +138,7 @@ func TestServePredictDuringChurn(t *testing.T) {
 	// per epoch than the SIMD tiers).
 	deadline := time.Now().Add(60 * time.Second)
 	for i := 0; ; i++ {
-		if i >= 300 && srv.live.Load().chain.Stats().Published >= 2 {
+		if i >= 300 && srv.live.Load().rep.EpochStats().Published >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -137,13 +155,11 @@ func TestServePredictDuringChurn(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	st := srv.live.Load()
-	// With every reader drained, one more publish must fully drain the
-	// retired backlog into the pool.
-	srv.mu.Lock()
-	st.chain.Publish(st.sys.Model(), nil)
-	s2 := st.chain.Stats()
-	srv.mu.Unlock()
+	rep := srv.live.Load().rep
+	// With every reader drained, one more publish (Mutate's full
+	// reimage) must fully drain the retired backlog into the pool.
+	_ = rep.Mutate(func(*core.System) error { return nil })
+	s2 := rep.EpochStats()
 	if s2.Backlog != 0 {
 		t.Fatalf("epoch backlog %d after drain publish; leaked reader references", s2.Backlog)
 	}

@@ -29,15 +29,16 @@
 // atomic increment), scores every query against that immutable frozen
 // image, and releases it. Writers — recovery observations, substrate
 // scrub ticks, attack drills, retrain applies, rollbacks, node
-// repairs/reseeds — mutate the live model under the single writer
-// mutex s.mu and publish the change as a new epoch in the same
-// critical section, cloning only the class vectors they dirtied.
-// Superseded epochs return their private vectors to a pool once the
-// last in-flight reader drains, keeping the steady-state hot path
+// repairs/reseeds — all go through the installed fleet.Replica, the
+// one writer type the server shares with cluster nodes and fleet
+// members: each mutates the live model under the replica's writer lock
+// and publishes the change as a new epoch in the same critical
+// section, cloning only the class vectors it dirtied. Superseded
+// epochs return their private vectors to a pool once the last
+// in-flight reader drains, keeping the steady-state hot path
 // allocation-free. Online retraining (RetrainOnline) accumulates its
-// per-epoch mistake deltas against a snapshot with no lock held,
-// taking s.mu only for the microsecond snapshot and the final merge +
-// binarize swap.
+// per-epoch mistake deltas against an epoch copy with no lock held,
+// taking the writer lock only for the final merge + binarize swap.
 package serve
 
 import (
@@ -48,10 +49,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/attack"
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/hdc/model"
 	"repro/internal/recovery"
 	"repro/internal/substrate"
 )
@@ -197,30 +198,22 @@ type Prediction struct {
 }
 
 // liveState is everything one /train or /restore installs as a unit:
-// the system, its recoverer and fault process, the replica fleet
-// (fleet mode), and the epoch chain readers score through
-// (single-model mode; fleet replicas carry their own chains). Readers
-// load the pointer once and get a mutually consistent view; writers
-// mutate the *contents* under s.mu and publish model changes as
-// epochs. The struct itself is immutable after install — a new
-// install builds a fresh liveState and swaps the pointer, abandoning
-// the old one (and its chain) to in-flight readers and the GC.
+// the system plus either its one replica (single-model and node mode)
+// or a replica fleet. Readers load the pointer once and get a mutually
+// consistent view; writers go through the replica. The struct itself
+// is immutable after install — a new install builds a fresh liveState
+// and swaps the pointer, abandoning the old one (and its epoch chain)
+// to in-flight readers and the GC.
 type liveState struct {
 	sys *core.System
-	rec *recovery.Recoverer
-	sub substrate.FaultProcess
+	// rep deploys sys in single-model mode: its recoverer, fault
+	// process, epoch chain and writer lock (nil in fleet mode).
+	rep *fleet.Replica
 	// flt is the replica fleet (fleet mode only). In fleet mode sys is
 	// the pristine seed — encoding still goes through it, but scoring,
 	// recovery, and fault processes live on the fleet's forks, each
-	// behind its own replica lock and epoch chain.
+	// its own Replica.
 	flt *fleet.Fleet
-	// chain is the RCU publication point for the deployed model
-	// (single-model mode; nil in fleet mode).
-	chain *model.EpochChain
-	// subStats is the latest substrate counter snapshot, republished
-	// by every writer that touched the fault process so /metrics never
-	// needs s.mu (substrate.Stats() itself is not thread-safe).
-	subStats atomic.Pointer[substrate.Stats]
 }
 
 // Server is an online inference service over a core.System.
@@ -233,19 +226,18 @@ type Server struct {
 	// loads it without any lock. Nil until the first install.
 	live atomic.Pointer[liveState]
 
-	// mu is the single-WRITER mutex over the live state's contents:
-	// recovery observations, scrub ticks, attack drills, retrain
-	// applies, rollbacks, node repairs/reseeds, snapshot
-	// serialization, and the install swap all hold it. Readers never
-	// touch it — they go through live + the epoch chain.
+	// mu is the install-swap lock: the install swap holds it, and so
+	// does a retrain's apply, so no install lands between the apply's
+	// superseded check and its write. Model writes themselves serialize
+	// on the replica's writer lock, which nests inside mu.
 	mu sync.Mutex
 
-	// wd is the degradation watchdog's state; wd.mu nests OUTSIDE s.mu
-	// (watchdog code locks wd.mu first, then s.mu — never the reverse).
+	// wd is the degradation watchdog's state; wd.mu nests OUTSIDE every
+	// replica lock.
 	wd watchdogState
 
-	// trainMu serializes online retrains (RetrainOnline); like wd.mu
-	// it nests OUTSIDE s.mu and is never acquired while s.mu is held.
+	// trainMu serializes online retrains (RetrainOnline); it nests
+	// OUTSIDE s.mu.
 	trainMu sync.Mutex
 
 	pool  *pool
@@ -293,23 +285,45 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	s.bg.Add(1)
 	go s.recoveryLoop()
 	if cfg.ProbeInterval > 0 {
-		s.bg.Add(1)
-		go s.probeLoop()
+		s.every(cfg.ProbeInterval, func(time.Time) { s.ProbeNow() })
 	}
 	if cfg.Substrate != nil && cfg.Fleet == nil {
-		s.bg.Add(1)
-		go s.scrubLoop()
+		// The scrubber feeds the fault process real elapsed wall time,
+		// so a stalled tick (GC pause, lock contention) still accrues
+		// the right amount of simulated decay.
+		last := time.Now()
+		s.every(cfg.ScrubTick, func(now time.Time) {
+			_, _ = s.ScrubNow(now.Sub(last))
+			last = now
+		})
 	}
 	if cfg.Watchdog.Interval > 0 {
-		s.bg.Add(1)
-		go s.watchdogLoop()
+		s.every(cfg.Watchdog.Interval, func(time.Time) { s.WatchdogNow() })
 	}
 	return s, nil
 }
 
-// install wires a system (plus a fresh recoverer over its model, a
-// fresh fault process over its attack image, and a fresh epoch chain)
-// into a new liveState and publishes it with one pointer swap. The old
+// every runs fn on each tick until Close.
+func (s *Server) every(tick time.Duration, fn func(now time.Time)) {
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case now := <-t.C:
+				fn(now)
+			case <-s.done:
+				return
+			}
+		}
+	}()
+}
+
+// install deploys a system as a fresh replica (a new recoverer over
+// its model, fault process over its attack image, and epoch chain)
+// and publishes it with one pointer swap. The old
 // state — checkpoint, watchdog posture, epoch chain — is abandoned: it
 // describes a model that no longer exists, and in-flight readers of
 // the old chain drain out on their own.
@@ -332,25 +346,15 @@ func (s *Server) install(sys *core.System) error {
 	if s.cfg.Fleet != nil {
 		return s.installFleet(sys)
 	}
-	var rec *recovery.Recoverer
-	if !s.cfg.DisableRecovery && sys.Backend() == "dense" {
-		r, err := sys.NewRecoverer(s.cfg.Recovery, s.cfg.RecoverySeed)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		rec = r
+	var rc *recovery.Config
+	if !s.cfg.DisableRecovery {
+		rc = &s.cfg.Recovery
 	}
-	var sub substrate.FaultProcess
-	if s.cfg.Substrate != nil {
-		p, err := substrate.New(*s.cfg.Substrate, sys.AttackImage())
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		sub = p
+	rep, err := fleet.NewReplica(sys, rc, s.cfg.RecoverySeed, s.cfg.Substrate)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	st := &liveState{sys: sys, rec: rec, sub: sub}
-	st.chain = model.NewEpochChain(sys.Freezer())
-	st.publishSubStats()
+	st := &liveState{sys: sys, rep: rep}
 	s.mu.Lock()
 	s.live.Store(st)
 	s.mu.Unlock()
@@ -399,17 +403,6 @@ func (s *Server) installFleet(sys *core.System) error {
 		old.flt.Close()
 	}
 	return nil
-}
-
-// publishSubStats refreshes the lock-free substrate counter snapshot.
-// Call after any operation that touched st.sub, while still holding
-// s.mu (or before the state is published, as install does).
-func (st *liveState) publishSubStats() {
-	if st.sub == nil {
-		return
-	}
-	stats := st.sub.Stats()
-	st.subStats.Store(&stats)
 }
 
 // fleet returns the live fleet (nil in single-model mode). Lock-free.
@@ -551,38 +544,34 @@ func (s *Server) serveBatch(batch []*request, sc *batchScratch) {
 	}
 	encoded := sys.EncodeAllParallel(xs, s.cfg.EncodeWorkers)
 
+	// Single-model batches score on the replica's current epoch. Fleet
+	// batches fan to the read-quorum (or the fast single replica while
+	// the fleet is provably in sync); the seed system is never scored.
 	gate := s.cfg.Recovery.ConfidenceThreshold
+	var classes []int
+	var confs []float64
+	var err error
+	if st.flt != nil {
+		gate = st.flt.ConfidenceGate()
+		classes, confs, err = st.flt.ScoreBatch(encoded, st.flt.Temperature())
+	} else {
+		classes, confs, err = st.rep.Score(encoded, s.cfg.Recovery.Temperature)
+	}
+	if err != nil {
+		for _, r := range live {
+			s.metrics.errors.Add(1)
+			r.resp <- result{err: err}
+		}
+		sc.live = sc.live[:0]
+		return
+	}
 	if cap(sc.preds) < len(encoded) {
 		sc.preds = make([]Prediction, len(encoded))
 	}
 	preds := sc.preds[:len(encoded)]
 	sc.preds = preds
-	if st.flt != nil {
-		// Fleet path: the batch fans to the read-quorum (or the fast
-		// single replica while the fleet is provably in sync). Per-
-		// replica epoch chains replace s.mu — the seed system is never
-		// scored.
-		gate = st.flt.ConfidenceGate()
-		classes, confs, err := st.flt.ScoreBatch(encoded, st.flt.Temperature())
-		if err != nil {
-			for _, r := range live {
-				s.metrics.errors.Add(1)
-				r.resp <- result{err: err}
-			}
-			sc.live = sc.live[:0]
-			return
-		}
-		for i := range encoded {
-			preds[i] = Prediction{Class: classes[i], Confidence: confs[i], Trusted: confs[i] >= gate}
-		}
-	} else {
-		ep := st.chain.Acquire()
-		img := ep.Frozen()
-		for i, q := range encoded {
-			class, conf := img.PredictWithConfidence(q, s.cfg.Recovery.Temperature)
-			preds[i] = Prediction{Class: class, Confidence: conf, Trusted: conf >= gate}
-		}
-		ep.Release()
+	for i := range encoded {
+		preds[i] = Prediction{Class: classes[i], Confidence: confs[i], Trusted: confs[i] >= gate}
 	}
 
 	s.metrics.observeBatch(preds)
@@ -612,51 +601,43 @@ func (s *Server) enqueueRecovery(q *bitvec.Vector) {
 }
 
 // recoveryLoop is the background self-healing goroutine: it drains
-// the trusted-query buffer, running each observation under the
-// exclusive writer mutex (recovery rewrites the deployed class
-// hypervectors in place) and publishing the touched class as a new
-// epoch. It exits once the channel is closed and fully drained, so
-// Close never abandons queued observations.
+// the trusted-query buffer into the live replica (or, in fleet mode,
+// one replica of the fleet, round-robin), whose writer lock serializes
+// each observation with every other model write. A /train or /restore
+// may swap in a new model between enqueue and observation; the query
+// then lands on the current state, or on the abandoned one, whose
+// writes nobody reads. It exits once the channel is closed and fully
+// drained, so Close never abandons queued observations.
 func (s *Server) recoveryLoop() {
 	defer s.bg.Done()
 	for q := range s.recCh {
-		if flt := s.fleet(); flt != nil {
-			// Fleet mode: the observation lands on one replica (round-
-			// robin) under that replica's own lock; the fleet bills
-			// substitution writes to the replica's substrate itself.
-			flt.Observe(q)
-			continue
+		switch st := s.live.Load(); {
+		case st == nil:
+		case st.flt != nil:
+			st.flt.Observe(q)
+		default:
+			st.rep.Observe(q)
 		}
-		s.mu.Lock()
-		// A /train or /restore may have swapped in a model of a
-		// different shape between enqueue and observation; reload under
-		// the lock so the observation and its publish hit one state.
-		st := s.live.Load()
-		if st != nil && st.flt == nil && st.rec != nil && q.Len() == st.sys.Dimensions() {
-			var pred int
-			var updated bool
-			if st.sub == nil {
-				pred, updated = st.rec.Observe(q)
-			} else {
-				// Recovery substitutions are memory writes: charge them
-				// to the substrate so wear-driven processes see the
-				// recovery loop consuming the array's endurance.
-				before := st.rec.Stats().BitsSubstituted
-				pred, updated = st.rec.Observe(q)
-				if d := st.rec.Stats().BitsSubstituted - before; d > 0 {
-					st.sub.NoteWrites(d)
-					s.metrics.recoveryWrites.Add(int64(d))
-					st.publishSubStats()
-				}
-			}
-			if updated {
-				// Observe substitutes chunks only within the predicted
-				// class's hypervector: one dirty class per epoch.
-				st.chain.Publish(st.sys.Model(), []int{pred})
-			}
-		}
-		s.mu.Unlock()
 	}
+}
+
+// ScrubNow advances the mounted fault process by elapsed wall time
+// under the replica's writer lock — a fault process writes the
+// deployed class hypervectors through the same attack.Image the drills
+// use. It reports what the substrate flipped; with no substrate
+// mounted (or no model installed, or in fleet mode, where each replica
+// scrubs itself) it is a no-op. The periodic scrubber calls this on
+// every tick; tests and drills call it directly to simulate time
+// deterministically.
+func (s *Server) ScrubNow(elapsed time.Duration) (attack.Result, error) {
+	st := s.live.Load()
+	if st == nil || st.rep == nil || s.cfg.Substrate == nil {
+		return attack.Result{}, nil
+	}
+	res, err := st.rep.Advance(elapsed)
+	s.metrics.scrubs.Add(1)
+	s.metrics.scrubBits.Add(int64(res.BitsFlipped))
+	return res, err
 }
 
 // SetProbe installs a labeled held-out set for the accuracy probe
@@ -706,7 +687,7 @@ func (s *Server) ProbeNow() (float64, bool) {
 		}
 		acc = float64(hit) / float64(len(ys))
 	} else {
-		ep := st.chain.Acquire()
+		ep := st.rep.Acquire()
 		acc = ep.Frozen().AccuracyParallel(encoded, ys, s.cfg.EncodeWorkers)
 		ep.Release()
 	}
@@ -714,32 +695,17 @@ func (s *Server) ProbeNow() (float64, bool) {
 	return acc, true
 }
 
-// probeLoop re-evaluates held-out accuracy on a timer.
-func (s *Server) probeLoop() {
-	defer s.bg.Done()
-	t := time.NewTicker(s.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.ProbeNow()
-		case <-s.done:
-			return
-		}
-	}
-}
-
 // Close drains and stops the server: the pool answers every accepted
-// request, the recovery goroutine finishes its backlog, and the probe
-// loop stops. Close is idempotent; requests after it return
-// ErrClosed.
+// request, the recovery goroutine finishes its backlog, and the ticker
+// loops (probe, scrubber, watchdog) stop. Close is idempotent;
+// requests after it return ErrClosed.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
 	s.pool.close() // flush pending batches; batchers are the only recCh senders
 	close(s.recCh) // recovery drains the backlog, then exits
-	close(s.done)  // stop the probe loop
+	close(s.done)  // stop the ticker loops
 	s.bg.Wait()
 	if flt := s.fleet(); flt != nil {
 		flt.Close() // stop per-replica scrubbers and the sweep loop

@@ -346,6 +346,10 @@ func TestHealthzAndTrainBootstrap(t *testing.T) {
 
 func TestTrainRejectsBadRequests(t *testing.T) {
 	_, ts, ds := freshServer(t, Config{DisableRecovery: true})
+	ones := make([]float64, 1000)
+	for i := range ones {
+		ones[i] = 1
+	}
 	cases := []struct {
 		name string
 		body any
@@ -356,6 +360,11 @@ func TestTrainRejectsBadRequests(t *testing.T) {
 		{"one level", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 5, "levels": 1}},
 		{"level memory over the cap", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 5,
 			"dimensions": 1024, "levels": 1 << 20}},
+		// 8000 classes at D=10k: 320 MB of int32 training counters.
+		{"training counters over the cap", map[string]any{"x": ds.TrainX[:3], "y": ds.TrainY[:3], "classes": 8000}},
+		// 1000 features at D=2^20: 128 MiB of item memory.
+		{"item memory over the cap", map[string]any{"x": [][]float64{make([]float64, 1000), ones},
+			"y": []int{0, 1}, "classes": 2, "dimensions": 1 << 20}},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/train", tc.body)

@@ -231,7 +231,7 @@ func TestE2EWatchdogEscalatesThenRollsBack(t *testing.T) {
 	if !r2.Escalated || r2.Tier != 1 {
 		t.Fatalf("watchdog did not escalate after %d unhealthy windows: %+v", 2, r2)
 	}
-	rate := srv.live.Load().rec.SubstitutionRate()
+	rate := srv.live.Load().rep.Recoverer().SubstitutionRate()
 	if rate <= baseRate {
 		t.Fatalf("escalation did not raise the substitution rate: %.3f <= %.3f", rate, baseRate)
 	}

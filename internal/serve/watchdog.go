@@ -99,7 +99,8 @@ type checkpoint struct {
 }
 
 // watchdogState is the watchdog's posture between windows. Its mutex
-// nests outside s.mu; see the Server field comment.
+// nests outside the replica's writer lock; see the Server field
+// comment.
 type watchdogState struct {
 	mu sync.Mutex
 	// tier is the current response posture: 0 normal, 1 escalated.
@@ -264,10 +265,7 @@ func (s *Server) journalAppend(e fleet.Event) {
 // escalateLocked raises the live recovery substitution rate by
 // EscalateFactor (capped at 1), remembering the base rate to restore.
 func (s *Server) escalateLocked(w *watchdogState, cfg WatchdogConfig) bool {
-	var rec *recovery.Recoverer
-	if st := s.live.Load(); st != nil {
-		rec = st.rec
-	}
+	rec := s.recoverer()
 	if rec == nil {
 		return false
 	}
@@ -279,36 +277,39 @@ func (s *Server) escalateLocked(w *watchdogState, cfg WatchdogConfig) bool {
 	return true
 }
 
+// recoverer returns the live replica's recoverer (nil without one, and
+// in fleet mode).
+func (s *Server) recoverer() *recovery.Recoverer {
+	if st := s.live.Load(); st != nil && st.rep != nil {
+		return st.rep.Recoverer()
+	}
+	return nil
+}
+
 // deescalateLocked restores the pre-escalation substitution rate.
 func (s *Server) deescalateLocked(w *watchdogState) {
 	if w.baseSub <= 0 {
 		return
 	}
-	if st := s.live.Load(); st != nil && st.rec != nil {
-		_ = st.rec.SetSubstitutionRate(w.baseSub)
+	if rec := s.recoverer(); rec != nil {
+		_ = rec.SetSubstitutionRate(w.baseSub)
 	}
 	w.baseSub = 0
 }
 
 // checkpointLocked captures a sealed, stamped image of the live system
-// under the writer mutex (a concurrent recovery write or scrub would
-// tear it otherwise; the read path is unaffected — it scores epochs,
-// not the live model). With a sealed journal attached, the image is
-// anchored to the latest sealed root so the rollback path can
+// under the replica's read lock (a concurrent recovery write or scrub
+// would tear it otherwise; the read path is unaffected — it scores
+// epochs, not the live model). With a sealed journal attached, the
+// image is anchored to the latest sealed root so the rollback path can
 // re-verify the checkpoint's lineage before trusting it.
 func (s *Server) checkpointLocked(w *watchdogState, acc float64) bool {
-	var anchor *core.JournalAnchor
-	if a, ok := s.cfg.Journal.Anchor(); ok {
-		anchor = &a
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.live.Load()
 	if st == nil {
 		return false
 	}
 	var buf bytes.Buffer
-	if err := st.sys.SaveAnchored(&buf, acc, anchor); err != nil {
+	if err := st.save(&buf, acc, s.anchor()); err != nil {
 		return false
 	}
 	w.cp = &checkpoint{payload: buf.Bytes(), accuracy: acc}
@@ -317,11 +318,11 @@ func (s *Server) checkpointLocked(w *watchdogState, acc float64) bool {
 
 // rollbackLocked verifies the checkpoint — CRC trailer, accuracy
 // stamp floor, and journal anchor when both checkpoint and journal
-// have one — and restores its deployed vectors onto the live model.
-// The restore is a full-image rewrite: it is charged to the substrate
-// as write traffic and counts as a refresh (decayed cells recharge;
-// stuck cells stay stuck). A checkpoint that fails verification is
-// dropped, never restored.
+// have one — and re-seeds the live replica from it: a full-image
+// rewrite, charged to the substrate as write traffic and counted as a
+// refresh (decayed cells recharge; stuck cells stay stuck). A
+// checkpoint that fails verification, or no longer fits the live
+// model's shape, is dropped, never restored.
 func (s *Server) rollbackLocked(w *watchdogState, cfg WatchdogConfig) bool {
 	if w.cp == nil {
 		return false
@@ -339,43 +340,10 @@ func (s *Server) rollbackLocked(w *watchdogState, cfg WatchdogConfig) bool {
 			return false
 		}
 	}
-	snap := restored.Snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.live.Load()
-	// The snapshot rows are class vectors for a dense system and base
-	// planes for a compressed one, so shape compatibility is backend +
-	// (classes, dims), not row count alone.
-	if st == nil || restored.Backend() != st.sys.Backend() ||
-		restored.Classes() != st.sys.Classes() ||
-		len(snap) == 0 || snap[0].Len() != st.sys.Dimensions() {
+	if st == nil || st.rep == nil || st.rep.Reseed(restored) != nil {
 		w.cp = nil
 		return false
 	}
-	st.sys.Restore(snap)
-	if st.sub != nil {
-		st.sub.NoteWrites(len(snap) * st.sys.Dimensions())
-		st.sub.Refresh()
-		st.publishSubStats()
-	}
-	if st.chain != nil {
-		// Every row was rewritten: full reimage.
-		st.chain.Publish(st.sys.Freezer(), nil)
-	}
 	return true
-}
-
-// watchdogLoop runs WatchdogNow on the configured interval.
-func (s *Server) watchdogLoop() {
-	defer s.bg.Done()
-	t := time.NewTicker(s.cfg.Watchdog.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.WatchdogNow()
-		case <-s.done:
-			return
-		}
-	}
 }
