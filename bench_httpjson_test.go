@@ -16,7 +16,6 @@ import (
 // tenantPredict is the registry's /predict body.
 type tenantPredict struct {
 	Model string      `json:"model"`
-	Key   string      `json:"key,omitempty"`
 	X     []float64   `json:"x,omitempty"`
 	Xs    [][]float64 `json:"xs,omitempty"`
 }
@@ -47,7 +46,7 @@ func BenchmarkDecodePredictBody(b *testing.B) {
 			return json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(req)
 		}},
 		{"codec", func(req *tenantPredict) error {
-			return httpjson.DecodePredict(r, limit, req, httpjson.Fields{Model: &req.Model, Key: &req.Key, X: &req.X, Xs: &req.Xs})
+			return httpjson.DecodePredict(r, limit, req, httpjson.Fields{Model: &req.Model, X: &req.X, Xs: &req.Xs})
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

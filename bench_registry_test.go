@@ -1,6 +1,6 @@
 // Multi-tenant registry benchmarks: the dispatch tax of routing a
-// request through the model registry (tenant lookup, drain guard,
-// consistent-hash shard selection) versus a bare serve.Server, and the
+// request through the model registry (tenant lookup, drain guard)
+// versus a bare serve.Server, and the
 // serving-time cost of the LogHD compressed backend next to dense.
 // CI's bench job runs them into its BENCH.json artifact.
 package repro_test
@@ -60,7 +60,7 @@ func BenchmarkRegistryPredict(b *testing.B) {
 				for pb.Next() {
 					i := int(next.Add(1))
 					id := ids[i%len(ids)]
-					if _, err := reg.Predict(id, "", ds.TestX[i%len(ds.TestX)]); err != nil {
+					if _, err := reg.PredictMany(id, [][]float64{ds.TestX[i%len(ds.TestX)]}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -108,7 +108,7 @@ func BenchmarkLogHDPredict(b *testing.B) {
 				for pb.Next() {
 					i := int(next.Add(1))
 					id := ids[i%len(ids)]
-					if _, err := reg.Predict(id, "", ds.TestX[i%len(ds.TestX)]); err != nil {
+					if _, err := reg.PredictMany(id, [][]float64{ds.TestX[i%len(ds.TestX)]}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -218,17 +218,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dsName)
 			os.Exit(2)
 		}
-		ds, err := dataset.Generate(spec)
+		ds, trained, err := trainDataset(spec, *dims, *seed)
 		if err != nil {
 			fail(err)
 		}
-		sys, err = core.Train(ds.TrainX, ds.TrainY, spec.Classes, core.Config{
-			Dimensions: *dims,
-			Seed:       *seed,
-		})
-		if err != nil {
-			fail(err)
-		}
+		sys = trained
 		probeX, probeY = ds.TestX, ds.TestY
 		fmt.Printf("trained on %s: D=%d, %d classes, clean accuracy %.4f\n",
 			spec.Name, sys.Dimensions(), sys.Classes(), sys.Accuracy(ds.TestX, ds.TestY))
@@ -263,26 +257,21 @@ func main() {
 		}
 	}
 
-	// Bind before announcing: -addr :0 is a real deployment option (and
-	// what the e2e chaos drill uses), so the printed line must carry the
-	// port the kernel actually assigned.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail(err)
-	}
-	// The listening line is a parsing contract (the chaos drill and any
-	// -addr :0 tooling read the port off it), so the kernel tier gets
-	// its own line.
-	fmt.Printf("bitvec kernels: %s\n", bitvec.KernelName())
-	fmt.Printf("servehd listening on %s\n", ln.Addr())
-	// Drain order: stop serving first, then seal and close the journal —
-	// a clean shutdown always ends the log on a seal boundary.
-	serveHTTP(ln, srv.Handler(), func() {
-		srv.Close()
-		if err := journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "servehd: journal close:", err)
-		}
+	serveUntilSignal(*addr, srv.Handler(), journal, srv.Close, func(addr net.Addr) {
+		fmt.Printf("bitvec kernels: %s\n", bitvec.KernelName())
+		fmt.Printf("servehd listening on %s\n", addr)
 	})
+}
+
+// trainDataset generates a built-in dataset and trains a system on its
+// training split: the -dataset model and every -models tenant.
+func trainDataset(spec dataset.Spec, dims int, seed uint64) (*dataset.Dataset, *core.System, error) {
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := core.Train(ds.TrainX, ds.TrainY, spec.Classes, core.Config{Dimensions: dims, Seed: seed})
+	return ds, sys, err
 }
 
 // runRegistry is the -models entrypoint: one process, many tenants.
@@ -316,14 +305,7 @@ func runRegistry(addr, spec string, dims int, seed uint64, cfg serve.Config) {
 		if !ok {
 			fail(fmt.Errorf("-models entry %q: unknown dataset %q", part, dsName))
 		}
-		ds, err := dataset.Generate(dspec)
-		if err != nil {
-			fail(err)
-		}
-		sys, err := core.Train(ds.TrainX, ds.TrainY, dspec.Classes, core.Config{
-			Dimensions: dims,
-			Seed:       seed + uint64(n),
-		})
+		ds, sys, err := trainDataset(dspec, dims, seed+uint64(n))
 		if err != nil {
 			fail(err)
 		}
@@ -351,18 +333,10 @@ func runRegistry(addr, spec string, dims int, seed uint64, cfg serve.Config) {
 		fail(errors.New("-models names no tenants"))
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("bitvec kernels: %s\n", bitvec.KernelName())
-	fmt.Printf("servehd registry: %d models (%s)\n", n, strings.Join(reg.Models(), ", "))
-	fmt.Printf("servehd listening on %s\n", ln.Addr())
-	serveHTTP(ln, reg.Handler(), func() {
-		reg.Close()
-		if err := cfg.Journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "servehd: journal close:", err)
-		}
+	serveUntilSignal(addr, reg.Handler(), cfg.Journal, reg.Close, func(addr net.Addr) {
+		fmt.Printf("bitvec kernels: %s\n", bitvec.KernelName())
+		fmt.Printf("servehd registry: %d models (%s)\n", n, strings.Join(reg.Models(), ", "))
+		fmt.Printf("servehd listening on %s\n", addr)
 	})
 }
 
@@ -388,24 +362,28 @@ func runCoordinator(addr, peers string, quorum int, antiEntropy, nodeTimeout tim
 	if err != nil {
 		fail(err)
 	}
+	serveUntilSignal(addr, co.Handler(), journal, co.Close, func(addr net.Addr) {
+		fmt.Printf("servehd coordinator listening on %s (%d nodes, quorum %d, anti-entropy %v)\n",
+			addr, co.Size(), co.Quorum(), antiEntropy)
+	})
+}
+
+// serveUntilSignal binds addr, lets announce print the startup lines
+// for the bound address, and serves h until SIGINT/SIGTERM or a
+// listener error. It then drains: in-flight HTTP requests finish, stop
+// shuts the serving stack down, and the journal is sealed and closed
+// last, so a clean shutdown always ends the log on a seal boundary.
+//
+// Binding comes before announcing: -addr :0 is a real deployment
+// option (and what the e2e chaos drill uses), and the listening line
+// is a parsing contract, so it must carry the port the kernel actually
+// assigned.
+func serveUntilSignal(addr string, h http.Handler, journal *fleet.Journal, stop func(), announce func(net.Addr)) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("servehd coordinator listening on %s (%d nodes, quorum %d, anti-entropy %v)\n",
-		ln.Addr(), co.Size(), co.Quorum(), antiEntropy)
-	serveHTTP(ln, co.Handler(), func() {
-		co.Close()
-		if err := journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "servehd: journal close:", err)
-		}
-	})
-}
-
-// serveHTTP serves h on ln until SIGINT/SIGTERM or a listener error,
-// then gracefully drains: in-flight HTTP requests finish, and drain
-// runs after the listener closes.
-func serveHTTP(ln net.Listener, h http.Handler, drain func()) {
+	announce(ln.Addr())
 	// ReadHeaderTimeout bounds slow-loris headers; IdleTimeout reaps
 	// keep-alive connections an abandoned client left open. Keep-alives
 	// themselves stay enabled — closed-loop clients (cmd/hdload, the
@@ -436,7 +414,10 @@ func serveHTTP(ln net.Listener, h http.Handler, drain func()) {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		httpSrv.Close()
 	}
-	drain()
+	stop()
+	if err := journal.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "servehd: journal close:", err)
+	}
 	fmt.Println("servehd: drained, bye")
 }
 

@@ -28,39 +28,46 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /attack", co.handleAttack)
 	mux.HandleFunc("POST /sweep", co.handleSweep)
 	mux.HandleFunc("GET /cluster", co.handleStatus)
-	mux.HandleFunc("GET /journal/proof", co.handleJournalProof)
-	mux.HandleFunc("GET /journal/verify", co.handleJournalVerify)
+	HandleJournal(mux, co.cfg.Journal)
 	mux.HandleFunc("GET /healthz", co.handleHealthz)
 	return mux
 }
 
-// handleJournalProof serves a Merkle inclusion proof from the
-// coordinator's own journal (GET /journal/proof?seq=N).
-func (co *Coordinator) handleJournalProof(w http.ResponseWriter, r *http.Request) {
-	if co.cfg.Journal == nil {
-		coordErr(w, http.StatusBadRequest, errors.New("no journal configured"))
-		return
-	}
-	seq, err := strconv.ParseInt(r.URL.Query().Get("seq"), 10, 64)
-	if err != nil || seq <= 0 {
-		coordErr(w, http.StatusBadRequest, errors.New("provide seq=N (a sealed journal sequence number)"))
-		return
-	}
-	p, perr := co.cfg.Journal.Proof(seq)
-	if perr != nil {
-		coordErr(w, http.StatusNotFound, perr)
-		return
-	}
-	httpjson.Write(w, http.StatusOK, p)
+// HandleJournal mounts the journal endpoints on mux, answered from j:
+//
+//	GET /journal/proof?seq=N  Merkle inclusion proof for a sealed
+//	                          event: 400 without a journal or for a bad
+//	                          seq, 404 for a seq not yet sealed
+//	GET /journal/verify       VerifyJournalDoc(j)
+//
+// A proof verifies against the sealed root carried by the seal event
+// at proof.seal_seq, and against the anchor inside any snapshot taken
+// after that seal. The server (and so every node and registry tenant)
+// and the coordinator mount the same pair.
+func HandleJournal(mux *http.ServeMux, j *fleet.Journal) {
+	mux.HandleFunc("GET /journal/proof", func(w http.ResponseWriter, r *http.Request) {
+		if j == nil {
+			writeError(w, http.StatusBadRequest, errors.New("no journal configured"))
+			return
+		}
+		seq, err := strconv.ParseInt(r.URL.Query().Get("seq"), 10, 64)
+		if err != nil || seq <= 0 {
+			writeError(w, http.StatusBadRequest, errors.New("provide seq=N (a sealed journal sequence number)"))
+			return
+		}
+		p, err := j.Proof(seq)
+		if err != nil {
+			writeError(w, http.StatusNotFound, err)
+			return
+		}
+		httpjson.Write(w, http.StatusOK, p)
+	})
+	mux.HandleFunc("GET /journal/verify", func(w http.ResponseWriter, r *http.Request) {
+		httpjson.Write(w, http.StatusOK, VerifyJournalDoc(j))
+	})
 }
 
-// handleJournalVerify re-verifies the coordinator's journal file
-// against its live chain (GET /journal/verify).
-func (co *Coordinator) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	httpjson.Write(w, http.StatusOK, VerifyJournalDoc(co.cfg.Journal))
-}
-
-func coordErr(w http.ResponseWriter, status int, err error) {
+func writeError(w http.ResponseWriter, status int, err error) {
 	httpjson.Write(w, status, map[string]string{"error": err.Error()})
 }
 
@@ -86,20 +93,12 @@ type coordPredictResponse struct {
 func (co *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req coordPredictRequest
 	if err := httpjson.DecodePredict(r, maxCoordBody, &req, httpjson.Fields{X: &req.X, Xs: &req.Xs}); err != nil {
-		coordErr(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var xs [][]float64
-	switch {
-	case req.X != nil && req.Xs != nil:
-		coordErr(w, http.StatusBadRequest, errors.New("provide x or xs, not both"))
-		return
-	case req.X != nil:
-		xs = [][]float64{req.X}
-	case len(req.Xs) > 0:
-		xs = req.Xs
-	default:
-		coordErr(w, http.StatusBadRequest, errors.New("empty request: provide x or xs"))
+	xs, single, err := httpjson.PredictRows(req.X, req.Xs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	classes, confs, err := co.ScoreBatch(xs, co.cfg.Temperature)
@@ -110,14 +109,14 @@ func (co *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// client's fault, not the cluster's.
 			status = http.StatusBadRequest
 		}
-		coordErr(w, status, err)
+		writeError(w, status, err)
 		return
 	}
 	preds := make([]ClusterPrediction, len(classes))
 	for i := range classes {
 		preds[i] = ClusterPrediction{Class: classes[i], Confidence: confs[i]}
 	}
-	if req.X != nil {
+	if single {
 		httpjson.Write(w, http.StatusOK, coordPredictResponse{Prediction: &preds[0]})
 		return
 	}
@@ -137,11 +136,11 @@ type coordAttackRequest struct {
 func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 	var req coordAttackRequest
 	if err := httpjson.Decode(r, maxCoordBody, &req); err != nil {
-		coordErr(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Node == nil {
-		coordErr(w, http.StatusBadRequest, fmt.Errorf("specify \"node\" (0..%d)", co.Size()-1))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("specify \"node\" (0..%d)", co.Size()-1))
 		return
 	}
 	// Forward the drill without the routing field; the node runs
@@ -151,19 +150,19 @@ func (co *Coordinator) handleAttack(w http.ResponseWriter, r *http.Request) {
 		"span_frac": req.SpanFrac, "flip_prob": req.FlipProb, "seed": req.Seed,
 	})
 	if err != nil {
-		coordErr(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := co.Attack(*req.Node, body)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNodeBad):
-			coordErr(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, fleet.ErrDown):
-			coordErr(w, http.StatusBadGateway, err)
+			writeError(w, http.StatusBadGateway, err)
 		default:
 			// Out-of-range node id.
-			coordErr(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, err)
 		}
 		return
 	}

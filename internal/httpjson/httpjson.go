@@ -19,6 +19,7 @@ package httpjson
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -40,13 +41,27 @@ func Decode(r *http.Request, limit int64, v any) error {
 	return json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v)
 }
 
+// PredictRows applies the request rule every predict endpoint shares:
+// a body carries one sample in x or a non-empty batch in xs, never
+// both. It returns the rows to score and whether the body was a single
+// x, which is answered with one prediction rather than a list.
+func PredictRows(x []float64, xs [][]float64) (rows [][]float64, single bool, err error) {
+	switch {
+	case x != nil && xs != nil:
+		return nil, false, errors.New("provide x or xs, not both")
+	case x != nil:
+		return [][]float64{x}, true, nil
+	case len(xs) > 0:
+		return xs, false, nil
+	}
+	return nil, false, errors.New("empty request: provide x or xs")
+}
+
 // Fields points the fast path at an endpoint's request struct: one
 // pointer per JSON key the struct declares, nil for each key it lacks.
-// The predict-shaped keys are "model", "key", "x", "xs" and
-// "temperature".
+// The predict-shaped keys are "model", "x", "xs" and "temperature".
 type Fields struct {
 	Model       *string
-	Key         *string
 	X           *[]float64
 	Xs          *[][]float64
 	Temperature *float64
@@ -101,7 +116,6 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // The keys of a predict-shaped body, as bits of a seen-set.
 const (
 	keyModel = 1 << iota
-	keyKey
 	keyX
 	keyXs
 	keyTemperature
@@ -113,11 +127,11 @@ func parsePredict(body []byte, f Fields) bool {
 	p := parser{b: body}
 	want := f.keys()
 	var (
-		model, key string
-		x          []float64
-		xs         [][]float64
-		temp       float64
-		seen       int
+		model string
+		x     []float64
+		xs    [][]float64
+		temp  float64
+		seen  int
 	)
 	p.space()
 	if !p.eat('{') {
@@ -144,10 +158,6 @@ func parsePredict(body []byte, f Fields) bool {
 				var s []byte
 				s, ok = p.plainString()
 				model = string(s)
-			case keyKey:
-				var s []byte
-				s, ok = p.plainString()
-				key = string(s)
 			case keyX:
 				x, ok = p.floats(make([]float64, 0, 16))
 			case keyXs:
@@ -176,9 +186,6 @@ func parsePredict(body []byte, f Fields) bool {
 	if seen&keyModel != 0 {
 		*f.Model = model
 	}
-	if seen&keyKey != 0 {
-		*f.Key = key
-	}
 	if seen&keyX != 0 {
 		*f.X = x
 	}
@@ -197,8 +204,6 @@ func keyBit(k string) int {
 	switch k {
 	case "model":
 		return keyModel
-	case "key":
-		return keyKey
 	case "x":
 		return keyX
 	case "xs":
@@ -214,9 +219,6 @@ func (f Fields) keys() int {
 	k := 0
 	if f.Model != nil {
 		k |= keyModel
-	}
-	if f.Key != nil {
-		k |= keyKey
 	}
 	if f.X != nil {
 		k |= keyX

@@ -24,7 +24,6 @@ type (
 	}
 	registryPredict struct {
 		Model string      `json:"model"`
-		Key   string      `json:"key,omitempty"`
 		X     []float64   `json:"x,omitempty"`
 		Xs    [][]float64 `json:"xs,omitempty"`
 	}
@@ -51,7 +50,7 @@ var endpoints = []endpoint{
 	}},
 	{"registry", func() (any, Fields) {
 		v := new(registryPredict)
-		return v, Fields{Model: &v.Model, Key: &v.Key, X: &v.X, Xs: &v.Xs}
+		return v, Fields{Model: &v.Model, X: &v.X, Xs: &v.Xs}
 	}},
 	{"coordinator", func() (any, Fields) {
 		v := new(coordPredict)
@@ -168,7 +167,7 @@ func TestCanonicalBodiesTakeFastPath(t *testing.T) {
 		{`{"xs":[[1,2.5,-3e-7],[0]]}`, []string{"serve", "registry", "coordinator", "node"}},
 		{`{"x":[1,-0,1E+2,0.000001]}`, []string{"serve", "registry", "coordinator"}},
 		{` { "xs" : [ [ 1 , 2 ] ] , "temperature" : 0.25 } `, []string{"node"}},
-		{"{\n\t\"model\":\"a-b_c.1\",\"key\":\"k\",\"x\":[]\r\n}", []string{"registry"}},
+		{"{\n\t\"model\":\"a-b_c.1\",\"x\":[]\r\n}", []string{"registry"}},
 		{`{}`, []string{"serve", "registry", "coordinator", "node"}},
 		{`{"xs":[]}`, []string{"serve", "registry", "coordinator", "node"}},
 		{`{"xs":[[],[]]}`, []string{"serve", "registry", "coordinator", "node"}},
@@ -197,6 +196,7 @@ func TestFallbackCases(t *testing.T) {
 		"case-folded key":     `{"XS":[[1]],"Model":"a"}`,
 		"unknown key":         `{"xs":[[1]],"extra":1}`,
 		"unknown key ignored": `{"xs":[[1]],"extra":[1,{"a":null}]}`,
+		"retired key field":   "{\n\t\"model\":\"a-b_c.1\",\"key\":\"k\",\"x\":[]\r\n}",
 		"duplicate key":       `{"xs":[[1]],"xs":[[2,3]]}`,
 		"duplicate scalar":    `{"temperature":1,"temperature":2,"xs":[[1]]}`,
 		"null batch":          `{"xs":null}`,

@@ -10,13 +10,9 @@ import (
 	"repro/internal/serve"
 )
 
-// maxBodyBytes bounds request bodies, matching serve's limit.
-const maxBodyBytes = 256 << 20
-
 // Handler returns the registry's HTTP API:
 //
-//	POST   /predict          {"model":"id","x":[...]} or {"xs":...};
-//	                         optional "key" pins shard affinity
+//	POST   /predict          {"model":"id","x":[...]} or {"xs":...}
 //	GET    /models           list tenants with per-tenant stats
 //	POST   /models           create a tenant by training on inline data
 //	PUT    /models/{id}      create a tenant from a stamped snapshot
@@ -63,11 +59,9 @@ func writeErr(w http.ResponseWriter, err error) {
 	httpjson.Write(w, status, map[string]string{"error": err.Error()})
 }
 
-// predictRequest is serve's wire format plus the tenant selector and
-// the optional shard-affinity key.
+// predictRequest is serve's wire format plus the tenant selector.
 type predictRequest struct {
 	Model string      `json:"model"`
-	Key   string      `json:"key,omitempty"`
 	X     []float64   `json:"x,omitempty"`
 	Xs    [][]float64 `json:"xs,omitempty"`
 }
@@ -80,7 +74,7 @@ type predictResponse struct {
 
 func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var pr predictRequest
-	if err := httpjson.DecodePredict(req, maxBodyBytes, &pr, httpjson.Fields{Model: &pr.Model, Key: &pr.Key, X: &pr.X, Xs: &pr.Xs}); err != nil {
+	if err := httpjson.DecodePredict(req, serve.MaxBodyBytes, &pr, httpjson.Fields{Model: &pr.Model, X: &pr.X, Xs: &pr.Xs}); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
 		return
 	}
@@ -88,26 +82,21 @@ func (r *Registry) handlePredict(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, fmt.Errorf("%w: request names no model", serve.ErrBadInput))
 		return
 	}
-	switch {
-	case pr.X != nil && pr.Xs != nil:
-		writeErr(w, fmt.Errorf("%w: provide x or xs, not both", serve.ErrBadInput))
-	case pr.X != nil:
-		pred, err := r.Predict(pr.Model, pr.Key, pr.X)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Prediction: &pred})
-	case len(pr.Xs) > 0:
-		preds, err := r.PredictMany(pr.Model, pr.Xs)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Predictions: preds})
-	default:
-		writeErr(w, fmt.Errorf("%w: empty request: provide x or xs", serve.ErrBadInput))
+	rows, single, err := httpjson.PredictRows(pr.X, pr.Xs)
+	if err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
+		return
 	}
+	preds, err := r.PredictMany(pr.Model, rows)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	if single {
+		httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Prediction: &preds[0]})
+		return
+	}
+	httpjson.Write(w, http.StatusOK, predictResponse{Model: pr.Model, Predictions: preds})
 }
 
 func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
@@ -126,7 +115,7 @@ type createRequest struct {
 
 func (r *Registry) handleCreateTrain(w http.ResponseWriter, req *http.Request) {
 	var cr createRequest
-	if err := httpjson.Decode(req, maxBodyBytes, &cr); err != nil {
+	if err := httpjson.Decode(req, serve.MaxBodyBytes, &cr); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", serve.ErrBadInput, err))
 		return
 	}
@@ -167,7 +156,7 @@ func (r *Registry) handleCreateSnapshot(w http.ResponseWriter, req *http.Request
 		writeErr(w, err)
 		return
 	}
-	sys, _, _, err := r.cfg.Serve.AdmitSnapshot(http.MaxBytesReader(nil, req.Body, maxBodyBytes))
+	sys, _, _, err := r.cfg.Serve.AdmitSnapshot(http.MaxBytesReader(nil, req.Body, serve.MaxBodyBytes))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -6,14 +6,9 @@
 // model cannot touch another's memory, locks, or batching queues.
 //
 // Dispatch: a request's model field selects its tenant by exact id,
-// and a consistent-hash ring over the tenant's batching shards
-// (ring.go) maps the request's routing key to a stable shard. The key
-// defaults to the model id itself — one tenant's traffic coalesces
-// into warm batches on a stable shard subset instead of smearing
-// across every queue — and clients with natural session keys can
-// supply their own for finer affinity. Consistency means a tenant
-// recreated with a different shard count remaps only ~1/n of the key
-// space.
+// and the rows go to that tenant's server through its own round-robin
+// batching dispatch (serve.Server.PredictMany), as they would on a
+// single-model server; a single x is a one-row batch.
 //
 // Lifecycle: tenants are created from an uploaded stamped snapshot
 // (dense RHDC or LogHD RHLG backend tags both install; a declared
@@ -79,7 +74,6 @@ func (c *Config) fillDefaults() {
 type tenant struct {
 	id      string
 	srv     *serve.Server
-	ring    *ring
 	created time.Time
 
 	// drainMu is the graceful-drain barrier: dispatches hold it shared
@@ -173,12 +167,7 @@ func (r *Registry) Create(id string, sys *core.System) error {
 	if err != nil {
 		return err
 	}
-	t := &tenant{
-		id:      id,
-		srv:     srv,
-		ring:    buildRing(id, srv.Shards()),
-		created: time.Now(),
-	}
+	t := &tenant{id: id, srv: srv, created: time.Now()}
 	next := make(map[string]*tenant, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
@@ -246,30 +235,9 @@ func (t *tenant) enter() (leave func(), err error) {
 	return t.drainMu.RUnlock, nil
 }
 
-// Predict routes one sample to model's tenant. key selects the shard
-// via the tenant's consistent-hash ring; empty falls back to the model
-// id itself, so a tenant's unkeyed traffic batches on a stable shard.
-func (r *Registry) Predict(model, key string, x []float64) (serve.Prediction, error) {
-	t, err := r.lookup(model)
-	if err != nil {
-		return serve.Prediction{}, err
-	}
-	leave, err := t.enter()
-	if err != nil {
-		return serve.Prediction{}, err
-	}
-	defer leave()
-	if key == "" {
-		key = model
-	}
-	r.dispatches.Add(1)
-	t.dispatched.Add(1)
-	return t.srv.PredictShard(x, uint64(t.ring.lookup(hashKey(key))))
-}
-
-// PredictMany routes a batch to model's tenant, spreading samples over
-// the tenant's shard set through the server's own fan-out (per-sample
-// ring lookups would serialize a large batch onto one shard).
+// PredictMany routes a batch to model's tenant under its drain guard,
+// spreading the samples over the tenant's batching shards through the
+// server's own round-robin fan-out.
 func (r *Registry) PredictMany(model string, xs [][]float64) ([]serve.Prediction, error) {
 	t, err := r.lookup(model)
 	if err != nil {

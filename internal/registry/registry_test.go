@@ -474,7 +474,7 @@ func TestRegistryCreateDeleteChurnUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.Predict("stable", "", ds.TestX[(i+w)%len(ds.TestX)]); err != nil {
+				if _, err := r.PredictMany("stable", [][]float64{ds.TestX[(i+w)%len(ds.TestX)]}); err != nil {
 					errCh <- fmt.Errorf("stable predict: %w", err)
 					return
 				}
@@ -494,7 +494,7 @@ func TestRegistryCreateDeleteChurnUnderLoad(t *testing.T) {
 					errCh <- fmt.Errorf("create %s: %w", id, err)
 					return
 				}
-				if _, err := r.Predict(id, "", ds.TestX[round%len(ds.TestX)]); err != nil {
+				if _, err := r.PredictMany(id, [][]float64{ds.TestX[round%len(ds.TestX)]}); err != nil {
 					errCh <- fmt.Errorf("churn predict %s: %w", id, err)
 					return
 				}
@@ -517,10 +517,10 @@ func TestRegistryCreateDeleteChurnUnderLoad(t *testing.T) {
 		t.Fatalf("%d tenants after churn, want 1", got)
 	}
 	// Deleted ids are gone; the stable tenant still serves.
-	if _, err := r.Predict("churn-0-0", "", ds.TestX[0]); !errors.Is(err, ErrUnknownModel) {
+	if _, err := r.PredictMany("churn-0-0", [][]float64{ds.TestX[0]}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("deleted tenant still routable: %v", err)
 	}
-	if _, err := r.Predict("stable", "", ds.TestX[0]); err != nil {
+	if _, err := r.PredictMany("stable", [][]float64{ds.TestX[0]}); err != nil {
 		t.Fatalf("stable tenant broken after churn: %v", err)
 	}
 }
@@ -566,41 +566,54 @@ func TestRegistrySharedJournalTagsTenants(t *testing.T) {
 	}
 }
 
-// TestRingConsistency pins the dispatch ring: lookups are stable,
-// every shard is reachable, and identical keys map identically across
-// rebuilds.
-func TestRingConsistency(t *testing.T) {
-	const shards = 8
-	r1 := buildRing("tenant", shards)
-	r2 := buildRing("tenant", shards)
-	hit := make([]int, shards)
-	for i := 0; i < 4096; i++ {
-		h := hashKey(fmt.Sprintf("key-%d", i))
-		s1, s2 := r1.lookup(h), r2.lookup(h)
-		if s1 != s2 {
-			t.Fatalf("key %d unstable: %d vs %d", i, s1, s2)
-		}
-		if s1 < 0 || s1 >= shards {
-			t.Fatalf("key %d out of range: %d", i, s1)
-		}
-		hit[s1]++
+// TestRegistryPredictIgnoresKeyField: a body that still carries the
+// retired "key" routing field is decoded by encoding/json, which
+// ignores the unknown field, and is answered like any other.
+func TestRegistryPredictIgnoresKeyField(t *testing.T) {
+	ds, _, base := problem(t)
+	r, ts := freshRegistry(t, Config{Serve: serve.Config{DisableRecovery: true}})
+	if err := r.Create("alpha", base.Fork()); err != nil {
+		t.Fatal(err)
 	}
-	for s, n := range hit {
-		if n == 0 {
-			t.Fatalf("shard %d unreachable", s)
+	for _, body := range []map[string]any{
+		{"model": "alpha", "key": "session-7", "x": ds.TestX[0]},
+		{"model": "alpha", "key": "session-7", "xs": ds.TestX[:4]},
+	} {
+		resp, data := postJSON(t, ts.URL+"/predict", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("keyed predict: status %d, want 200 (%s)", resp.StatusCode, data)
 		}
 	}
-	// Different tenants get independent layouts.
-	other := buildRing("other", shards)
-	same := 0
-	for i := 0; i < 256; i++ {
-		h := hashKey(fmt.Sprintf("key-%d", i))
-		if r1.lookup(h) == other.lookup(h) {
-			same++
+}
+
+// TestRegistryCreateProbeAdmission: POST /models checks the probe set
+// against the system it built before creating the tenant, so a refused
+// create leaves no tenant behind.
+func TestRegistryCreateProbeAdmission(t *testing.T) {
+	ds, spec, _ := problem(t)
+	r, ts := freshRegistry(t, Config{Serve: serve.Config{DisableRecovery: true}})
+	for _, tc := range []struct {
+		id     string
+		probeX [][]float64
+		probeY []int
+	}{
+		{"mismatched", ds.TestX[:3], ds.TestY[:1]},
+		{"ragged", [][]float64{ds.TestX[0], ds.TestX[1][:3]}, ds.TestY[:2]},
+	} {
+		resp, data := postJSON(t, ts.URL+"/models", map[string]any{
+			"id": tc.id, "x": ds.TrainX, "y": ds.TrainY, "classes": spec.Classes,
+			"dimensions": 1024, "probe_x": tc.probeX, "probe_y": tc.probeY,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400 (%s)", tc.id, resp.StatusCode, data)
+		}
+		var info TenantInfo
+		if resp := getJSON(t, ts.URL+"/models/"+tc.id, &info); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /models/%s after a refused create: status %d, want 404", tc.id, resp.StatusCode)
 		}
 	}
-	if same == 256 {
-		t.Fatal("two tenants share an identical ring layout")
+	if n := r.Len(); n != 0 {
+		t.Fatalf("%d tenants after refused creates, want 0", n)
 	}
 }
 

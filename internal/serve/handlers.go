@@ -15,10 +15,10 @@ import (
 	"repro/internal/httpjson"
 )
 
-// maxBodyBytes bounds request bodies (training sets and snapshots
-// included); oversized requests fail decoding rather than exhausting
-// memory.
-const maxBodyBytes = 256 << 20
+// MaxBodyBytes bounds request bodies (training sets and snapshots
+// included) on the server's API and the registry's; oversized requests
+// fail decoding rather than exhausting memory.
+const MaxBodyBytes = 256 << 20
 
 // Handler returns the server's HTTP API:
 //
@@ -43,8 +43,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /attack", s.handleAttack)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /fleet", s.handleFleet)
-	mux.HandleFunc("GET /journal/proof", s.handleJournalProof)
-	mux.HandleFunc("GET /journal/verify", s.handleJournalVerify)
+	cluster.HandleJournal(mux, s.cfg.Journal)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.cfg.NodeAPI {
 		s.registerNodeAPI(mux)
@@ -81,30 +80,25 @@ type predictResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req predictRequest
-	if err := httpjson.DecodePredict(r, maxBodyBytes, &req, httpjson.Fields{X: &req.X, Xs: &req.Xs}); err != nil {
+	if err := httpjson.DecodePredict(r, MaxBodyBytes, &req, httpjson.Fields{X: &req.X, Xs: &req.Xs}); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
-	switch {
-	case req.X != nil && req.Xs != nil:
-		writeErr(w, fmt.Errorf("%w: provide x or xs, not both", ErrBadInput))
-	case req.X != nil:
-		pred, err := s.Predict(req.X)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Write(w, http.StatusOK, predictResponse{Prediction: &pred})
-	case len(req.Xs) > 0:
-		preds, err := s.PredictMany(req.Xs)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		httpjson.Write(w, http.StatusOK, predictResponse{Predictions: preds})
-	default:
-		writeErr(w, fmt.Errorf("%w: empty request: provide x or xs", ErrBadInput))
+	rows, single, err := httpjson.PredictRows(req.X, req.Xs)
+	if err != nil {
+		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
+		return
 	}
+	preds, err := s.PredictMany(rows)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	if single {
+		httpjson.Write(w, http.StatusOK, predictResponse{Prediction: &preds[0]})
+		return
+	}
+	httpjson.Write(w, http.StatusOK, predictResponse{Predictions: preds})
 }
 
 // TrainRequest is the fresh-train body /train and the registry's
@@ -134,9 +128,11 @@ type TrainRequest struct {
 
 // Build validates the request and trains the system it describes.
 // Training is expensive: callers run it outside any lock and install
-// the finished system in one swap. Every error wraps ErrBadInput —
-// core.Train refuses shapes over the encoder's memory caps before
-// allocating them.
+// the finished system in one swap. The probe set is checked against
+// the built system here, so a request whose probe ApplyProbe would
+// refuse installs nothing. Every error wraps ErrBadInput — core.Train
+// refuses shapes over the encoder's memory caps before allocating
+// them.
 func (req *TrainRequest) Build() (*core.System, error) {
 	if len(req.X) == 0 || len(req.X) != len(req.Y) || req.Classes < 2 {
 		return nil, fmt.Errorf("%w: need x, matching y, and classes >= 2", ErrBadInput)
@@ -163,6 +159,9 @@ func (req *TrainRequest) Build() (*core.System, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown backend %q (want dense or loghd)", ErrBadInput, req.Backend)
 	}
+	if err := checkProbe(req.ProbeX, req.ProbeY, sys.Features()); err != nil {
+		return nil, err
+	}
 	return sys, nil
 }
 
@@ -187,7 +186,7 @@ type trainRequest struct {
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+	if err := httpjson.Decode(r, MaxBodyBytes, &req); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -218,6 +217,14 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 
 // handleTrainOnline is /train's in-place refinement path.
 func (s *Server) handleTrainOnline(w http.ResponseWriter, req *trainRequest) {
+	// Check the probe first: a refused probe must not leave the
+	// refinement applied.
+	if sys := s.system(); sys != nil {
+		if err := checkProbe(req.ProbeX, req.ProbeY, sys.Features()); err != nil {
+			writeErr(w, err)
+			return
+		}
+	}
 	mistakes, err := s.RetrainOnline(req.X, req.Y, req.RetrainEpochs)
 	if err != nil {
 		writeErr(w, err)
@@ -319,7 +326,7 @@ func (c Config) AdmitSnapshot(r io.Reader) (*core.System, float64, *core.Journal
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	sys, stamp, anchor, err := s.cfg.AdmitSnapshot(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	sys, stamp, anchor, err := s.cfg.AdmitSnapshot(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -360,7 +367,7 @@ type attackRequest struct {
 
 func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	var req attackRequest
-	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+	if err := httpjson.Decode(r, MaxBodyBytes, &req); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -442,36 +449,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Quorum:   flt.Quorum(),
 		Status:   &st,
 	})
-}
-
-// handleJournalProof serves a Merkle inclusion proof for one sealed
-// journal seq (GET /journal/proof?seq=N). The proof verifies against
-// the sealed root carried by the seal event at proof.seal_seq — and
-// against the anchor inside any snapshot taken after that seal.
-func (s *Server) handleJournalProof(w http.ResponseWriter, r *http.Request) {
-	j := s.cfg.Journal
-	if j == nil {
-		writeErr(w, fmt.Errorf("%w: no journal configured", ErrBadInput))
-		return
-	}
-	seq, err := queryInt(r, "seq", 0)
-	if err != nil || seq <= 0 {
-		writeErr(w, fmt.Errorf("%w: provide seq=N (a sealed journal sequence number)", ErrBadInput))
-		return
-	}
-	p, perr := j.Proof(int64(seq))
-	if perr != nil {
-		httpjson.Write(w, http.StatusNotFound, map[string]string{"error": perr.Error()})
-		return
-	}
-	httpjson.Write(w, http.StatusOK, p)
-}
-
-// handleJournalVerify re-verifies the journal's backing file against
-// the live chain (GET /journal/verify) — the endpoint the coordinator
-// uses as its donor-trust gate.
-func (s *Server) handleJournalVerify(w http.ResponseWriter, r *http.Request) {
-	httpjson.Write(w, http.StatusOK, cluster.VerifyJournalDoc(s.cfg.Journal))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

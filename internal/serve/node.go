@@ -53,7 +53,7 @@ func (s *Server) registerNodeAPI(mux *http.ServeMux) {
 // wire stays narrow.
 func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ScoreRequest
-	if err := httpjson.DecodePredict(r, maxBodyBytes, &req, httpjson.Fields{Xs: &req.Xs, Temperature: &req.Temperature}); err != nil {
+	if err := httpjson.DecodePredict(r, MaxBodyBytes, &req, httpjson.Fields{Xs: &req.Xs, Temperature: &req.Temperature}); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -113,7 +113,7 @@ func (s *Server) handleNodeSummary(w http.ResponseWriter, r *http.Request) {
 // coordinator can majority-vote only where summaries disagree.
 func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ChunksRequest
-	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+	if err := httpjson.Decode(r, MaxBodyBytes, &req); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -153,7 +153,7 @@ func (s *Server) handleNodeChunks(w http.ResponseWriter, r *http.Request) {
 // journaled per chunk with the bits that actually changed.
 func (s *Server) handleNodeRepair(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RepairRequest
-	if err := httpjson.Decode(r, maxBodyBytes, &req); err != nil {
+	if err := httpjson.Decode(r, MaxBodyBytes, &req); err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -232,7 +232,7 @@ func (s *Server) handleNodeReseed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sys := st.sys
-	donor, stamp, donorAnchor, err := core.LoadAnchored(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	donor, stamp, donorAnchor, err := core.LoadAnchored(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return

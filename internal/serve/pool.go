@@ -70,23 +70,6 @@ func (p *pool) submit(r *request) error {
 	return nil
 }
 
-// submitTo enqueues a request on a specific shard — the dispatch hook
-// the multi-tenant registry uses to give one routing key a stable
-// shard (consistent-hash affinity) instead of round-robin. The index
-// is reduced modulo the shard count, so any uint64 hash is a valid
-// target.
-func (p *pool) submitTo(r *request, shard uint64) error {
-	p.closing.RLock()
-	defer p.closing.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	i := shard % uint64(len(p.shards))
-	p.pending[i].Add(1)
-	p.shards[i] <- r
-	return nil
-}
-
 // batcher accumulates requests into batches bounded by BatchSize and
 // BatchWindow, serving each through Server.serveBatch. After close it
 // drains its queue completely — every accepted request is answered.

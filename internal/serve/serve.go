@@ -441,23 +441,8 @@ func (s *Server) Predict(x []float64) (Prediction, error) {
 	return res.pred, res.err
 }
 
-// Shards reports the batching pool's shard count — the dispatch space
-// a consistent-hash router (internal/registry) spreads keys over.
+// Shards reports the batching pool's shard count.
 func (s *Server) Shards() int { return s.cfg.Shards }
-
-// PredictShard classifies one raw feature vector through a specific
-// batching shard instead of the round-robin default. The registry's
-// consistent-hash dispatcher uses it to give each routing key a stable
-// shard, so one tenant's traffic batches together instead of smearing
-// across every queue.
-func (s *Server) PredictShard(x []float64, shard uint64) (Prediction, error) {
-	req := &request{x: x, resp: make(chan result, 1)}
-	if err := s.pool.submitTo(req, shard); err != nil {
-		return Prediction{}, err
-	}
-	res := <-req.resp
-	return res.pred, res.err
-}
 
 // PredictMany classifies a batch, fanning the samples out across the
 // pool's shards and collecting in order. The returned error is the
@@ -641,10 +626,15 @@ func (s *Server) ScrubNow(elapsed time.Duration) (attack.Result, error) {
 }
 
 // SetProbe installs a labeled held-out set for the accuracy probe
-// (copied, so callers may reuse their slices).
+// (copied, so callers may reuse their slices). Every sample must have
+// the first one's arity: the probe encodes the set as one batch.
 func (s *Server) SetProbe(xs [][]float64, ys []int) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("%w: %d probe samples but %d labels", ErrBadInput, len(xs), len(ys))
+	features := 0
+	if len(xs) > 0 {
+		features = len(xs[0])
+	}
+	if err := checkProbe(xs, ys, features); err != nil {
+		return err
 	}
 	cx := make([][]float64, len(xs))
 	for i, x := range xs {
@@ -654,6 +644,20 @@ func (s *Server) SetProbe(xs [][]float64, ys []int) error {
 	s.probeMu.Lock()
 	s.probeX, s.probeY = cx, cy
 	s.probeMu.Unlock()
+	return nil
+}
+
+// checkProbe rejects a probe set whose label count differs from its
+// sample count or that holds a sample of other than the given arity.
+func checkProbe(xs [][]float64, ys []int, features int) error {
+	if len(xs) != len(ys) {
+		return fmt.Errorf("%w: %d probe samples but %d labels", ErrBadInput, len(xs), len(ys))
+	}
+	for i, x := range xs {
+		if len(x) != features {
+			return fmt.Errorf("%w: probe sample %d has %d features, want %d", ErrBadInput, i, len(x), features)
+		}
+	}
 	return nil
 }
 

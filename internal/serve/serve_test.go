@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -371,6 +372,74 @@ func TestTrainRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, data)
 		}
+	}
+}
+
+// TestTrainProbeAdmission: /train checks its probe set against the
+// system it built before installing anything, and SetProbe refuses a
+// ragged set. A ragged probe would otherwise pass the first-row arity
+// check and crash an encode worker on the next probe; a probe whose
+// labels do not match its samples would be refused only after the new
+// model replaced the old one.
+func TestTrainProbeAdmission(t *testing.T) {
+	srv, ts, ds := freshServer(t, Config{DisableRecovery: true})
+	_, spec, _ := problem(t)
+	before := srv.system()
+	ragged := [][]float64{ds.TestX[0], ds.TestX[1][:3]}
+	for _, tc := range []struct {
+		name   string
+		probeX [][]float64
+		probeY []int
+	}{
+		{"ragged probe", ragged, ds.TestY[:2]},
+		{"probe labels mismatch", ds.TestX[:3], ds.TestY[:1]},
+	} {
+		resp, data := postJSON(t, ts.URL+"/train", map[string]any{
+			"x": ds.TrainX, "y": ds.TrainY, "classes": spec.Classes,
+			"dimensions": 1024, "seed": 3,
+			"probe_x": tc.probeX, "probe_y": tc.probeY,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, data)
+		}
+		if srv.system() != before {
+			t.Errorf("%s: the refused /train replaced the model", tc.name)
+		}
+		srv.ProbeNow()
+	}
+	if err := srv.SetProbe(ragged, ds.TestY[:2]); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("SetProbe(ragged) = %v, want ErrBadInput", err)
+	}
+	srv.ProbeNow()
+
+	// An online /train with a mismatched probe refines nothing: the
+	// snapshot is byte-identical before and after.
+	snapshot := func() []byte {
+		resp, err := http.Get(ts.URL + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := snapshot()
+	flipped := make([]int, len(ds.TrainY))
+	for i, y := range ds.TrainY {
+		flipped[i] = (y + 1) % spec.Classes
+	}
+	resp, data := postJSON(t, ts.URL+"/train", map[string]any{
+		"online": true, "x": ds.TrainX, "y": flipped,
+		"probe_x": ds.TestX[:3], "probe_y": ds.TestY[:1],
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("online train with mismatched probe: status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+	if !bytes.Equal(snapshot(), want) {
+		t.Fatal("the refused online /train changed the model")
 	}
 }
 
