@@ -86,7 +86,7 @@ func main() {
 	dsName := flag.String("dataset", "", "train at startup on this built-in dataset (MNIST, UCIHAR, ISOLET, FACE, PAMAP, PECAN)")
 	dims := flag.Int("dims", 10000, "hypervector dimensionality (with -dataset)")
 	seed := flag.Uint64("seed", 1, "training seed (with -dataset)")
-	shards := flag.Int("shards", 0, "batching shards (0 = default)")
+	shards := flag.Int("shards", 0, "batching shards; the pool starts exactly this many batchers, whatever GOMAXPROCS is (0 = default 4)")
 	batch := flag.Int("batch", 0, "max batch size (0 = default)")
 	window := flag.Duration("window", 0, "batch fill window (0 = default)")
 	probe := flag.Duration("probe", 0, "held-out accuracy probe interval (0 disables)")

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/recovery"
-	"repro/internal/stats"
 )
 
 // Config parameterizes a coordinator.
@@ -16,10 +15,6 @@ type Config struct {
 	// Quorum is the read-quorum fanned to per prediction (default
 	// majority, N/2+1; clamped to [1, len(Nodes)]).
 	Quorum int
-	// Temperature is the softmax temperature nodes score at (default
-	// recovery.DefaultConfig().Temperature, matching fleet.Temperature).
-	Temperature float64
-
 	// Timeout bounds each node exchange end to end (default 2s). A
 	// slow node costs at most this per attempt, never an unbounded
 	// stall.
@@ -70,12 +65,6 @@ type Coordinator struct {
 // otherwise, and the fast path stays disarmed until a clean sweep
 // proves them identical.
 func New(cfg Config) (*Coordinator, error) {
-	if err := stats.CheckFinite("cluster: temperature", cfg.Temperature); err != nil {
-		return nil, err
-	}
-	if cfg.Temperature <= 0 {
-		cfg.Temperature = recovery.DefaultConfig().Temperature
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
@@ -107,8 +96,9 @@ func New(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// Temperature returns the softmax temperature nodes score at.
-func (co *Coordinator) Temperature() float64 { return co.cfg.Temperature }
+// Temperature returns the softmax temperature nodes score at: the
+// recovery default, the temperature an in-process fleet scores at.
+func (co *Coordinator) Temperature() float64 { return recovery.DefaultConfig().Temperature }
 
 // Attack forwards a fault drill to one node's /attack endpoint. Like
 // fleet.WithReplica, it disarms the fast path first.

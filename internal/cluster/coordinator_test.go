@@ -331,8 +331,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Nodes: []string{"http://a"}, Quorum: -1},
 		{Nodes: []string{"not a url"}},
 		{Nodes: []string{""}},
-		{Nodes: []string{"http://a"}, Temperature: math.NaN()},
-		{Nodes: []string{"http://a"}, Temperature: math.Inf(1)},
 		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{QuarantineDivergence: math.NaN()}},
 		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{QuarantineDivergence: math.Inf(1)}},
 		{Nodes: []string{"http://a"}, AntiEntropy: fleet.AntiEntropyConfig{MinReseedAgreement: math.NaN()}},

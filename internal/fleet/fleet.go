@@ -95,10 +95,9 @@ type Config struct {
 	Journal *Journal
 
 	// ModelID tags this fleet's journal events with a tenant model id.
-	// Tagging happens at the source (not via Journal.SetModelTag) so
-	// several tenants' fleets can share one journal without clobbering
-	// each other's default tag. Empty leaves events untagged — the
-	// pre-tenancy format.
+	// Tagging happens at the source, so several tenants' fleets can
+	// share one journal. Empty leaves events untagged — the default
+	// tenant.
 	ModelID string
 }
 

@@ -116,9 +116,14 @@ func FuzzChunkRepair(f *testing.F) {
 
 // FuzzJournalReplay fuzzes Replay against arbitrary byte streams: it
 // must never panic, and any stream it accepts must satisfy the dense
-// monotonic-sequence invariant.
+// monotonic-sequence invariant. The first seed is a genuine one-event
+// journal, so mutation starts from a stream Replay accepts.
 func FuzzJournalReplay(f *testing.F) {
-	f.Add([]byte(`{"seq":1,"t":1,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}` + "\n"))
+	var one bytes.Buffer
+	if err := NewJournal(&one).Append(Event{Kind: EventSweep, Replica: -1, Class: -1, Chunk: -1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one.Bytes())
 	f.Add([]byte("not json\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {

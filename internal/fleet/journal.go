@@ -66,9 +66,9 @@ type Event struct {
 	// "divergence 0.031", donor id, ...).
 	Detail string `json:"detail,omitempty"`
 	// Model identifies the tenant model the event belongs to in a
-	// multi-model process (internal/registry). Untagged lines — every
-	// journal written before tenancy existed, and single-model journals
-	// still — omit the field and replay as the default tenant (ModelOr).
+	// multi-model process (internal/registry); the writer stamps it at
+	// the source. Untagged lines — single-model journals — omit the
+	// field and belong to the default tenant.
 	Model string `json:"model,omitempty"`
 	// Prev chains the log: the hex SHA-256 of the previous journal
 	// line's exact encoded bytes (the genesis constant for seq 1). Any
@@ -80,16 +80,6 @@ type Event struct {
 	Root string `json:"root,omitempty"`
 	From int64  `json:"from,omitempty"`
 	To   int64  `json:"to,omitempty"`
-}
-
-// ModelOr returns the event's tenant model id, or def for untagged
-// lines — the back-compatibility contract: a journal written by a
-// single-model process replays as one tenant named by the reader.
-func (e Event) ModelOr(def string) string {
-	if e.Model == "" {
-		return def
-	}
-	return e.Model
 }
 
 // journalGenesis anchors the hash chain: seq 1's Prev field. A fixed
@@ -138,11 +128,6 @@ type Journal struct {
 	pendFrom int64       // first seq covered by pending
 	batches  []sealBatch // all sealed batches, in order
 
-	// model stamps every appended event that does not already carry a
-	// tenant tag (SetModelTag). Empty leaves lines untagged, exactly the
-	// pre-tenancy format.
-	model string
-
 	errs atomic.Int64 // append/seal failures (satellite: no more silent drops)
 }
 
@@ -175,20 +160,6 @@ func (j *Journal) SetSyncOnAppend(on bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.sync = on
-}
-
-// SetModelTag makes every future Append stamp events that carry no
-// tenant tag of their own with model id. The registry sets it on each
-// tenant's journal; single-model servers leave it empty, so their
-// journals stay byte-identical to the pre-tenancy format (and replay
-// as the default tenant via Event.ModelOr).
-func (j *Journal) SetModelTag(model string) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.model = model
 }
 
 // SetSealBatch sets how many events accumulate before an automatic
@@ -235,9 +206,6 @@ func (j *Journal) Append(e Event) error {
 // next batch instead of extending the current one.
 func (j *Journal) appendLocked(e *Event, isSeal bool) error {
 	e.Seq = j.seq + 1
-	if e.Model == "" {
-		e.Model = j.model
-	}
 	t := j.now().UnixNano()
 	if t <= j.lastT {
 		// Wall clock stepped backwards (NTP) or two appends landed in the
@@ -496,9 +464,8 @@ func (j *Journal) VerifyFile() (VerifyReport, error) {
 	defer j.mu.Unlock()
 	if j.path == "" {
 		rep := VerifyReport{
-			Events:  j.seq,
-			Chained: true,
-			Seals:   j.sealInfosLocked(),
+			Events: j.seq,
+			Seals:  j.sealInfosLocked(),
 		}
 		if n := len(j.batches); n > 0 {
 			rep.SealedSeq = j.batches[n-1].to
@@ -542,10 +509,6 @@ func OpenJournalFile(path string) (*Journal, int64, error) {
 	if err != nil {
 		f.Close()
 		return nil, 0, fmt.Errorf("fleet: journal %s does not verify: %w", path, err)
-	}
-	if len(st.events) > 0 && !st.chained {
-		f.Close()
-		return nil, 0, fmt.Errorf("fleet: journal %s is an unchained legacy log; move it aside to start a chained journal", path)
 	}
 	end := st.goodBytes
 	if st.tornErr != nil {
@@ -596,11 +559,10 @@ type SealInfo struct {
 	Root    string `json:"root"`
 }
 
-// VerifyReport summarizes a verified journal stream: how far it runs,
-// whether it is hash-chained, and every Merkle seal it carries.
+// VerifyReport summarizes a verified journal stream: how far it runs
+// and every Merkle seal it carries.
 type VerifyReport struct {
 	Events    int64      `json:"events"`
-	Chained   bool       `json:"chained"`
 	SealedSeq int64      `json:"sealed_seq"`
 	LastRoot  string     `json:"last_root,omitempty"`
 	TornTail  bool       `json:"torn_tail"`
@@ -617,8 +579,7 @@ func (rep VerifyReport) CheckAnchor(a core.JournalAnchor) error {
 // timeline, the verification report inputs, and the resume state a
 // re-opened journal needs to continue the chain.
 type scanState struct {
-	events  []Event
-	chained bool
+	events []Event
 
 	lastHash [32]byte
 	lastT    int64
@@ -637,7 +598,6 @@ type scanState struct {
 func (st *scanState) report() VerifyReport {
 	rep := VerifyReport{
 		Events:   int64(len(st.events)),
-		Chained:  st.chained,
 		TornTail: st.tornErr != nil,
 	}
 	for _, b := range st.batches {
@@ -654,8 +614,8 @@ func (st *scanState) report() VerifyReport {
 // density, timestamp order, the hash chain, and every Merkle seal. It
 // returns a hard error for any violation before the final line; a
 // failure on the final line only is recorded as a torn tail in the
-// returned state. Legacy journals without Prev fields get sequence and
-// timestamp verification only (and are reported unchained).
+// returned state. A line without a Prev field breaks the chain like
+// any other wrong Prev.
 func scanJournal(r io.Reader) (*scanState, error) {
 	st := &scanState{lastHash: journalGenesis, pendFrom: 1, tornOff: -1}
 	br := bufio.NewReaderSize(r, 64*1024)
@@ -728,24 +688,11 @@ func (st *scanState) verifyLine(line []byte, lineNo int) error {
 	if e.UnixNano < st.lastT {
 		return hard("fleet: journal line %d: time runs backwards", lineNo)
 	}
-	if len(st.events) == 0 {
-		st.chained = e.Prev != ""
-	}
 	lineHash := sha256.Sum256(line)
-	if st.chained {
-		if e.Prev == "" {
-			return hard("fleet: journal seq %d: chained journal lost its prev hash", e.Seq)
-		}
-		if e.Prev != hex.EncodeToString(st.lastHash[:]) {
-			return hard("fleet: journal seq %d: hash chain broken — line %d or its predecessor was modified, spliced, or reordered", e.Seq, lineNo)
-		}
-	} else if e.Prev != "" {
-		return hard("fleet: journal seq %d: prev hash appears mid-stream in an unchained journal", e.Seq)
+	if e.Prev != hex.EncodeToString(st.lastHash[:]) {
+		return hard("fleet: journal seq %d: hash chain broken — line %d or its predecessor was modified, spliced, or reordered", e.Seq, lineNo)
 	}
 	if e.Kind == EventSeal {
-		if !st.chained {
-			return hard("fleet: journal seq %d: seal event in an unchained journal", e.Seq)
-		}
 		if e.From != st.pendFrom || e.To != e.Seq-1 || e.From > e.To {
 			return hard("fleet: journal seq %d: seal range [%d,%d] does not cover the unsealed events [%d,%d]", e.Seq, e.From, e.To, st.pendFrom, e.Seq-1)
 		}
@@ -770,11 +717,11 @@ func (st *scanState) verifyLine(line []byte, lineNo int) error {
 
 // Replay parses a JSONL journal and verifies its integrity: sequence
 // numbers must start at 1 and increase densely (no gaps, no reorders,
-// no duplicates), timestamps must not run backwards, and — for chained
-// journals — every line's prev hash must match its predecessor and
-// every seal's Merkle root must recompute, so any single-bit edit,
-// splice, or reorder of a sealed region is rejected with an error
-// naming the first bad seq. It returns the reconstructed timeline.
+// no duplicates), timestamps must not run backwards, every line's prev
+// hash must match its predecessor, and every seal's Merkle root must
+// recompute, so any single-bit edit, splice, or reorder of a sealed
+// region is rejected with an error naming the first bad seq. It
+// returns the reconstructed timeline.
 //
 // A final line that fails to parse is tolerated as a crash-torn tail:
 // Replay returns the events before it together with an error wrapping

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -46,31 +49,86 @@ func TestNilJournalDropsAppends(t *testing.T) {
 	}
 }
 
+// chainLines encodes events as journal lines whose prev hashes link
+// correctly, so a tampering case trips the check it names rather than
+// the chain check.
+func chainLines(t *testing.T, events ...Event) string {
+	t.Helper()
+	prev := journalGenesis
+	var b strings.Builder
+	for _, e := range events {
+		e.Prev = hex.EncodeToString(prev[:])
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+		prev = sha256.Sum256(line)
+	}
+	return b.String()
+}
+
 func TestReplayDetectsTampering(t *testing.T) {
-	mk := func(lines ...string) string { return strings.Join(lines, "\n") + "\n" }
+	sweep := func(seq, t int64) Event {
+		return Event{Seq: seq, UnixNano: t, Kind: EventSweep, Replica: -1, Class: -1, Chunk: -1}
+	}
 	cases := []struct {
-		name string
-		in   string
+		name, in, want string
 	}{
-		{"gap", mk(
-			`{"seq":1,"t":10,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`,
-			`{"seq":3,"t":20,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`)},
-		{"duplicate", mk(
-			`{"seq":1,"t":10,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`,
-			`{"seq":1,"t":20,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`)},
-		{"starts at zero", mk(
-			`{"seq":0,"t":10,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`)},
-		{"reorder", mk(
-			`{"seq":2,"t":10,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`,
-			`{"seq":1,"t":20,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`)},
-		{"time backwards", mk(
-			`{"seq":1,"t":20,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`,
-			`{"seq":2,"t":10,"kind":"sweep","replica":-1,"class":-1,"chunk":-1}`)},
-		{"garbage", mk(`not json`)},
+		{"gap", chainLines(t, sweep(1, 10), sweep(3, 20)), "seq 3, want 2"},
+		{"duplicate", chainLines(t, sweep(1, 10), sweep(1, 20)), "seq 1, want 2"},
+		{"starts at zero", chainLines(t, sweep(0, 10)), "seq 0, want 1"},
+		{"reorder", chainLines(t, sweep(2, 10), sweep(1, 20)), "seq 2, want 1"},
+		{"time backwards", chainLines(t, sweep(1, 20), sweep(2, 10)), "time runs backwards"},
+		{"garbage", "not json\n", "line 1"},
 	}
 	for _, c := range cases {
-		if _, err := Replay(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		if _, err := Replay(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Replay error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestReplayRejectsUnchainedLine: a line without a prev hash breaks
+// the chain like any wrong prev — a hard error with no timeline,
+// never a torn tail — whether it opens the journal or sits mid-stream,
+// and OpenJournalFile refuses such a file.
+func TestReplayRejectsUnchainedLine(t *testing.T) {
+	_, raw := buildSealedJournal(t, 3, 0)
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	lines = lines[:len(lines)-1] // drop empty tail
+	for _, at := range []int{0, 1} {
+		var e Event
+		if err := json.Unmarshal(bytes.TrimSuffix(lines[at], []byte("\n")), &e); err != nil {
+			t.Fatal(err)
+		}
+		e.Prev = ""
+		stripped, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := append([][]byte(nil), lines...)
+		mut[at] = append(stripped, '\n')
+		data := bytes.Join(mut, nil)
+
+		events, err := Replay(bytes.NewReader(data))
+		if err == nil || errors.Is(err, ErrTruncatedTail) || events != nil {
+			t.Fatalf("line %d without prev: Replay = %d events, %v; want a hard error", at+1, len(events), err)
+		}
+		if want := fmt.Sprintf("seq %d: hash chain broken", at+1); !strings.Contains(err.Error(), want) {
+			t.Fatalf("line %d without prev: error %q does not name %q", at+1, err, want)
+		}
+		if _, err := Verify(bytes.NewReader(data)); err == nil {
+			t.Fatalf("line %d without prev: Verify accepted", at+1)
+		}
+		path := t.TempDir() + "/unchained.journal"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, _, err := OpenJournalFile(path); err == nil {
+			j.Close()
+			t.Fatalf("line %d without prev: OpenJournalFile accepted", at+1)
 		}
 	}
 }
@@ -284,9 +342,6 @@ func TestJournalChainAndSealRoundTrip(t *testing.T) {
 	rep, err := Verify(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !rep.Chained {
-		t.Fatal("journal not chained")
 	}
 	if len(rep.Seals) == 0 || rep.SealedSeq == 0 {
 		t.Fatalf("no seals in report: %+v", rep)
@@ -604,8 +659,8 @@ func TestOpenJournalFileResumesChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopened journal does not verify end-to-end: %v", err)
 	}
-	if !rep.Chained || len(rep.Seals) < 2 {
-		t.Fatalf("resumed journal lost chain or seals: %+v", rep)
+	if len(rep.Seals) < 2 {
+		t.Fatalf("resumed journal lost seals: %+v", rep)
 	}
 }
 
@@ -791,11 +846,9 @@ func TestSealNowAndClose(t *testing.T) {
 	}
 }
 
-// TestJournalModelTag pins the multi-tenancy contract: SetModelTag
-// stamps future appends, explicit tags win over the default, untagged
-// lines keep the pre-tenancy byte format (no "model" key at all), and
-// a mixed-tag chain replays intact with ModelOr mapping untagged lines
-// to the reader's default tenant.
+// TestJournalModelTag pins the multi-tenancy contract: untagged lines
+// keep the pre-tenancy byte format (no "model" key at all), and a
+// mixed-tag chain replays intact with each line's tag as written.
 func TestJournalModelTag(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
@@ -809,16 +862,13 @@ func TestJournalModelTag(t *testing.T) {
 		t.Fatalf("untagged journal line carries a model key: %s", buf.String())
 	}
 
-	// Tagged: default stamp, then an explicit per-event tag overriding it.
-	j.SetModelTag("pamap")
-	if err := j.Append(Event{Kind: EventRepair, Replica: 0, Class: 1, Chunk: 2, Bits: 64}); err != nil {
+	// Tagged at the source, then untagged again mid-stream.
+	if err := j.Append(Event{Kind: EventRepair, Replica: 0, Class: 1, Chunk: 2, Bits: 64, Model: "pamap"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Event{Kind: EventQuarantine, Replica: 1, Class: -1, Chunk: -1, Model: "isolet"}); err != nil {
 		t.Fatal(err)
 	}
-	// Back to untagged mid-stream.
-	j.SetModelTag("")
 	if err := j.Append(Event{Kind: EventActivate, Replica: 1, Class: -1, Chunk: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -831,17 +881,9 @@ func TestJournalModelTag(t *testing.T) {
 		t.Fatalf("replayed %d events, want 4", len(events))
 	}
 	wantModels := []string{"", "pamap", "isolet", ""}
-	wantOr := []string{"default", "pamap", "isolet", "default"}
 	for i, e := range events {
 		if e.Model != wantModels[i] {
 			t.Fatalf("event %d model %q, want %q", i, e.Model, wantModels[i])
 		}
-		if got := e.ModelOr("default"); got != wantOr[i] {
-			t.Fatalf("event %d ModelOr %q, want %q", i, got, wantOr[i])
-		}
 	}
-
-	// Nil journals take the tag silently.
-	var nilJ *Journal
-	nilJ.SetModelTag("x")
 }

@@ -52,6 +52,10 @@ var (
 // and metrics keys).
 const MaxModelIDLen = 64
 
+// MaxModels caps live tenants. Creates beyond it fail with
+// ErrTooManyModels instead of exhausting process memory.
+const MaxModels = 64
+
 // Config parameterizes the registry.
 type Config struct {
 	// Serve is the per-tenant server template: every Create instantiates
@@ -59,15 +63,6 @@ type Config struct {
 	// tenant's id. The template's Journal (if any) is shared by all
 	// tenants — events are source-stamped per tenant.
 	Serve serve.Config
-	// MaxModels caps live tenants (default 64). Creates beyond it fail
-	// with ErrTooManyModels instead of exhausting process memory.
-	MaxModels int
-}
-
-func (c *Config) fillDefaults() {
-	if c.MaxModels <= 0 {
-		c.MaxModels = 64
-	}
 }
 
 // tenant is one model's serving stack plus its dispatch state.
@@ -111,7 +106,6 @@ type Registry struct {
 // New builds an empty registry; models arrive via Create or the
 // /models HTTP surface.
 func New(cfg Config) *Registry {
-	cfg.fillDefaults()
 	r := &Registry{cfg: cfg, start: time.Now()}
 	empty := map[string]*tenant{}
 	r.tenants.Store(&empty)
@@ -158,7 +152,7 @@ func (r *Registry) Create(id string, sys *core.System) error {
 	if _, ok := cur[id]; ok {
 		return fmt.Errorf("%w: %q", ErrModelExists, id)
 	}
-	if len(cur) >= r.cfg.MaxModels {
+	if len(cur) >= MaxModels {
 		return fmt.Errorf("%w: %d live models", ErrTooManyModels, len(cur))
 	}
 	cfg := r.cfg.Serve

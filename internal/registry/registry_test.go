@@ -559,9 +559,9 @@ func TestRegistrySharedJournalTagsTenants(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for _, e := range events {
-		seen[e.ModelOr("untagged")]++
+		seen[e.Model]++
 	}
-	if seen["alpha"] == 0 || seen["beta"] == 0 || seen["untagged"] != 0 {
+	if seen["alpha"] == 0 || seen["beta"] == 0 || seen[""] != 0 {
 		t.Fatalf("journal tenant tags: %v", seen)
 	}
 }
@@ -614,6 +614,42 @@ func TestRegistryCreateProbeAdmission(t *testing.T) {
 	}
 	if n := r.Len(); n != 0 {
 		t.Fatalf("%d tenants after refused creates, want 0", n)
+	}
+}
+
+// TestRegistryTenantCap: creates beyond MaxModels live tenants fail
+// with ErrTooManyModels, which POST /models answers with 429, and
+// leave no tenant behind; deleting a tenant frees a slot.
+func TestRegistryTenantCap(t *testing.T) {
+	xs, ys := [][]float64{{0, 1}, {1, 0}}, []int{0, 1}
+	tiny, err := core.Train(xs, ys, 2, core.Config{Dimensions: 256, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ts := freshRegistry(t, Config{Serve: serve.Config{DisableRecovery: true}})
+	for i := 0; i < MaxModels; i++ {
+		if err := r.Create(fmt.Sprintf("m%d", i), tiny.Fork()); err != nil {
+			t.Fatalf("create %d of %d: %v", i+1, MaxModels, err)
+		}
+	}
+	if err := r.Create("over", tiny.Fork()); !errors.Is(err, ErrTooManyModels) {
+		t.Fatalf("create %d: %v, want ErrTooManyModels", MaxModels+1, err)
+	}
+	body := map[string]any{"id": "over", "x": xs, "y": ys, "classes": 2, "dimensions": 256}
+	if resp, data := postJSON(t, ts.URL+"/models", body); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /models beyond the cap: status %d, want 429 (%s)", resp.StatusCode, data)
+	}
+	if _, err := r.Server("over"); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("refused create left a tenant behind: %v", err)
+	}
+	if n := r.Len(); n != MaxModels {
+		t.Fatalf("%d tenants, want %d", n, MaxModels)
+	}
+	if err := r.Delete("m0"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := postJSON(t, ts.URL+"/models", body); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /models after a delete: status %d, want 201 (%s)", resp.StatusCode, data)
 	}
 }
 

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -236,5 +239,88 @@ func TestMetricsCarryJournalStats(t *testing.T) {
 	}
 	if m.Journal.Errors != 0 {
 		t.Fatalf("journal errors = %d, want 0", m.Journal.Errors)
+	}
+}
+
+// TestWatchdogRollbackRefusesUnverifiedCheckpoint drives the watchdog
+// into its rollback tier over a held checkpoint that fails one of the
+// admission rules: a flipped payload byte (CRC), an anchor to a
+// foreign journal, a stamp below the checkpoint floor, or no stamp at
+// all. Each is dropped — RolledBack false, the checkpoint gone — and
+// the live model keeps its image. The checkpoint image is a corrupted
+// fork of the live model, so a wrongful rollback would show; the same
+// image stamped and anchored to the server's own journal does roll
+// back.
+func TestWatchdogRollbackRefusesUnverifiedCheckpoint(t *testing.T) {
+	srv, _, j, _ := journaledServer(t)
+	sealSome(t, j, 6)
+	ds, _, _ := problem(t)
+	if err := srv.SetProbe(ds.TestX, ds.TestY); err != nil {
+		t.Fatal(err)
+	}
+	donor := srv.system().Fork()
+	if _, err := attack.Random(donor.AttackImage(), 0.05, rand.New(rand.NewPCG(5, 6))); err != nil {
+		t.Fatal(err)
+	}
+	own, ok := j.Anchor()
+	if !ok {
+		t.Fatal("journal has no anchor after seal")
+	}
+	foreign := fleet.NewJournal(io.Discard)
+	sealSome(t, foreign, 6)
+	fa, _ := foreign.Anchor()
+	image := func(stamp float64, anchor *core.JournalAnchor) []byte {
+		var buf bytes.Buffer
+		if err := donor.SaveAnchored(&buf, stamp, anchor); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	flipped := image(0.99, &own)
+	flipped[len(flipped)/2] ^= 0x10
+	live := func() []byte {
+		var buf bytes.Buffer
+		if err := srv.live.Load().save(&buf, math.NaN(), nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	// rollbackWindow holds payload as the checkpoint, one unhealthy
+	// window short of the rollback trip at tier 1; its impossible
+	// accuracy makes the next window unhealthy.
+	rollbackWindow := func(payload []byte) WatchdogReport {
+		srv.wd.mu.Lock()
+		srv.wd.tier, srv.wd.badStreak = 1, tripWindows-1
+		srv.wd.cp = &checkpoint{payload: payload, accuracy: 2}
+		srv.wd.mu.Unlock()
+		return srv.WatchdogNow()
+	}
+	before := live()
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"flipped payload byte", flipped},
+		{"foreign journal anchor", image(0.99, &fa)},
+		{"stamp below the floor", image(0.1, &own)},
+		{"unstamped", image(math.NaN(), &own)},
+	} {
+		rep := rollbackWindow(tc.payload)
+		if !rep.Unhealthy || rep.RolledBack {
+			t.Errorf("%s: window %+v, want unhealthy and not rolled back", tc.name, rep)
+		}
+		if srv.wd.cp != nil {
+			t.Errorf("%s: refused checkpoint still held", tc.name)
+		}
+		if !bytes.Equal(live(), before) {
+			t.Fatalf("%s: refused rollback changed the live model", tc.name)
+		}
+	}
+	if rep := rollbackWindow(image(0.99, &own)); !rep.RolledBack {
+		t.Fatalf("verified checkpoint: window %+v, want a rollback", rep)
+	}
+	if bytes.Equal(live(), before) {
+		t.Fatal("verified rollback left the live model unchanged")
 	}
 }

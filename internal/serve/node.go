@@ -78,7 +78,7 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	encoded := sys.EncodeAllParallel(req.Xs, s.cfg.EncodeWorkers)
+	encoded := sys.EncodeAllParallel(req.Xs, allCores)
 	var resp cluster.ScoreResponse
 	resp.Classes, resp.Confs, _ = st.rep.Score(encoded, req.Temperature)
 	s.metrics.nodeScored.Add(int64(len(encoded)))

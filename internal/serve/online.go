@@ -15,7 +15,7 @@ var ErrSuperseded = errors.New("serve: model replaced during online retrain")
 
 // RetrainOnline refines the live system in place with mistake-driven
 // epochs over labeled samples, without stalling inference. The heavy
-// work runs entirely outside the model lock:
+// work runs entirely outside the replica's writer lock:
 //
 //  1. Encode every sample lock-free (the encoder is immutable).
 //  2. Per epoch, copy the deployed class vectors out of the current
@@ -78,7 +78,7 @@ func (s *Server) RetrainOnline(xs [][]float64, ys []int, epochs int) (int, error
 		cur := s.live.Load()
 		return cur != nil && cur.rep == rep
 	}
-	encoded := sys.EncodeAllParallel(xs, s.cfg.EncodeWorkers)
+	encoded := sys.EncodeAllParallel(xs, allCores)
 	classes := make([]fleet.ChunkRef, sys.Classes())
 	for c := range classes {
 		classes[c] = fleet.ChunkRef{Class: c, Hi: sys.Dimensions()}
@@ -90,7 +90,7 @@ func (s *Server) RetrainOnline(xs [][]float64, ys []int, epochs int) (int, error
 		}
 		dep, _ := rep.Chunks(classes)
 
-		rd, err := m.AccumulateRetrain(dep, encoded, ys, s.cfg.EncodeWorkers)
+		rd, err := m.AccumulateRetrain(dep, encoded, ys, allCores)
 		if err != nil {
 			return mistakes, fmt.Errorf("%w: %v", ErrBadInput, err)
 		}

@@ -21,7 +21,7 @@ type result struct {
 // pool is the sharded batching layer. Each shard owns a queue and a
 // batcher goroutine; submissions round-robin across shards. Batching
 // amortizes the per-request overhead into one EncodeAllParallel call
-// and one pass under the shared model lock.
+// and one model-epoch acquire; scoring takes no lock.
 type pool struct {
 	server *Server
 	shards []chan *request

@@ -9,12 +9,12 @@
 //
 //   - A sharded worker pool batches incoming predictions and encodes
 //     them via EncodeAllParallel (pool.go). Encoding is lock-free —
-//     the encoder is derived from (seed, config) and immutable — so
-//     the heavy work never touches the model lock.
+//     the encoder is derived from (seed, config) and immutable — and
+//     scoring reads an immutable model epoch, so a batch takes no lock.
 //   - A background recovery goroutine feeds high-confidence queries
-//     into recovery.Recoverer.Observe under the single-writer model
-//     lock, so the deployed class hypervectors self-heal while the
-//     server keeps answering queries.
+//     into recovery.Recoverer.Observe under the replica's writer lock,
+//     so the deployed class hypervectors self-heal while the server
+//     keeps answering queries.
 //   - Operational endpoints (handlers.go): /predict, /train,
 //     /snapshot + /restore checkpointing, /attack fault-injection
 //     drills, /metrics and /healthz.
@@ -67,12 +67,28 @@ var (
 	ErrBadInput = errors.New("serve: bad input")
 )
 
+// Fixed serving parameters.
+const (
+	// queueDepthPerBatch sizes each shard's request queue in batches:
+	// a shard queues 4×BatchSize requests, then submissions block —
+	// backpressure, not load shedding.
+	queueDepthPerBatch = 4
+	// recoveryQueue is the capacity of the trusted-query buffer between
+	// the serving path and the recovery goroutine. When it is full,
+	// queries are dropped and counted — recovery is best-effort and
+	// must never add backpressure to serving.
+	recoveryQueue = 1024
+	// allCores asks the encode, accuracy and retrain fan-outs for
+	// GOMAXPROCS workers.
+	allCores = 0
+)
+
 // Config parameterizes the server.
 type Config struct {
 	// Shards is the number of independent batching workers (default
-	// 4, capped at GOMAXPROCS by the pool). Each shard accumulates
-	// its own batch, so shards bound both parallelism and tail
-	// latency spread.
+	// 4). The pool starts exactly that many batchers, whatever
+	// GOMAXPROCS is. Each shard accumulates its own batch, so shards
+	// bound both parallelism and tail latency spread.
 	Shards int
 	// BatchSize is the largest batch a shard encodes at once
 	// (default 64).
@@ -83,13 +99,6 @@ type Config struct {
 	// flight, so an idle or lone client is served immediately and
 	// never pays the window as latency.
 	BatchWindow time.Duration
-	// QueueDepth is the per-shard request queue (default 4×BatchSize).
-	// Submissions block once it fills — backpressure, not load
-	// shedding.
-	QueueDepth int
-	// EncodeWorkers caps the goroutines encoding one batch (<= 0
-	// selects GOMAXPROCS).
-	EncodeWorkers int
 
 	// DisableRecovery turns the background self-healing loop off
 	// (used by benchmarks and as an experimental control).
@@ -97,12 +106,6 @@ type Config struct {
 	// Recovery parameterizes the recovery loop; the zero value
 	// selects recovery.DefaultConfig().
 	Recovery recovery.Config
-	// RecoveryQueue is the capacity of the trusted-query buffer
-	// between the serving path and the recovery goroutine (default
-	// 1024). When it is full, queries are dropped and counted —
-	// recovery is best-effort and must never add backpressure to
-	// serving.
-	RecoveryQueue int
 	// RecoverySeed drives the recovery loop's substitution RNG.
 	RecoverySeed uint64
 
@@ -112,8 +115,8 @@ type Config struct {
 
 	// Substrate mounts the deployed model on a continuously faulting
 	// simulated memory substrate (nil disables it). The scrubber
-	// advances the fault process every ScrubTick under the exclusive
-	// model lock, and the recovery loop's substitution writes are
+	// advances the fault process every ScrubTick under the replica's
+	// writer lock, and the recovery loop's substitution writes are
 	// charged to it as wear traffic.
 	Substrate *substrate.Config
 	// ScrubTick is the substrate scrubber period (default 100ms).
@@ -140,11 +143,10 @@ type Config struct {
 
 	// ModelID tags this server's journal events with a tenant model id
 	// for multi-model processes (internal/registry). Events are stamped
-	// at the source — not via Journal.SetModelTag — so every tenant in a
-	// registry can share one journal without clobbering each other's
-	// default tag. Empty leaves events untagged — the default tenant —
-	// so single-model journals are byte-identical to what they were
-	// before tenancy existed.
+	// at the source, so every tenant in a registry can share one
+	// journal. Empty leaves events untagged — the default tenant — so
+	// single-model journals are byte-identical to what they were before
+	// tenancy existed.
 	ModelID string
 
 	// NodeAPI mounts the /node/* cluster-node endpoints: raw local
@@ -165,14 +167,8 @@ func (c *Config) fillDefaults() {
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 2 * time.Millisecond
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.BatchSize
-	}
 	if c.Recovery == (recovery.Config{}) {
 		c.Recovery = recovery.DefaultConfig()
-	}
-	if c.RecoveryQueue <= 0 {
-		c.RecoveryQueue = 1024
 	}
 	if c.RecoverySeed == 0 {
 		c.RecoverySeed = 1
@@ -273,7 +269,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		start: time.Now(),
-		recCh: make(chan *bitvec.Vector, cfg.RecoveryQueue),
+		recCh: make(chan *bitvec.Vector, recoveryQueue),
 		done:  make(chan struct{}),
 	}
 	if sys != nil {
@@ -281,7 +277,7 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.pool = newPool(s, cfg.Shards, cfg.QueueDepth)
+	s.pool = newPool(s, cfg.Shards, queueDepthPerBatch*cfg.BatchSize)
 	s.bg.Add(1)
 	go s.recoveryLoop()
 	if cfg.ProbeInterval > 0 {
@@ -527,7 +523,7 @@ func (s *Server) serveBatch(batch []*request, sc *batchScratch) {
 	if len(xs) == 0 {
 		return
 	}
-	encoded := sys.EncodeAllParallel(xs, s.cfg.EncodeWorkers)
+	encoded := sys.EncodeAllParallel(xs, allCores)
 
 	// Single-model batches score on the replica's current epoch. Fleet
 	// batches fan to the read-quorum (or the fast single replica while
@@ -676,7 +672,7 @@ func (s *Server) ProbeNow() (float64, bool) {
 	// epoch — the probe is a reader like any predict batch. In fleet
 	// mode the probe measures what clients actually get — quorum
 	// accuracy — not any single replica.
-	encoded := st.sys.EncodeAllParallel(xs, s.cfg.EncodeWorkers)
+	encoded := st.sys.EncodeAllParallel(xs, allCores)
 	var acc float64
 	if st.flt != nil {
 		classes, _, err := st.flt.ScoreBatch(encoded, st.flt.Temperature())
@@ -692,7 +688,7 @@ func (s *Server) ProbeNow() (float64, bool) {
 		acc = float64(hit) / float64(len(ys))
 	} else {
 		ep := st.rep.Acquire()
-		acc = ep.Frozen().AccuracyParallel(encoded, ys, s.cfg.EncodeWorkers)
+		acc = ep.Frozen().AccuracyParallel(encoded, ys, allCores)
 		ep.Release()
 	}
 	s.metrics.recordProbe(acc)

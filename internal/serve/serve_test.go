@@ -124,8 +124,6 @@ func TestNewRejectsNonFiniteWatchdogKnobs(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, cfg := range []Config{
 			{Watchdog: WatchdogConfig{AccuracyDrop: v}},
-			{Watchdog: WatchdogConfig{ConfidenceDrop: v}},
-			{Watchdog: WatchdogConfig{EscalateFactor: v}},
 			{Watchdog: WatchdogConfig{MinCheckpointAccuracy: v}},
 		} {
 			if srv, err := New(sys, cfg); err == nil {

@@ -174,8 +174,8 @@ func TestE2ESubstrateDecayTwinAbsorbable(t *testing.T) {
 // sustained targeted campaign flips far more bits per window than the
 // recovery loop can heal from the available traffic. The watchdog must
 // walk its full tier ladder — trip and escalate the substitution rate
-// after TripWindows unhealthy windows, then roll back to the verified
-// checkpoint after TripWindows more — and the rollback must restore
+// after tripWindows unhealthy windows, then roll back to the verified
+// checkpoint after tripWindows more — and the rollback must restore
 // held-out accuracy to exactly the checkpoint's stamped value.
 func TestE2EWatchdogEscalatesThenRollsBack(t *testing.T) {
 	ds, _, sys := e2eProblem(t)
@@ -192,7 +192,6 @@ func TestE2EWatchdogEscalatesThenRollsBack(t *testing.T) {
 			Targeted:    true,
 		},
 		ScrubTick: manualDrive,
-		Watchdog:  WatchdogConfig{TripWindows: 2, ClearWindows: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/recovery"
 	"repro/internal/stats"
@@ -18,8 +17,8 @@ import (
 // unhealthy windows first *escalate* — the recovery loop's
 // substitution rate is multiplied so self-healing outpaces the fault
 // flux — and, if the model still does not stabilize, *roll back* to
-// the last verified checkpoint. Hysteresis on both edges (TripWindows
-// to act, ClearWindows to stand down) keeps probe noise from flapping
+// the last verified checkpoint. Hysteresis on both edges (tripWindows
+// to act, clearWindows to stand down) keeps probe noise from flapping
 // the posture.
 type WatchdogConfig struct {
 	// Interval enables the periodic watchdog loop (0 disables it;
@@ -29,25 +28,29 @@ type WatchdogConfig struct {
 	// the probe may fall before the window counts as unhealthy
 	// (default 0.02 — the paper's "within a couple points" band).
 	AccuracyDrop float64
-	// ConfidenceDrop flags a window whose mean serving confidence fell
-	// this far below the healthy baseline (default 0.05). It is the
-	// label-free signal: confidence collapse precedes accuracy loss
-	// when no probe set is installed.
-	ConfidenceDrop float64
-	// TripWindows is how many consecutive unhealthy windows arm each
-	// response tier (default 2).
-	TripWindows int
-	// ClearWindows is how many consecutive healthy windows stand the
-	// escalation down (default 2).
-	ClearWindows int
-	// EscalateFactor multiplies the recovery substitution rate at tier
-	// 1 (default 2; the rate is capped at 1).
-	EscalateFactor float64
 	// MinCheckpointAccuracy is the floor a snapshot's accuracy stamp
 	// must clear to be checkpointed or rolled back to — and the floor
 	// the /restore handler enforces on stamped uploads (default 0.5).
 	MinCheckpointAccuracy float64
 }
+
+// Fixed watchdog parameters.
+const (
+	// confidenceDrop flags a window whose mean serving confidence fell
+	// this far below the healthy baseline. It is the label-free signal:
+	// confidence collapse precedes accuracy loss when no probe set is
+	// installed.
+	confidenceDrop = 0.05
+	// tripWindows is how many consecutive unhealthy windows arm each
+	// response tier.
+	tripWindows = 2
+	// clearWindows is how many consecutive healthy windows stand the
+	// escalation down.
+	clearWindows = 2
+	// escalateFactor multiplies the recovery substitution rate at tier
+	// 1; the rate is capped at 1.
+	escalateFactor = 2
+)
 
 // validate rejects non-finite float knobs before fillDefaults's
 // `v <= 0` default tests run — NaN compares false against every
@@ -59,8 +62,6 @@ func (c WatchdogConfig) validate() error {
 		v    float64
 	}{
 		{"watchdog: accuracy drop", c.AccuracyDrop},
-		{"watchdog: confidence drop", c.ConfidenceDrop},
-		{"watchdog: escalate factor", c.EscalateFactor},
 		{"watchdog: min checkpoint accuracy", c.MinCheckpointAccuracy},
 	} {
 		if err := stats.CheckFinite(knob.name, knob.v); err != nil {
@@ -73,18 +74,6 @@ func (c WatchdogConfig) validate() error {
 func (c *WatchdogConfig) fillDefaults() {
 	if c.AccuracyDrop <= 0 {
 		c.AccuracyDrop = 0.02
-	}
-	if c.ConfidenceDrop <= 0 {
-		c.ConfidenceDrop = 0.05
-	}
-	if c.TripWindows <= 0 {
-		c.TripWindows = 2
-	}
-	if c.ClearWindows <= 0 {
-		c.ClearWindows = 2
-	}
-	if c.EscalateFactor <= 1 {
-		c.EscalateFactor = 2
 	}
 	if c.MinCheckpointAccuracy <= 0 {
 		c.MinCheckpointAccuracy = 0.5
@@ -179,21 +168,21 @@ func (s *Server) WatchdogNow() WatchdogReport {
 	switch {
 	case rep.ProbeOK && w.cp != nil && rep.ProbeAccuracy < w.cp.accuracy-cfg.AccuracyDrop:
 		rep.Unhealthy = true
-	case !math.IsNaN(rep.MeanConfidence) && w.baseConfSet && rep.MeanConfidence < w.baseConf-cfg.ConfidenceDrop:
+	case !math.IsNaN(rep.MeanConfidence) && w.baseConfSet && rep.MeanConfidence < w.baseConf-confidenceDrop:
 		rep.Unhealthy = true
 	}
 
 	if rep.Unhealthy {
 		w.goodStreak = 0
 		w.badStreak++
-		if w.badStreak >= cfg.TripWindows {
+		if w.badStreak >= tripWindows {
 			w.badStreak = 0
 			if w.tier == 0 {
-				rep.Escalated = s.escalateLocked(w, cfg)
+				rep.Escalated = s.escalateLocked(w)
 				w.tier = 1
 				s.metrics.watchdogTrips.Add(1)
 			} else {
-				rep.RolledBack = s.rollbackLocked(w, cfg)
+				rep.RolledBack = s.rollbackLocked(w)
 				if rep.RolledBack {
 					s.metrics.rollbacks.Add(1)
 				}
@@ -209,7 +198,7 @@ func (s *Server) WatchdogNow() WatchdogReport {
 				w.baseConf = 0.8*w.baseConf + 0.2*rep.MeanConfidence
 			}
 		}
-		if w.tier == 1 && w.goodStreak >= cfg.ClearWindows {
+		if w.tier == 1 && w.goodStreak >= clearWindows {
 			s.deescalateLocked(w)
 			w.tier = 0
 		}
@@ -263,14 +252,14 @@ func (s *Server) journalAppend(e fleet.Event) {
 }
 
 // escalateLocked raises the live recovery substitution rate by
-// EscalateFactor (capped at 1), remembering the base rate to restore.
-func (s *Server) escalateLocked(w *watchdogState, cfg WatchdogConfig) bool {
+// escalateFactor (capped at 1), remembering the base rate to restore.
+func (s *Server) escalateLocked(w *watchdogState) bool {
 	rec := s.recoverer()
 	if rec == nil {
 		return false
 	}
 	base := rec.SubstitutionRate()
-	if err := rec.SetSubstitutionRate(math.Min(1, base*cfg.EscalateFactor)); err != nil {
+	if err := rec.SetSubstitutionRate(math.Min(1, base*escalateFactor)); err != nil {
 		return false
 	}
 	w.baseSub = base
@@ -316,29 +305,22 @@ func (s *Server) checkpointLocked(w *watchdogState, acc float64) bool {
 	return true
 }
 
-// rollbackLocked verifies the checkpoint — CRC trailer, accuracy
-// stamp floor, and journal anchor when both checkpoint and journal
-// have one — and re-seeds the live replica from it: a full-image
-// rewrite, charged to the substrate as write traffic and counted as a
-// refresh (decayed cells recharge; stuck cells stay stuck). A
-// checkpoint that fails verification, or no longer fits the live
-// model's shape, is dropped, never restored.
-func (s *Server) rollbackLocked(w *watchdogState, cfg WatchdogConfig) bool {
+// rollbackLocked verifies the checkpoint through the /restore
+// admission rules (Config.AdmitSnapshot: CRC trailer, accuracy stamp
+// floor, and journal anchor) plus one of its own — a rollback target
+// must carry a stamp — and re-seeds the live replica from it: a
+// full-image rewrite, charged to the substrate as write traffic and
+// counted as a refresh (decayed cells recharge; stuck cells stay
+// stuck). A checkpoint that fails verification, or no longer fits the
+// live model's shape, is dropped, never restored.
+func (s *Server) rollbackLocked(w *watchdogState) bool {
 	if w.cp == nil {
 		return false
 	}
-	restored, stamp, anchor, err := core.LoadAnchored(bytes.NewReader(w.cp.payload))
-	if err != nil || math.IsNaN(stamp) || stamp < cfg.MinCheckpointAccuracy {
+	restored, stamp, _, err := s.cfg.AdmitSnapshot(bytes.NewReader(w.cp.payload))
+	if err != nil || math.IsNaN(stamp) {
 		w.cp = nil
 		return false
-	}
-	if anchor != nil && s.cfg.Journal != nil {
-		// A checkpoint anchored to history this journal cannot prove is
-		// as untrustworthy as one with a bad CRC.
-		if s.cfg.Journal.VerifyAnchor(*anchor) != nil {
-			w.cp = nil
-			return false
-		}
 	}
 	st := s.live.Load()
 	if st == nil || st.rep == nil || st.rep.Reseed(restored) != nil {
