@@ -1,7 +1,9 @@
 // Networked-cluster benchmarks: the same quorum dispatch and
-// anti-entropy sweep as bench_fleet_test.go, paid over HTTP/JSON to
-// real node servers instead of in-process replicas — the wire tax of
-// surviving process death. CI's bench job runs them into its
+// anti-entropy sweep as bench_fleet_test.go, paid over HTTP to real
+// node servers instead of in-process replicas — the wire tax of
+// surviving process death. Scores travel as binary score frames
+// (internal/cluster/wire.go); the sweep's summaries, chunks and
+// repairs travel as JSON. CI's bench job runs them into its
 // BENCH.json artifact.
 package repro_test
 
@@ -57,7 +59,7 @@ func benchCluster(b *testing.B) (*netcluster.Coordinator, *core.System, [][]floa
 // batches of 16 raw-feature vectors (nodes encode locally). "fast" is
 // the armed single-node path; "quorum" is the two-node fan-out with
 // unanimous voters. Divide by the matching BenchmarkFleetPredict case
-// for the pure HTTP/JSON overhead.
+// for the pure HTTP and score-frame overhead.
 func BenchmarkClusterPredict(b *testing.B) {
 	co, _, testX := benchCluster(b)
 	const batch = 16

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/fleet"
-	"repro/internal/httpjson"
 )
 
 // ErrNodeBad reports a node answering 4xx — the coordinator sent
@@ -53,7 +52,7 @@ func newNodeClient(base string, timeout time.Duration, retries int, backoff time
 }
 
 // do runs one HTTP exchange with retries and returns the response
-// body. body (may be nil) is re-sent verbatim on every attempt.
+// body. body (nil for none) is re-sent verbatim on every attempt.
 func (c *nodeClient) do(method, path string, contentType string, body []byte) ([]byte, error) {
 	var lastErr error
 	delay := c.backoff
@@ -62,11 +61,7 @@ func (c *nodeClient) do(method, path string, contentType string, body []byte) ([
 			time.Sleep(delay)
 			delay *= 2
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, c.base+path, rd)
+		req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNodeBad, err)
 		}
@@ -108,36 +103,20 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// postJSON marshals in, POSTs it, and unmarshals the response into out
-// (skipped when out is nil).
-func (c *nodeClient) postJSON(path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNodeBad, err)
+// exchange sends in as a JSON body (none when in is nil) and
+// unmarshals the response into out (skipped when out is nil).
+func (c *nodeClient) exchange(method, path string, in, out any) error {
+	var body []byte
+	contentType := ""
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("%w: %v", ErrNodeBad, err)
+		}
+		contentType = "application/json"
 	}
-	return c.post(path, body, out)
-}
-
-// post POSTs a JSON body and unmarshals the response into out (skipped
-// when out is nil).
-func (c *nodeClient) post(path string, body []byte, out any) error {
-	resp, err := c.do(http.MethodPost, path, "application/json", body)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(resp, out); err != nil {
-		return fmt.Errorf("%w: %s: %v", fleet.ErrDown, path, err)
-	}
-	return nil
-}
-
-// getJSON GETs path and unmarshals the response into out.
-func (c *nodeClient) getJSON(path string, out any) error {
-	resp, err := c.do(http.MethodGet, path, "", nil)
-	if err != nil {
+	resp, err := c.do(method, path, contentType, body)
+	if err != nil || out == nil {
 		return err
 	}
 	if err := json.Unmarshal(resp, out); err != nil {
@@ -146,27 +125,29 @@ func (c *nodeClient) getJSON(path string, out any) error {
 	return nil
 }
 
-// Score asks the node to encode and score a raw-feature batch. The
-// body is the canonical one the node's decoder parses on its fast path.
+// Score asks the node to encode and score a raw-feature batch, sent
+// as one score frame (wire.go). A batch the frame cannot carry, rows of
+// differing length, is refused here like a batch the node refuses.
 func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float64, error) {
-	body, err := httpjson.MarshalScore(xs, temperature)
+	body, err := EncodeScoreFrame(xs, temperature)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNodeBad, err)
 	}
-	var out ScoreResponse
-	if err := c.post("/node/score", body, &out); err != nil {
+	resp, err := c.do(http.MethodPost, "/node/score", "application/octet-stream", body)
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(out.Classes) != len(xs) || len(out.Confs) != len(xs) {
-		return nil, nil, fmt.Errorf("%w: /node/score returned %d answers for %d queries", fleet.ErrDown, len(out.Classes), len(xs))
+	classes, confs, err := DecodeScoreAnswers(resp, len(xs))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: /node/score: %v", fleet.ErrDown, err)
 	}
-	return out.Classes, out.Confs, nil
+	return classes, confs, nil
 }
 
 // Summary fetches the node's chunk-hash divergence digest.
 func (c *nodeClient) Summary(chunks int) (fleet.Summary, error) {
 	var doc Summary
-	if err := c.getJSON(fmt.Sprintf("/node/summary?chunks=%d", chunks), &doc); err != nil {
+	if err := c.exchange(http.MethodGet, fmt.Sprintf("/node/summary?chunks=%d", chunks), nil, &doc); err != nil {
 		return fleet.Summary{}, err
 	}
 	return doc.parse()
@@ -175,7 +156,7 @@ func (c *nodeClient) Summary(chunks int) (fleet.Summary, error) {
 // Chunks fetches the bits of the named chunks.
 func (c *nodeClient) Chunks(refs []ChunkRef) ([]*bitvec.Vector, error) {
 	var out ChunksResponse
-	if err := c.postJSON("/node/chunks", ChunksRequest{Chunks: refs}, &out); err != nil {
+	if err := c.exchange(http.MethodPost, "/node/chunks", ChunksRequest{Chunks: refs}, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Chunks) != len(refs) {
@@ -201,7 +182,7 @@ func (c *nodeClient) Repair(patches []fleet.Patch) error {
 		}
 		push[i] = ChunkData{Class: p.Class, Lo: p.Lo, Hi: p.Lo + p.Bits.Len(), Bits: b}
 	}
-	return c.postJSON("/node/repair", RepairRequest{Chunks: push}, nil)
+	return c.exchange(http.MethodPost, "/node/repair", RepairRequest{Chunks: push}, nil)
 }
 
 // Snapshot streams the node's stamped model image (the reseed donor
@@ -238,7 +219,7 @@ func (c *nodeClient) Probe() bool {
 // journal make no lineage claim and pass.
 func (c *nodeClient) VerifyJournal() error {
 	var jv JournalVerifyResponse
-	if err := c.getJSON("/journal/verify", &jv); err != nil {
+	if err := c.exchange(http.MethodGet, "/journal/verify", nil, &jv); err != nil {
 		return err
 	}
 	if jv.Enabled && !jv.OK {

@@ -17,7 +17,9 @@ import (
 // TestPredictRuleAllFronts drives the x/xs request rule through the
 // three predict fronts — a single-model server, a registry tenant and
 // a coordinator — and holds their statuses, error texts and response
-// shapes equal.
+// shapes equal. A ragged batch is refused by every front, each in its
+// own words; the coordinator refuses it before the wire (the score
+// frame is rectangular) and keeps every node in rotation.
 func TestPredictRuleAllFronts(t *testing.T) {
 	ds, sys := problem(t)
 
@@ -43,6 +45,14 @@ func TestPredictRuleAllFronts(t *testing.T) {
 		{"coordinator", co.Handler(), nil},
 	}
 	x, xs := ds.TestX[0], ds.TestX[:3]
+	ragged := [][]float64{ds.TestX[0], ds.TestX[1][:2]}
+	// A long first row, then many empty rows: the frame must not be
+	// sized from the first row before the rest are checked.
+	wide := make([][]float64, 2001)
+	for i := range wide {
+		wide[i] = []float64{}
+	}
+	wide[0] = make([]float64, 2000)
 	cases := []struct {
 		name   string
 		body   map[string]any
@@ -54,6 +64,8 @@ func TestPredictRuleAllFronts(t *testing.T) {
 		{"empty batch", map[string]any{"xs": [][]float64{}}, http.StatusBadRequest, "empty request: provide x or xs"},
 		{"single x", map[string]any{"x": x}, http.StatusOK, "prediction"},
 		{"batch xs", map[string]any{"xs": xs}, http.StatusOK, "predictions"},
+		{"ragged batch", map[string]any{"xs": ragged}, http.StatusBadRequest, ""},
+		{"long row then empty rows", map[string]any{"xs": wide}, http.StatusBadRequest, ""},
 	}
 	for _, f := range fronts {
 		hs := httptest.NewServer(f.h)
@@ -102,5 +114,26 @@ func TestPredictRuleAllFronts(t *testing.T) {
 				t.Errorf("%s %s: response %s carries %q", f.name, tc.name, data, other)
 			}
 		}
+	}
+	// Refusals are not failures: more ragged batches than the failure
+	// ladder's threshold leave every node active.
+	hs := httptest.NewServer(co.Handler())
+	t.Cleanup(hs.Close)
+	raw, err := json.Marshal(map[string]any{"xs": ragged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(hs.URL+"/predict", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("coordinator ragged batch %d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+	if got := co.Active(); got != 3 {
+		t.Fatalf("after ragged batches: %d of 3 nodes active", got)
 	}
 }

@@ -56,8 +56,8 @@ func TestOracleBitIdentity(t *testing.T) {
 		if !reflect.DeepEqual(fc, cc) {
 			t.Fatalf("%s: classes diverge\nfleet:   %v\ncluster: %v", step, fc, cc)
 		}
-		// Confidences must match bit for bit: encoding/json round-trips
-		// float64 exactly, and the decision code is shared.
+		// Confidences must match bit for bit: the score frame carries
+		// float64 as its IEEE-754 bits, and the decision code is shared.
 		if !reflect.DeepEqual(ff, cf) {
 			t.Fatalf("%s: confidences diverge\nfleet:   %v\ncluster: %v", step, ff, cf)
 		}

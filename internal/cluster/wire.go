@@ -1,6 +1,6 @@
 // Package cluster runs the replica fleet across process and machine
 // boundaries: each replica is its own servehd process (own substrate,
-// recoverer, scrubber, journal) behind a small HTTP/JSON node API, and
+// recoverer, scrubber, journal) behind a small HTTP node API, and
 // a coordinator drives them with the fleet's own replication algorithm
 // (fleet.Dispatcher) — rotating read-quorum, anti-entropy,
 // quarantine/reseed and the failure ladder are not implemented here.
@@ -20,7 +20,10 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/fleet"
@@ -29,24 +32,124 @@ import (
 // Node API wire documents. The node side lives in internal/serve
 // (registered when serve.Config.NodeAPI is set); the coordinator side
 // is this package's client. []byte fields travel as base64 inside
-// JSON; float64 fields round-trip bit-exactly through encoding/json
-// (Go emits the shortest representation that re-parses to the same
-// value), which the bit-identity oracle depends on.
+// JSON, except on /node/score, which speaks one little-endian
+// application/octet-stream frame each way:
+//
+//	request:  rows u32 | cols u32 | temperature f64 | rows×cols f64
+//	response: rows u32 | rows×class u32 | rows×confidence f64
+//
+// A float64 travels as its IEEE-754 bits, so features and confidences
+// cross exactly, which the bit-identity oracle depends on.
+const scoreHeader = 16
 
-// ScoreRequest asks a node to encode and score a batch of raw feature
-// vectors against its local deployed model. nodeClient.Score writes it
-// with httpjson.MarshalScore, which emits json.Marshal's bytes for it,
-// and the node reads it on httpjson's canonical-body fast path.
-type ScoreRequest struct {
-	Xs          [][]float64 `json:"xs"`
-	Temperature float64     `json:"temperature"`
+// Score frame refusals are fixed values: a refused frame allocates
+// nothing.
+var (
+	errFrameShape   = errors.New("score frame: header does not match the body")
+	errFrameEmpty   = errors.New("score frame: empty batch or rows without features")
+	errFrameFeature = errors.New("score frame: non-finite feature")
+	errFrameTemp    = errors.New("score frame: temperature not finite and non-negative")
+	errFrameRows    = errors.New("score frame: rows differ in length or number 2^32 or more")
+	errAnswersShape = errors.New("score answers: length does not match the batch")
+)
+
+// EncodeScoreFrame writes a batch's request frame. It refuses, with the
+// decoder's errors, every batch the node would refuse and every ragged
+// one, and checks all row lengths before it sizes the frame.
+func EncodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
+	if len(xs) == 0 || len(xs[0]) == 0 {
+		return nil, errFrameEmpty
+	}
+	cols := len(xs[0])
+	if uint64(len(xs)) > math.MaxUint32 || uint64(cols) > math.MaxUint32 {
+		return nil, errFrameRows
+	}
+	for _, x := range xs {
+		if len(x) != cols {
+			return nil, errFrameRows
+		}
+	}
+	if !finite(temperature) || temperature < 0 {
+		return nil, errFrameTemp
+	}
+	b := make([]byte, scoreHeader, scoreHeader+8*len(xs)*cols)
+	binary.LittleEndian.PutUint32(b, uint32(len(xs)))
+	binary.LittleEndian.PutUint32(b[4:], uint32(cols))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(temperature))
+	for _, x := range xs {
+		for _, v := range x {
+			if !finite(v) {
+				return nil, errFrameFeature
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b, nil
 }
 
-// ScoreResponse carries the node's per-query answers, index-aligned
-// with the request.
-type ScoreResponse struct {
-	Classes []int     `json:"classes"`
-	Confs   []float64 `json:"confs"`
+// DecodeScoreFrame reads a request frame: a non-empty batch of rows of
+// at least one finite feature each, and a finite, non-negative
+// temperature. The header's claim is checked against the bytes present
+// before anything is allocated, so allocation is bounded by the body.
+// The rows share one backing array, each capped at its own length.
+func DecodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error) {
+	if len(b) < scoreHeader || (len(b)-scoreHeader)%8 != 0 {
+		return nil, 0, errFrameShape
+	}
+	rows := uint64(binary.LittleEndian.Uint32(b))
+	cols := uint64(binary.LittleEndian.Uint32(b[4:]))
+	temperature = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	body := b[scoreHeader:]
+	switch {
+	case rows == 0 || cols == 0:
+		return nil, 0, errFrameEmpty
+	case rows*cols != uint64(len(body)/8): // both below 2^32: no overflow
+		return nil, 0, errFrameShape
+	case !finite(temperature) || temperature < 0:
+		return nil, 0, errFrameTemp
+	}
+	for i := 0; i < len(body); i += 8 {
+		if !finite(math.Float64frombits(binary.LittleEndian.Uint64(body[i:]))) {
+			return nil, 0, errFrameFeature
+		}
+	}
+	vals := make([]float64, len(body)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	n := int(cols)
+	xs = make([][]float64, rows)
+	for r := range xs {
+		xs[r] = vals[r*n : (r+1)*n : (r+1)*n]
+	}
+	return xs, temperature, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// EncodeScoreAnswers writes the node's response frame.
+func EncodeScoreAnswers(classes []int, confs []float64) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+12*len(classes)), uint32(len(classes)))
+	for _, c := range classes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	}
+	for _, v := range confs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// DecodeScoreAnswers reads the response frame for a batch of rows.
+func DecodeScoreAnswers(b []byte, rows int) ([]int, []float64, error) {
+	if len(b) < 4 || uint64(binary.LittleEndian.Uint32(b)) != uint64(rows) || len(b)-4 != 12*rows {
+		return nil, nil, errAnswersShape
+	}
+	classes, confs := make([]int, rows), make([]float64, rows)
+	for i := range classes {
+		classes[i] = int(binary.LittleEndian.Uint32(b[4+4*i:]))
+		confs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[4+4*rows+8*i:]))
+	}
+	return classes, confs, nil
 }
 
 // Summary is the wire form of a fleet.Summary: the hashes travel as

@@ -1,6 +1,7 @@
 // Package httpjson is the JSON codec the module's HTTP handlers share:
-// the response writer, the bounded request decoder, and a hand-written
-// fast path for predict-shaped request bodies.
+// the response writer, the bounded request decoder, a pooled read-once
+// body reader, and a hand-written fast path for predict-shaped request
+// bodies.
 //
 // Decoding an 8-sample predict body with encoding/json costs more than
 // encoding and scoring the samples, so the predict endpoints parse the
@@ -21,9 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
-	"reflect"
 	"strconv"
 	"sync"
 )
@@ -59,12 +58,11 @@ func PredictRows(x []float64, xs [][]float64) (rows [][]float64, single bool, er
 
 // Fields points the fast path at an endpoint's request struct: one
 // pointer per JSON key the struct declares, nil for each key it lacks.
-// The predict-shaped keys are "model", "x", "xs" and "temperature".
+// The predict-shaped keys are "model", "x" and "xs".
 type Fields struct {
-	Model       *string
-	X           *[]float64
-	Xs          *[][]float64
-	Temperature *float64
+	Model *string
+	X     *[]float64
+	Xs    *[][]float64
 }
 
 // DecodePredict decodes r's body into v, the request struct f points
@@ -80,6 +78,25 @@ type Fields struct {
 // The rows of a decoded xs share one backing array, each capped at its
 // own length, so appending to a row cannot reach the next one.
 func DecodePredict(r *http.Request, limit int64, v any, f Fields) error {
+	return ReadBody(r, limit, func(body []byte, err error) error {
+		if err == nil && parsePredict(body, f) {
+			return nil
+		}
+		src := io.Reader(bytes.NewReader(body))
+		if err != nil {
+			// The bytes that arrived, then the read error: the stream
+			// encoding/json sees when it reads the body itself.
+			src = io.MultiReader(src, errReader{err})
+		}
+		return json.NewDecoder(src).Decode(v)
+	})
+}
+
+// ReadBody reads r's body once, through http.MaxBytesReader with the
+// given limit, into a pooled buffer, and returns what use makes of the
+// bytes that arrived and the read error. The buffer is reused once use
+// returns, so use must copy out whatever it keeps.
+func ReadBody(r *http.Request, limit int64, use func(body []byte, err error) error) error {
 	buf := bodies.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -88,20 +105,10 @@ func DecodePredict(r *http.Request, limit int64, v any, f Fields) error {
 		}
 	}()
 	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, limit))
-	body := buf.Bytes()
-	if err == nil && parsePredict(body, f) {
-		return nil
-	}
-	src := io.Reader(bytes.NewReader(body))
-	if err != nil {
-		// The bytes that arrived, then the read error: the stream
-		// encoding/json sees when it reads the body itself.
-		src = io.MultiReader(src, errReader{err})
-	}
-	return json.NewDecoder(src).Decode(v)
+	return use(buf.Bytes(), err)
 }
 
-// bodies recycles DecodePredict's body buffers. Nothing it decodes
+// bodies recycles ReadBody's buffers. Nothing DecodePredict decodes
 // aliases the body — strings are copied out and numbers parsed — so a
 // buffer is free again once it returns. A buffer grown past
 // maxPooledBody by an unusually large body is left to the collector.
@@ -118,19 +125,16 @@ const (
 	keyModel = 1 << iota
 	keyX
 	keyXs
-	keyTemperature
 )
 
 // parsePredict parses a canonical predict body and stores its values
 // through f. It reports false, storing nothing, for any other body.
 func parsePredict(body []byte, f Fields) bool {
 	p := parser{b: body}
-	want := f.keys()
 	var (
 		model string
 		x     []float64
 		xs    [][]float64
-		temp  float64
 		seen  int
 	)
 	p.space()
@@ -149,8 +153,8 @@ func parsePredict(body []byte, f Fields) bool {
 				return false
 			}
 			p.space()
-			bit := keyBit(string(k))
-			if want&bit == 0 || seen&bit != 0 {
+			bit := f.bit(string(k))
+			if bit == 0 || seen&bit != 0 {
 				return false
 			}
 			switch bit {
@@ -162,8 +166,6 @@ func parsePredict(body []byte, f Fields) bool {
 				x, ok = p.floats(make([]float64, 0, 16))
 			case keyXs:
 				xs, ok = p.rows()
-			case keyTemperature:
-				temp, ok = p.number()
 			}
 			if !ok {
 				return false
@@ -192,44 +194,21 @@ func parsePredict(body []byte, f Fields) bool {
 	if seen&keyXs != 0 {
 		*f.Xs = xs
 	}
-	if seen&keyTemperature != 0 {
-		*f.Temperature = temp
-	}
 	return true
 }
 
-// keyBit returns the seen-set bit of a predict-shaped key, 0 for any
+// bit returns the seen-set bit of key k if f points at it, 0 for any
 // other key.
-func keyBit(k string) int {
-	switch k {
-	case "model":
+func (f Fields) bit(k string) int {
+	switch {
+	case k == "model" && f.Model != nil:
 		return keyModel
-	case "x":
+	case k == "x" && f.X != nil:
 		return keyX
-	case "xs":
+	case k == "xs" && f.Xs != nil:
 		return keyXs
-	case "temperature":
-		return keyTemperature
 	}
 	return 0
-}
-
-// keys returns the seen-set bits of the keys f points at.
-func (f Fields) keys() int {
-	k := 0
-	if f.Model != nil {
-		k |= keyModel
-	}
-	if f.X != nil {
-		k |= keyX
-	}
-	if f.Xs != nil {
-		k |= keyXs
-	}
-	if f.Temperature != nil {
-		k |= keyTemperature
-	}
-	return k
 }
 
 // parser scans a byte slice; every method leaves i past what it
@@ -398,70 +377,4 @@ func (p *parser) rows() ([][]float64, bool) {
 		lo = hi
 	}
 	return xs, true
-}
-
-// MarshalScore encodes a node score body, {"xs":[[...]],"temperature":t},
-// byte for byte as json.Marshal encodes a struct with those two fields
-// in that order: a nil batch or row is null, and NaN or ±Inf fails with
-// json.Marshal's error.
-func MarshalScore(xs [][]float64, temperature float64) ([]byte, error) {
-	n := 32
-	for _, x := range xs {
-		n += 2 + 20*len(x)
-	}
-	b := make([]byte, 0, n)
-	b = append(b, `{"xs":`...)
-	var err error
-	if xs == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for r, x := range xs {
-			if r > 0 {
-				b = append(b, ',')
-			}
-			if x == nil {
-				b = append(b, "null"...)
-				continue
-			}
-			b = append(b, '[')
-			for i, v := range x {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				if b, err = appendFloat(b, v); err != nil {
-					return nil, err
-				}
-			}
-			b = append(b, ']')
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"temperature":`...)
-	if b, err = appendFloat(b, temperature); err != nil {
-		return nil, err
-	}
-	return append(b, '}'), nil
-}
-
-// appendFloat formats a float64 as encoding/json does: the shortest
-// representation that parses back to the same value, in %f form
-// between 1e-6 and 1e21 and in %e form with a trimmed exponent outside.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim e-09 to e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }

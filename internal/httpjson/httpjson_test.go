@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-// The request structs of the four predict-shaped endpoints, with the
+// The request structs of the three predict-shaped endpoints, with the
 // JSON tags the handlers declare.
 type (
 	servePredict struct {
@@ -30,10 +30,6 @@ type (
 	coordPredict struct {
 		X  []float64   `json:"x,omitempty"`
 		Xs [][]float64 `json:"xs,omitempty"`
-	}
-	nodeScore struct {
-		Xs          [][]float64 `json:"xs"`
-		Temperature float64     `json:"temperature"`
 	}
 )
 
@@ -55,10 +51,6 @@ var endpoints = []endpoint{
 	{"coordinator", func() (any, Fields) {
 		v := new(coordPredict)
 		return v, Fields{X: &v.X, Xs: &v.Xs}
-	}},
-	{"node", func() (any, Fields) {
-		v := new(nodeScore)
-		return v, Fields{Xs: &v.Xs, Temperature: &v.Temperature}
 	}},
 }
 
@@ -164,13 +156,13 @@ func TestCanonicalBodiesTakeFastPath(t *testing.T) {
 		fast []string // endpoints whose key set the body fits
 	}{
 		{string(tenantsBody(t)), []string{"registry"}},
-		{`{"xs":[[1,2.5,-3e-7],[0]]}`, []string{"serve", "registry", "coordinator", "node"}},
+		{`{"xs":[[1,2.5,-3e-7],[0]]}`, []string{"serve", "registry", "coordinator"}},
 		{`{"x":[1,-0,1E+2,0.000001]}`, []string{"serve", "registry", "coordinator"}},
-		{` { "xs" : [ [ 1 , 2 ] ] , "temperature" : 0.25 } `, []string{"node"}},
+		{` { "xs" : [ [ 1 , 2 ] ] , "temperature" : 0.25 } `, nil},
 		{"{\n\t\"model\":\"a-b_c.1\",\"x\":[]\r\n}", []string{"registry"}},
-		{`{}`, []string{"serve", "registry", "coordinator", "node"}},
-		{`{"xs":[]}`, []string{"serve", "registry", "coordinator", "node"}},
-		{`{"xs":[[],[]]}`, []string{"serve", "registry", "coordinator", "node"}},
+		{`{}`, []string{"serve", "registry", "coordinator"}},
+		{`{"xs":[]}`, []string{"serve", "registry", "coordinator"}},
+		{`{"xs":[[],[]]}`, []string{"serve", "registry", "coordinator"}},
 		{`{"x":[1],"xs":[[2]]}`, []string{"serve", "registry", "coordinator"}},
 		{`{"x":[1e-400,123456789012345678901234567890]}`, []string{"serve", "registry", "coordinator"}},
 	} {
@@ -244,7 +236,8 @@ func TestFallbackCases(t *testing.T) {
 }
 
 // TestKeysTheStructLacks: a predict key outside the endpoint's own set
-// is declined and left to encoding/json, which ignores it.
+// is declined and left to encoding/json, which ignores it. No endpoint
+// declares "temperature" any more.
 func TestKeysTheStructLacks(t *testing.T) {
 	for ep, fast := range checkAgrees(t, []byte(`{"model":"a","xs":[[1]]}`)) {
 		if fast != (ep == "registry") {
@@ -252,8 +245,8 @@ func TestKeysTheStructLacks(t *testing.T) {
 		}
 	}
 	for ep, fast := range checkAgrees(t, []byte(`{"temperature":2,"xs":[[1]]}`)) {
-		if fast != (ep == "node") {
-			t.Errorf("%s: fast path %v", ep, fast)
+		if fast {
+			t.Errorf("%s: fast path took a temperature key", ep)
 		}
 	}
 }
@@ -322,33 +315,9 @@ func TestOversizedBodyIs400(t *testing.T) {
 	}
 }
 
-// TestMarshalScoreMatchesEncodingJSON: the node score encoder emits
-// json.Marshal's bytes, errors included.
-func TestMarshalScoreMatchesEncodingJSON(t *testing.T) {
-	for _, tc := range []struct {
-		xs   [][]float64
-		temp float64
-	}{
-		{[][]float64{{1, -0.0, 2.5, 1e-7, 1e21, 123456.789, -1e-6, 5e-324, math.MaxFloat64}}, 1},
-		{[][]float64{{}, nil, {0}}, 0.05},
-		{nil, 0},
-		{[][]float64{}, 1e-9},
-		{[][]float64{{math.NaN()}}, 1},
-		{[][]float64{{1}}, math.Inf(-1)},
-	} {
-		got, gotErr := MarshalScore(tc.xs, tc.temp)
-		want, wantErr := json.Marshal(nodeScore{Xs: tc.xs, Temperature: tc.temp})
-		if errText(gotErr) != errText(wantErr) || !bytes.Equal(got, want) {
-			t.Fatalf("MarshalScore(%v, %v) = %s, %v; json.Marshal = %s, %v", tc.xs, tc.temp, got, gotErr, want, wantErr)
-		}
-	}
-}
-
 // FuzzPredictBody: for every body and every endpoint, the fast path
 // either declines or produces exactly encoding/json's value, and
-// DecodePredict's value and error are always encoding/json's. A body
-// the node decodes re-encodes through MarshalScore to json.Marshal's
-// bytes.
+// DecodePredict's value and error are always encoding/json's.
 func FuzzPredictBody(f *testing.F) {
 	// Seeds stay small: minimizing a body the size of tenantsBody
 	// outlasts a short fuzz budget.
@@ -366,14 +335,5 @@ func FuzzPredictBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgrees(t, body)
-		var req nodeScore
-		if json.Unmarshal(body, &req) != nil {
-			return
-		}
-		got, gotErr := MarshalScore(req.Xs, req.Temperature)
-		want, wantErr := json.Marshal(req)
-		if errText(gotErr) != errText(wantErr) || !bytes.Equal(got, want) {
-			t.Fatalf("MarshalScore = %s, %v; json.Marshal = %s, %v", got, gotErr, want, wantErr)
-		}
 	})
 }

@@ -227,8 +227,7 @@ func (r *Registry) handleTenantPassthrough(w http.ResponseWriter, req *http.Requ
 		return
 	}
 	defer leave()
-	prefix := "/models/" + id
-	http.StripPrefix(prefix, t.srv.Handler()).ServeHTTP(w, req)
+	t.api.ServeHTTP(w, req)
 }
 
 // MetricsDoc is the registry's /metrics document: the registry-level

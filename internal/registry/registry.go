@@ -24,6 +24,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -70,6 +71,7 @@ type tenant struct {
 	id      string
 	srv     *serve.Server
 	created time.Time
+	api     http.Handler // srv.Handler() under /models/{id}, built once
 
 	// drainMu is the graceful-drain barrier: dispatches hold it shared
 	// for the life of the request; Delete takes it exclusively, which
@@ -161,7 +163,8 @@ func (r *Registry) Create(id string, sys *core.System) error {
 	if err != nil {
 		return err
 	}
-	t := &tenant{id: id, srv: srv, created: time.Now()}
+	t := &tenant{id: id, srv: srv, created: time.Now(),
+		api: http.StripPrefix("/models/"+id, srv.Handler())}
 	next := make(map[string]*tenant, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v

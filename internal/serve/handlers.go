@@ -29,6 +29,7 @@ const MaxBodyBytes = 256 << 20
 //	POST /restore   install a checkpoint (the /snapshot format)
 //	POST /attack    live bit-flip drill on the deployed model
 //	GET  /metrics   operational counters + recovery stats + probe
+//	GET  /fleet     replica fleet status (enabled:false without one)
 //	GET  /journal/proof?seq=N  Merkle inclusion proof for a sealed
 //	                journal event
 //	GET  /journal/verify       re-verify the journal file vs the live

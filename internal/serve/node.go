@@ -52,8 +52,16 @@ func (s *Server) registerNodeAPI(mux *http.ServeMux) {
 // node that loaded the same snapshot encodes bit-identically, and the
 // wire stays narrow.
 func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
-	var req cluster.ScoreRequest
-	if err := httpjson.DecodePredict(r, MaxBodyBytes, &req, httpjson.Fields{Xs: &req.Xs, Temperature: &req.Temperature}); err != nil {
+	var xs [][]float64
+	var temperature float64
+	err := httpjson.ReadBody(r, MaxBodyBytes, func(body []byte, err error) error {
+		if err == nil {
+			// The frame's values are copied out: body goes back to the pool.
+			xs, temperature, err = cluster.DecodeScoreFrame(body)
+		}
+		return err
+	})
+	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", ErrBadInput, err))
 		return
 	}
@@ -63,26 +71,15 @@ func (s *Server) handleNodeScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sys := st.sys
-	if len(req.Xs) == 0 {
-		writeErr(w, fmt.Errorf("%w: empty batch", ErrBadInput))
+	if want := sys.Features(); len(xs[0]) != want {
+		writeErr(w, fmt.Errorf("%w: samples have %d features, want %d", ErrBadInput, len(xs[0]), want))
 		return
 	}
-	if math.IsNaN(req.Temperature) || math.IsInf(req.Temperature, 0) || req.Temperature < 0 {
-		writeErr(w, fmt.Errorf("%w: temperature %v", ErrBadInput, req.Temperature))
-		return
-	}
-	want := sys.Features()
-	for i, x := range req.Xs {
-		if len(x) != want {
-			writeErr(w, fmt.Errorf("%w: sample %d has %d features, want %d", ErrBadInput, i, len(x), want))
-			return
-		}
-	}
-	encoded := sys.EncodeAllParallel(req.Xs, allCores)
-	var resp cluster.ScoreResponse
-	resp.Classes, resp.Confs, _ = st.rep.Score(encoded, req.Temperature)
+	encoded := sys.EncodeAllParallel(xs, allCores)
+	classes, confs, _ := st.rep.Score(encoded, temperature)
 	s.metrics.nodeScored.Add(int64(len(encoded)))
-	httpjson.Write(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(cluster.EncodeScoreAnswers(classes, confs))
 }
 
 // handleNodeSummary reports per-class chunk hashes of the deployed

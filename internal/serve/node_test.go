@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -18,6 +22,42 @@ func nodeServer(t testing.TB) (*Server, string) {
 	return srv, ts.URL
 }
 
+// scoreFrame encodes a batch as a /node/score request frame.
+func scoreFrame(t *testing.T, xs [][]float64, temperature float64) []byte {
+	t.Helper()
+	b, err := cluster.EncodeScoreFrame(xs, temperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// rawFrame writes a score frame header that may lie about its body.
+func rawFrame(rows, cols uint32, temperature float64, vals []float64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, rows)
+	b = binary.LittleEndian.AppendUint32(b, cols)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(temperature))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// postFrame POSTs a score frame to /node/score.
+func postFrame(t *testing.T, url string, frame []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/node/score", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
 // TestNodeScoreMatchesDirectModel pins the score endpoint against the
 // in-process answer: the node encodes raw features itself, so a batch
 // scored over the wire must equal PredictWithConfidence on the same
@@ -28,12 +68,12 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 	xs := ds.TestX[:8]
 	const temp = 0.05
 
-	resp, body := postJSON(t, url+"/node/score", cluster.ScoreRequest{Xs: xs, Temperature: temp})
+	resp, body := postFrame(t, url, scoreFrame(t, xs, temp))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score: status %d: %s", resp.StatusCode, body)
 	}
-	var out cluster.ScoreResponse
-	if err := json.Unmarshal(body, &out); err != nil {
+	classes, confs, err := cluster.DecodeScoreAnswers(body, len(xs))
+	if err != nil {
 		t.Fatal(err)
 	}
 	sys := srv.system()
@@ -41,8 +81,8 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 	m := sys.Model()
 	for i, q := range encoded {
 		class, conf := m.PredictWithConfidence(q, temp)
-		if out.Classes[i] != class || out.Confs[i] != conf {
-			t.Fatalf("query %d: wire (%d, %v) != direct (%d, %v)", i, out.Classes[i], out.Confs[i], class, conf)
+		if classes[i] != class || confs[i] != conf {
+			t.Fatalf("query %d: wire (%d, %v) != direct (%d, %v)", i, classes[i], confs[i], class, conf)
 		}
 	}
 	if got := srv.MetricsSnapshot().Node.Scored; got != int64(len(xs)) {
@@ -51,7 +91,8 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 }
 
 // TestNodeAPIRejectsBadRequests pins the node API's 400 wall: every
-// malformed id, range, or payload is rejected before any model access.
+// malformed id, range, payload or score frame is rejected before any
+// model access.
 func TestNodeAPIRejectsBadRequests(t *testing.T) {
 	srv, url := nodeServer(t)
 	sys := srv.system()
@@ -69,9 +110,6 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		name, path string
 		body       any
 	}{
-		{"score empty batch", "/node/score", cluster.ScoreRequest{Temperature: 0.1}},
-		{"score negative temperature", "/node/score", cluster.ScoreRequest{Xs: [][]float64{{1}}, Temperature: -1}},
-		{"score feature mismatch", "/node/score", cluster.ScoreRequest{Xs: [][]float64{{1, 2, 3}}, Temperature: 0.1}},
 		{"chunks empty", "/node/chunks", cluster.ChunksRequest{}},
 		{"chunks class out of range", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: 99, Lo: 0, Hi: 64}}}},
 		{"chunks negative class", "/node/chunks", cluster.ChunksRequest{Chunks: []cluster.ChunkRef{{Class: -1, Lo: 0, Hi: 64}}}},
@@ -87,6 +125,64 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 		}
+	}
+
+	// Score frames (cluster/wire.go): every lie a header can tell about
+	// its body, and every value JSON could never carry.
+	ds, spec, _ := problem(t)
+	features := len(ds.TestX[0])
+	row := ds.TestX[0]
+	withValue := func(v float64) []float64 {
+		x := append([]float64(nil), row...)
+		x[features/2] = v
+		return x
+	}
+	cols := uint32(features)
+	valid := scoreFrame(t, ds.TestX[:2], 0.05)
+	frameCases := []struct {
+		name string
+		body []byte
+	}{
+		{"score header short of 16 bytes", valid[:15]},
+		{"score partial feature", valid[:len(valid)-3]},
+		{"score claim larger than body", valid[:len(valid)-8*features]},
+		{"score 2^32-1 x 2^32-1 header", rawFrame(math.MaxUint32, math.MaxUint32, 0.05, row)},
+		{"score rows with zero columns", rawFrame(3, 0, 0.05, nil)},
+		{"score NaN feature", rawFrame(1, cols, 0.05, withValue(math.NaN()))},
+		{"score +Inf feature", rawFrame(1, cols, 0.05, withValue(math.Inf(1)))},
+		{"score -Inf feature", rawFrame(1, cols, 0.05, withValue(math.Inf(-1)))},
+		{"score feature mismatch", scoreFrame(t, [][]float64{{1, 2, 3}}, 0.05)},
+		{"score empty batch", rawFrame(0, 0, 0.05, nil)},
+		{"score empty batch with columns", rawFrame(0, cols, 0.05, nil)},
+		{"score negative temperature", rawFrame(1, cols, -1, row)},
+		{"score NaN temperature", rawFrame(1, cols, math.NaN(), row)},
+	}
+	for _, tc := range frameCases {
+		resp, body := postFrame(t, url, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
+		}
+	}
+
+	// A JSON body fails the frame's header check: no JSON fallback.
+	if resp, body := postJSON(t, url+"/node/score", map[string]any{"xs": ds.TestX[:1], "temperature": 0.05}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("score JSON body: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+
+	// A 16-byte frame claiming 2^32-1 rows allocates nothing from the
+	// claim.
+	h := srv.Handler()
+	claim := rawFrame(math.MaxUint32, cols, 0.05, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/node/score", bytes.NewReader(claim)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("2^32-1 row claim: status %d, want 400", rec.Code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("16-byte frame claiming 2^32-1 rows allocated %d bytes", got)
 	}
 
 	getCases := []struct{ name, path string }{
@@ -119,7 +215,6 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		t.Errorf("reseed garbage: status %d, want 400", resp.StatusCode)
 	}
 
-	ds, spec, _ := problem(t)
 	donor, err := core.Train(ds.TrainX, ds.TrainY, spec.Classes, core.Config{Dimensions: 2048, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +233,7 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 	}
 
 	// After all that abuse the model must be untouched and still serving.
-	resp, body := postJSON(t, url+"/node/score", cluster.ScoreRequest{Xs: ds.TestX[:1], Temperature: 0.05})
+	resp, body := postFrame(t, url, scoreFrame(t, ds.TestX[:1], 0.05))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score after rejections: status %d: %s", resp.StatusCode, body)
 	}
