@@ -129,7 +129,7 @@ func (c *nodeClient) exchange(method, path string, in, out any) error {
 // as one score frame (wire.go). A batch the frame cannot carry, rows of
 // differing length, is refused here like a batch the node refuses.
 func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float64, error) {
-	body, err := EncodeScoreFrame(xs, temperature)
+	body, err := encodeScoreFrame(xs, temperature)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNodeBad, err)
 	}
@@ -137,7 +137,7 @@ func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float6
 	if err != nil {
 		return nil, nil, err
 	}
-	classes, confs, err := DecodeScoreAnswers(resp, len(xs))
+	classes, confs, err := decodeScoreAnswers(resp, len(xs))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: /node/score: %v", fleet.ErrDown, err)
 	}
@@ -146,7 +146,7 @@ func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float6
 
 // Summary fetches the node's chunk-hash divergence digest.
 func (c *nodeClient) Summary(chunks int) (fleet.Summary, error) {
-	var doc Summary
+	var doc summary
 	if err := c.exchange(http.MethodGet, fmt.Sprintf("/node/summary?chunks=%d", chunks), nil, &doc); err != nil {
 		return fleet.Summary{}, err
 	}
@@ -154,9 +154,9 @@ func (c *nodeClient) Summary(chunks int) (fleet.Summary, error) {
 }
 
 // Chunks fetches the bits of the named chunks.
-func (c *nodeClient) Chunks(refs []ChunkRef) ([]*bitvec.Vector, error) {
-	var out ChunksResponse
-	if err := c.exchange(http.MethodPost, "/node/chunks", ChunksRequest{Chunks: refs}, &out); err != nil {
+func (c *nodeClient) Chunks(refs []fleet.ChunkRef) ([]*bitvec.Vector, error) {
+	var out chunkList
+	if err := c.exchange(http.MethodPost, "/node/chunks", chunksRequest{Chunks: refs}, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Chunks) != len(refs) {
@@ -174,15 +174,15 @@ func (c *nodeClient) Chunks(refs []ChunkRef) ([]*bitvec.Vector, error) {
 
 // Repair pushes majority chunk images onto the node.
 func (c *nodeClient) Repair(patches []fleet.Patch) error {
-	push := make([]ChunkData, len(patches))
+	push := make([]chunkData, len(patches))
 	for i, p := range patches {
 		b, err := p.Bits.MarshalBinary()
 		if err != nil {
 			return err
 		}
-		push[i] = ChunkData{Class: p.Class, Lo: p.Lo, Hi: p.Lo + p.Bits.Len(), Bits: b}
+		push[i] = chunkData{ChunkRef: fleet.ChunkRef{Class: p.Class, Lo: p.Lo, Hi: p.Lo + p.Bits.Len()}, Bits: b}
 	}
-	return c.exchange(http.MethodPost, "/node/repair", RepairRequest{Chunks: push}, nil)
+	return c.exchange(http.MethodPost, "/node/repair", chunkList{Chunks: push}, nil)
 }
 
 // Snapshot streams the node's stamped model image (the reseed donor

@@ -60,24 +60,31 @@ func snapshotOf(t testing.TB, sys *core.System) []byte {
 	return buf.Bytes()
 }
 
-// startNodes boots n in-process node servers, each loading its own
-// copy of the snapshot — the httptest analogue of n `servehd -node`
-// processes started from the same checkpoint file.
+// startNode boots one in-process node server over sys — the httptest
+// analogue of a `servehd -node` process — and returns it with its URL.
+func startNode(t testing.TB, sys *core.System) (*serve.Server, string) {
+	t.Helper()
+	srv, err := serve.New(sys, serve.Config{NodeAPI: true, DisableRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	return srv, hs.URL
+}
+
+// startNodes boots n node servers, each loading its own copy of the
+// snapshot — n `servehd -node` processes started from the same
+// checkpoint file.
 func startNodes(t testing.TB, snap []byte, n int) []string {
 	t.Helper()
 	urls := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range urls {
 		nodeSys, err := core.Load(bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := serve.New(nodeSys, serve.Config{NodeAPI: true, DisableRecovery: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() { hs.Close(); srv.Close() })
-		urls[i] = hs.URL
+		_, urls[i] = startNode(t, nodeSys)
 	}
 	return urls
 }

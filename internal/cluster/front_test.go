@@ -136,4 +136,28 @@ func TestPredictRuleAllFronts(t *testing.T) {
 	if got := co.Active(); got != 3 {
 		t.Fatalf("after ragged batches: %d of 3 nodes active", got)
 	}
+	noFailures := func(step string) {
+		t.Helper()
+		for _, n := range co.Status().Nodes {
+			if n.Failures != 0 {
+				t.Errorf("after %s: node %d counts %d failures", step, n.ID, n.Failures)
+			}
+		}
+	}
+	noFailures("ragged batches")
+	// A batch the nodes themselves refuse (wrong feature count) is a
+	// refusal too.
+	short, err := json.Marshal(map[string]any{"xs": [][]float64{ds.TestX[0][:3]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/predict", "application/json", bytes.NewReader(short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("coordinator short-row batch: status %d, want 400", resp.StatusCode)
+	}
+	noFailures("a batch the nodes refuse")
 }

@@ -150,7 +150,9 @@ func TestOracleBitIdentity(t *testing.T) {
 	// its fleet counterpart — compared through the same chunk hashes
 	// anti-entropy uses, at full resolution.
 	for id, url := range urls {
-		var nodeSum cluster.Summary
+		var nodeSum struct {
+			Hashes [][]string `json:"hashes"`
+		}
 		resp, err := http.Get(url + "/node/summary?chunks=256")
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +170,7 @@ func TestOracleBitIdentity(t *testing.T) {
 				cv := m.ClassVector(c)
 				for k := range row {
 					lo, hi := fleet.ChunkBounds(target.Dimensions(), 256, k)
-					row[k] = cluster.HashString(cluster.ChunkHash(cv, lo, hi))
+					row[k] = fmt.Sprintf("%016x", fleet.ChunkHash(cv, lo, hi))
 				}
 				fltSum[c] = row
 			}
@@ -233,5 +235,4 @@ func TestOracleCursorLockstep(t *testing.T) {
 	if st.Escalations == 0 {
 		t.Fatal("no escalations despite a corrupted quorum member — the drill tested nothing")
 	}
-	_ = fmt.Sprintf // keep fmt for debug edits
 }

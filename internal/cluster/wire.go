@@ -5,14 +5,15 @@
 // (fleet.Dispatcher) — rotating read-quorum, anti-entropy,
 // quarantine/reseed and the failure ladder are not implemented here.
 //
-// This package holds only the network half: the node API's wire
-// documents, the remote member (nodeClient, a fleet.Member over HTTP),
-// and the coordinator's HTTP handlers. The node side of the API lives
-// in internal/serve.
+// This package holds the whole network half, both ends of the node
+// API: its wire documents, the node's handlers (Node, mounted by
+// internal/serve when serve.Config.NodeAPI is set), the remote member
+// (nodeClient, a fleet.Member over HTTP), and the coordinator's HTTP
+// handlers.
 //
 // The anti-entropy protocol ships summaries, not models: every node
 // reports a per-class, per-chunk hash of its deployed class
-// hypervectors (Summary); only chunks whose hashes disagree across the
+// hypervectors (summary); only chunks whose hashes disagree across the
 // fleet are fetched as bits, majority-voted on the coordinator, and
 // pushed back to the disagreeing nodes. A node too far gone for chunk
 // repair is quarantined and re-seeded by streaming a stamped snapshot
@@ -29,11 +30,10 @@ import (
 	"repro/internal/fleet"
 )
 
-// Node API wire documents. The node side lives in internal/serve
-// (registered when serve.Config.NodeAPI is set); the coordinator side
-// is this package's client. []byte fields travel as base64 inside
-// JSON, except on /node/score, which speaks one little-endian
-// application/octet-stream frame each way:
+// Node API wire documents, written and read only in this package: by
+// the node's handlers (node.go) and by its client (client.go). []byte
+// fields travel as base64 inside JSON, except on /node/score, which
+// speaks one little-endian application/octet-stream frame each way:
 //
 //	request:  rows u32 | cols u32 | temperature f64 | rows×cols f64
 //	response: rows u32 | rows×class u32 | rows×confidence f64
@@ -53,10 +53,10 @@ var (
 	errAnswersShape = errors.New("score answers: length does not match the batch")
 )
 
-// EncodeScoreFrame writes a batch's request frame. It refuses, with the
+// encodeScoreFrame writes a batch's request frame. It refuses, with the
 // decoder's errors, every batch the node would refuse and every ragged
 // one, and checks all row lengths before it sizes the frame.
-func EncodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
+func encodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
 	if len(xs) == 0 || len(xs[0]) == 0 {
 		return nil, errFrameEmpty
 	}
@@ -87,12 +87,12 @@ func EncodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeScoreFrame reads a request frame: a non-empty batch of rows of
+// decodeScoreFrame reads a request frame: a non-empty batch of rows of
 // at least one finite feature each, and a finite, non-negative
 // temperature. The header's claim is checked against the bytes present
 // before anything is allocated, so allocation is bounded by the body.
 // The rows share one backing array, each capped at its own length.
-func DecodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error) {
+func decodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error) {
 	if len(b) < scoreHeader || (len(b)-scoreHeader)%8 != 0 {
 		return nil, 0, errFrameShape
 	}
@@ -127,8 +127,8 @@ func DecodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error)
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// EncodeScoreAnswers writes the node's response frame.
-func EncodeScoreAnswers(classes []int, confs []float64) []byte {
+// encodeScoreAnswers writes the node's response frame.
+func encodeScoreAnswers(classes []int, confs []float64) []byte {
 	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+12*len(classes)), uint32(len(classes)))
 	for _, c := range classes {
 		b = binary.LittleEndian.AppendUint32(b, uint32(c))
@@ -139,8 +139,8 @@ func EncodeScoreAnswers(classes []int, confs []float64) []byte {
 	return b
 }
 
-// DecodeScoreAnswers reads the response frame for a batch of rows.
-func DecodeScoreAnswers(b []byte, rows int) ([]int, []float64, error) {
+// decodeScoreAnswers reads the response frame for a batch of rows.
+func decodeScoreAnswers(b []byte, rows int) ([]int, []float64, error) {
 	if len(b) < 4 || uint64(binary.LittleEndian.Uint32(b)) != uint64(rows) || len(b)-4 != 12*rows {
 		return nil, nil, errAnswersShape
 	}
@@ -152,23 +152,23 @@ func DecodeScoreAnswers(b []byte, rows int) ([]int, []float64, error) {
 	return classes, confs, nil
 }
 
-// Summary is the wire form of a fleet.Summary: the hashes travel as
+// summary is the wire form of a fleet.Summary: the hashes travel as
 // %016x hex (hash values do not survive JSON as numbers — float64
 // mantissas top out at 2^53).
-type Summary struct {
+type summary struct {
 	Classes int        `json:"classes"`
 	Dims    int        `json:"dims"`
 	Chunks  int        `json:"chunks"`
 	Hashes  [][]string `json:"hashes"`
 }
 
-// SummaryDoc renders a summary for the wire.
-func SummaryDoc(s fleet.Summary) Summary {
-	doc := Summary{Classes: s.Classes, Dims: s.Dims, Chunks: s.Chunks, Hashes: make([][]string, len(s.Hashes))}
+// summaryDoc renders a summary for the wire.
+func summaryDoc(s fleet.Summary) summary {
+	doc := summary{Classes: s.Classes, Dims: s.Dims, Chunks: s.Chunks, Hashes: make([][]string, len(s.Hashes))}
 	for c, row := range s.Hashes {
 		doc.Hashes[c] = make([]string, len(row))
 		for k, h := range row {
-			doc.Hashes[c][k] = HashString(h)
+			doc.Hashes[c][k] = fmt.Sprintf("%016x", h)
 		}
 	}
 	return doc
@@ -176,7 +176,7 @@ func SummaryDoc(s fleet.Summary) Summary {
 
 // parse decodes a node's summary, rejecting one whose table does not
 // match its own header — a garbled answer, counted like no answer.
-func (doc Summary) parse() (fleet.Summary, error) {
+func (doc summary) parse() (fleet.Summary, error) {
 	s := fleet.Summary{Classes: doc.Classes, Dims: doc.Dims, Chunks: doc.Chunks, Hashes: make([][]uint64, len(doc.Hashes))}
 	if len(doc.Hashes) != doc.Classes {
 		return s, fmt.Errorf("%w: summary has %d rows for %d classes", fleet.ErrDown, len(doc.Hashes), doc.Classes)
@@ -197,46 +197,24 @@ func (doc Summary) parse() (fleet.Summary, error) {
 	return s, nil
 }
 
-// ChunkRef names one chunk of one class hypervector by its bit range.
-type ChunkRef = fleet.ChunkRef
+// chunksRequest fetches the named chunks from a node.
+type chunksRequest struct {
+	Chunks []fleet.ChunkRef `json:"chunks"`
+}
 
-// ChunkData is a chunk's bits in transit: Bits is the
+// chunkData is a chunk's bits in transit: Bits is the
 // bitvec.Vector.MarshalBinary encoding of the Hi-Lo bit slice.
-type ChunkData struct {
-	Class int    `json:"class"`
-	Lo    int    `json:"lo"`
-	Hi    int    `json:"hi"`
-	Bits  []byte `json:"bits"`
+type chunkData struct {
+	fleet.ChunkRef
+	Bits []byte `json:"bits"`
 }
 
-// ChunksRequest fetches the named chunks from a node.
-type ChunksRequest struct {
-	Chunks []ChunkRef `json:"chunks"`
+// chunkList carries chunk images both ways: a node's answer to
+// /node/chunks, index-aligned with the request, and the majority
+// images /node/repair pushes.
+type chunkList struct {
+	Chunks []chunkData `json:"chunks"`
 }
-
-// ChunksResponse returns them, index-aligned with the request.
-type ChunksResponse struct {
-	Chunks []ChunkData `json:"chunks"`
-}
-
-// RepairRequest pushes majority chunks onto a node; the node
-// overwrites each named range and bills the writes to its substrate
-// exactly like in-process anti-entropy repair.
-type RepairRequest struct {
-	Chunks []ChunkData `json:"chunks"`
-}
-
-// RepairResponse acknowledges a repair push.
-type RepairResponse struct {
-	Applied int `json:"applied"`
-	Bits    int `json:"bits"`
-}
-
-// ChunkHash is the chunk digest Summary carries (fleet.ChunkHash).
-var ChunkHash = fleet.ChunkHash
-
-// HashString renders a chunk hash the way Summary carries it.
-func HashString(h uint64) string { return fmt.Sprintf("%016x", h) }
 
 // JournalVerifyResponse is the /journal/verify wire document, shared
 // by serve nodes and the coordinator. Enabled is false when the

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
@@ -6,8 +6,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // FuzzScoreFrame holds the /node/score request decoder to its
@@ -15,7 +13,7 @@ import (
 // and a finite, non-negative temperature, and re-encodes to exactly
 // its own bytes; a refused frame allocates nothing.
 func FuzzScoreFrame(f *testing.F) {
-	valid, err := cluster.EncodeScoreFrame([][]float64{{1, -2.5, 3e-300}, {0, math.MaxFloat64, -0.0}}, 0.05)
+	valid, err := encodeScoreFrame([][]float64{{1, -2.5, 3e-300}, {0, math.MaxFloat64, -0.0}}, 0.05)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,9 +39,9 @@ func FuzzScoreFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		xs, temperature, err := cluster.DecodeScoreFrame(b)
+		xs, temperature, err := decodeScoreFrame(b)
 		if err != nil {
-			if allocs := testing.AllocsPerRun(1, func() { _, _, _ = cluster.DecodeScoreFrame(b) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(1, func() { _, _, _ = decodeScoreFrame(b) }); allocs != 0 {
 				t.Fatalf("refused frame (%v) allocated %v times", err, allocs)
 			}
 			return
@@ -64,7 +62,7 @@ func FuzzScoreFrame(f *testing.F) {
 				}
 			}
 		}
-		again, err := cluster.EncodeScoreFrame(xs, temperature)
+		again, err := encodeScoreFrame(xs, temperature)
 		if err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded to %x, %v; frame was %x", again, err, b)
 		}
@@ -93,13 +91,13 @@ func TestEncodeScoreFrameRefuses(t *testing.T) {
 		"NaN temperature":      {[][]float64{{1, 2}}, math.NaN()},
 		"infinite temperature": {[][]float64{{1, 2}}, math.Inf(1)},
 	} {
-		if b, err := cluster.EncodeScoreFrame(tc.xs, tc.temperature); err == nil {
+		if b, err := encodeScoreFrame(tc.xs, tc.temperature); err == nil {
 			t.Errorf("%s: encoded %d bytes", name, len(b))
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := cluster.EncodeScoreFrame(ragged, 0.05)
+	_, err := encodeScoreFrame(ragged, 0.05)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("ragged batch encoded")
@@ -115,8 +113,8 @@ func TestEncodeScoreFrameRefuses(t *testing.T) {
 func TestScoreAnswersRoundTrip(t *testing.T) {
 	classes := []int{0, 7, 25}
 	confs := []float64{1, 0.3333333333333333, math.SmallestNonzeroFloat64}
-	b := cluster.EncodeScoreAnswers(classes, confs)
-	gotClasses, gotConfs, err := cluster.DecodeScoreAnswers(b, len(classes))
+	b := encodeScoreAnswers(classes, confs)
+	gotClasses, gotConfs, err := decodeScoreAnswers(b, len(classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,7 @@ func TestScoreAnswersRoundTrip(t *testing.T) {
 		"trailing byte":             {append(append([]byte(nil), b...), 0), 3},
 		"no header":                 {b[:3], 3},
 	} {
-		if _, _, err := cluster.DecodeScoreAnswers(tc.b, tc.rows); err == nil {
+		if _, _, err := decodeScoreAnswers(tc.b, tc.rows); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

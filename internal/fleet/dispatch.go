@@ -245,17 +245,17 @@ func (d *Dispatcher[Q]) actives() []*slot[Q] {
 }
 
 // note feeds one member exchange to the failure ladder and reports
-// whether it succeeded. Only ErrDown counts toward Down — a member
+// whether it succeeded. Only ErrDown counts as a failure — a member
 // refusing a request is alive, it was just asked something wrong.
 func (d *Dispatcher[Q]) note(s *slot[Q], err error) bool {
 	if err == nil {
 		s.consecFails.Store(0)
 		return true
 	}
-	s.failures.Add(1)
 	if !errors.Is(err, ErrDown) {
 		return false
 	}
+	s.failures.Add(1)
 	fails := s.consecFails.Add(1)
 	if int(fails) >= d.ladder.FailThreshold && s.state.CompareAndSwap(stateActive, stateDown) {
 		s.downs.Add(1)
@@ -440,7 +440,7 @@ type ReplicaStatus struct {
 	Addr  string `json:"addr,omitempty"`
 	State string `json:"state"`
 	// Served counts queries this member scored (fast path and quorum
-	// fan-outs both count); Failures counts failed exchanges.
+	// fan-outs both count); Failures counts ErrDown exchanges, not refusals.
 	Served   int64 `json:"served"`
 	Failures int64 `json:"failures,omitempty"`
 	// Divergence is the fraction of this member's model bits that

@@ -35,6 +35,8 @@ const MaxBodyBytes = 256 << 20
 //	GET  /journal/verify       re-verify the journal file vs the live
 //	                chain (tamper check)
 //	GET  /healthz   200 once a model is installed, 503 before
+//
+// With Config.NodeAPI it also mounts the server's cluster.Node.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", s.handlePredict)
@@ -46,8 +48,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet", s.handleFleet)
 	cluster.HandleJournal(mux, s.cfg.Journal)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.cfg.NodeAPI {
-		s.registerNodeAPI(mux)
+	if s.node != nil {
+		s.node.Register(mux)
 	}
 	return mux
 }
@@ -258,7 +260,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.metrics.probes.Load() > 0 {
 		stamp = math.Float64frombits(s.metrics.probeAcc.Load())
 	}
-	s.writeSnapshot(w, st, stamp)
+	var buf bytes.Buffer
+	if err := st.save(&buf, stamp, s.anchor()); err != nil {
+		writeErr(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // anchor returns the journal's latest sealed root, which binds a
@@ -279,19 +288,6 @@ func (st *liveState) save(w io.Writer, stamp float64, anchor *core.JournalAnchor
 		return st.rep.Save(w, stamp, anchor)
 	}
 	return st.sys.SaveAnchored(w, stamp, anchor)
-}
-
-// writeSnapshot serializes the live model as a stamped, anchored
-// binary checkpoint onto w.
-func (s *Server) writeSnapshot(w http.ResponseWriter, st *liveState, stamp float64) {
-	var buf bytes.Buffer
-	if err := st.save(&buf, stamp, s.anchor()); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
 }
 
 // AdmitSnapshot loads a checkpoint (the /snapshot format) and applies
@@ -438,7 +434,7 @@ type fleetResponse struct {
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	flt := s.fleet()
+	flt := s.Fleet()
 	if flt == nil {
 		httpjson.Write(w, http.StatusOK, fleetResponse{Enabled: false})
 		return

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bitvec"
+	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/hdc/model"
 	"repro/internal/recovery"
@@ -37,11 +38,6 @@ type metrics struct {
 	watchdogTrips atomic.Int64 // watchdog escalations (tier 0 → 1)
 	rollbacks     atomic.Int64 // verified checkpoint rollbacks executed
 	checkpoints   atomic.Int64 // verified checkpoints captured
-
-	nodeScored     atomic.Int64 // queries scored through /node/score
-	nodeRepairs    atomic.Int64 // chunks applied through /node/repair
-	nodeRepairBits atomic.Int64 // bits written by pushed repairs
-	nodeReseeds    atomic.Int64 // full re-images through /node/reseed
 }
 
 // addFloat accumulates delta into a float64 stored as bits in u.
@@ -172,7 +168,7 @@ type Metrics struct {
 	Fleet *fleet.Status `json:"fleet,omitempty"`
 	// Node carries the node-API counters (nil unless this server runs
 	// as a cluster node).
-	Node *NodeInfo `json:"node,omitempty"`
+	Node *cluster.NodeInfo `json:"node,omitempty"`
 	// Journal carries the tamper-evident journal's chain state — seq,
 	// sealed seq, seal count, and the append-error counter that makes a
 	// failing sink visible (nil when no journal is attached).
@@ -182,15 +178,6 @@ type Metrics struct {
 	// the reader-pinned backlog (nil in fleet mode, where each replica
 	// runs its own chain).
 	Epochs *model.EpochStats `json:"epochs,omitempty"`
-}
-
-// NodeInfo reports cluster-node activity: what the coordinator asked
-// this process to score and repair.
-type NodeInfo struct {
-	Scored     int64 `json:"scored"`
-	Repairs    int64 `json:"repairs"`
-	RepairBits int64 `json:"repair_bits"`
-	Reseeds    int64 `json:"reseeds"`
 }
 
 // Snapshot assembles the current metrics document.
@@ -270,17 +257,12 @@ func (s *Server) MetricsSnapshot() Metrics {
 		out.Probe.Accuracy = math.Float64frombits(m.probeAcc.Load())
 		out.Probe.AgeSeconds = time.Since(time.Unix(0, m.probeAt.Load())).Seconds()
 	}
-	if flt := s.fleet(); flt != nil {
+	if flt := s.Fleet(); flt != nil {
 		st := flt.Status()
 		out.Fleet = &st
 	}
-	if s.cfg.NodeAPI {
-		out.Node = &NodeInfo{
-			Scored:     m.nodeScored.Load(),
-			Repairs:    m.nodeRepairs.Load(),
-			RepairBits: m.nodeRepairBits.Load(),
-			Reseeds:    m.nodeReseeds.Load(),
-		}
+	if s.node != nil {
+		out.Node = s.node.Info()
 	}
 	return out
 }

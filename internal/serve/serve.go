@@ -17,7 +17,8 @@
 //     keeps answering queries.
 //   - Operational endpoints (handlers.go): /predict, /train,
 //     /snapshot + /restore checkpointing, /attack fault-injection
-//     drills, /metrics and /healthz.
+//     drills, /metrics and /healthz; with Config.NodeAPI, also the
+//     /node/* endpoints of cluster.Node, which owns that protocol.
 //   - Graceful shutdown: Close drains the pool (every accepted
 //     request gets an answer), then drains the recovery queue, then
 //     stops the probe loop.
@@ -51,6 +52,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/bitvec"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/recovery"
@@ -149,7 +151,7 @@ type Config struct {
 	// tenancy existed.
 	ModelID string
 
-	// NodeAPI mounts the /node/* cluster-node endpoints: raw local
+	// NodeAPI mounts cluster.Node's /node/* endpoints: raw local
 	// scoring, chunk-hash summaries, chunk fetch/repair, and snapshot/
 	// reseed streaming for a networked coordinator (internal/cluster).
 	// Mutually exclusive with Fleet — a node IS one replica; stacking a
@@ -239,6 +241,10 @@ type Server struct {
 	pool  *pool
 	recCh chan *bitvec.Vector
 
+	// node answers /node/* (nil unless NodeAPI); built once, it keeps
+	// its counters across Handler calls.
+	node *cluster.Node
+
 	probeMu sync.Mutex
 	probeX  [][]float64
 	probeY  []int
@@ -271,6 +277,9 @@ func New(sys *core.System, cfg Config) (*Server, error) {
 		start: time.Now(),
 		recCh: make(chan *bitvec.Vector, recoveryQueue),
 		done:  make(chan struct{}),
+	}
+	if cfg.NodeAPI {
+		s.node = cluster.NewNode(s.installed, cfg.Journal, cfg.ModelID)
 	}
 	if sys != nil {
 		if err := s.install(sys); err != nil {
@@ -401,25 +410,28 @@ func (s *Server) installFleet(sys *core.System) error {
 	return nil
 }
 
-// fleet returns the live fleet (nil in single-model mode). Lock-free.
-func (s *Server) fleet() *fleet.Fleet {
+// Fleet exposes the live fleet for drills and status (nil in
+// single-model mode). Lock-free.
+func (s *Server) Fleet() *fleet.Fleet {
 	if st := s.live.Load(); st != nil {
 		return st.flt
 	}
 	return nil
 }
 
-// Fleet exposes the live fleet for drills and status (nil in
-// single-model mode).
-func (s *Server) Fleet() *fleet.Fleet { return s.fleet() }
+// installed returns the live system and replica (nils before install).
+func (s *Server) installed() (*core.System, *fleet.Replica) {
+	if st := s.live.Load(); st != nil {
+		return st.sys, st.rep
+	}
+	return nil, nil
+}
 
 // system returns the current system (nil before the first install).
 // Lock-free.
 func (s *Server) system() *core.System {
-	if st := s.live.Load(); st != nil {
-		return st.sys
-	}
-	return nil
+	sys, _ := s.installed()
+	return sys
 }
 
 // Ready reports whether a model is installed.
@@ -707,7 +719,7 @@ func (s *Server) Close() {
 	close(s.recCh) // recovery drains the backlog, then exits
 	close(s.done)  // stop the ticker loops
 	s.bg.Wait()
-	if flt := s.fleet(); flt != nil {
+	if flt := s.Fleet(); flt != nil {
 		flt.Close() // stop per-replica scrubbers and the sweep loop
 	}
 }
