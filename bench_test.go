@@ -198,10 +198,12 @@ func BenchmarkEncode(b *testing.B) {
 
 // BenchmarkEncodeBatch measures batch-major record encoding at D=10k
 // for the three served feature counts (PAMAP 75, UCIHAR 561, ISOLET
-// 617) and batch sizes 1, 8 and 16. Every op encodes the next batch of
-// a 64-sample pool, so table rows are not artificially hot. Each
-// parallel goroutine owns its scratch and destinations, so -cpu 2 runs
-// two concurrent encoders; ns/sample is wall time per encoded sample.
+// 617) and batch sizes 1, 8 and 16, under every registered kernel
+// tier. Every op encodes the next batch of a 64-sample pool, so the
+// level indices, and the level rows they pick, change from op to op.
+// Each parallel goroutine owns its scratch and destinations, so -cpu 2
+// runs two concurrent encoders; ns/sample is wall time per encoded
+// sample.
 func BenchmarkEncodeBatch(b *testing.B) {
 	for _, features := range []int{75, 561, 617} {
 		enc, err := encoding.NewRecordEncoder(10000, features, 8, 0, 1, 1)
@@ -218,18 +220,20 @@ func BenchmarkEncodeBatch(b *testing.B) {
 		}
 		for _, batch := range []int{1, 8, 16} {
 			b.Run(fmt.Sprintf("features=%d/batch=%d", features, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				b.RunParallel(func(pb *testing.PB) {
-					dsts := make([]*bitvec.Vector, batch)
-					for i := range dsts {
-						dsts[i] = bitvec.New(10000)
-					}
-					scratch := enc.NewScratch()
-					for next := 0; pb.Next(); next = (next + batch) % len(pool) {
-						enc.EncodeBatchInto(dsts, pool[next:next+batch], scratch)
-					}
+				forEachKernelBench(b, func(b *testing.B) {
+					b.ReportAllocs()
+					b.RunParallel(func(pb *testing.PB) {
+						dsts := make([]*bitvec.Vector, batch)
+						for i := range dsts {
+							dsts[i] = bitvec.New(10000)
+						}
+						scratch := enc.NewScratch()
+						for next := 0; pb.Next(); next = (next + batch) % len(pool) {
+							enc.EncodeBatchInto(dsts, pool[next:next+batch], scratch)
+						}
+					})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 				})
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 			})
 		}
 	}

@@ -64,7 +64,7 @@ func newTestRNG(seed uint64) *rand.Rand {
 
 // FuzzKernelEquivalence pins every registered SIMD kernel table
 // bit-identical to the portable reference on fuzzer-chosen lengths,
-// bit patterns, subslice offsets, and weights. Under `-tags purego`
+// bit patterns, subslice offsets, weights and bind feature counts. Under `-tags purego`
 // only the portable table exists and the target checks
 // self-consistency. The raw data bytes overwrite the vector prefix so
 // the fuzzer steers carry chains directly (all-ones words, alternating
@@ -120,6 +120,22 @@ func FuzzKernelEquivalence(f *testing.F) {
 		refCounter.AddWeighted(a, w)
 		refCounter.AddWeighted(b, -w)
 		refCounter.Sub(c)
+		// Bind-bundle-majority over fuzzed feature counts (padding rows,
+		// even-count ties) with level picks steered by the data bytes.
+		features := 1 + int(offRaw)%40
+		items := make([]*Vector, features)
+		lv := make([]int32, 2*features)
+		for k := range items {
+			items[k] = [...]*Vector{a, b, c, d, e}[k%5]
+			lv[k] = int32(k % 3)
+			if k < len(data) {
+				lv[k] = int32(data[k] % 3)
+			}
+			lv[features+k] = int32((k + int(w)&7) % 3)
+		}
+		bind := NewBindMemory(items, []*Vector{e, New(n), a})
+		refBind := []*Vector{New(n), New(n)}
+		bind.MajorityInto(refBind, lv, &BindScratch{})
 
 		for _, name := range AvailableKernels() {
 			if name == "portable" {
@@ -150,6 +166,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 					t.Fatalf("%s: plane count dim %d: %d != %d (n=%d)",
 						name, i, pc.Count(i), refPlane.Count(i), n)
 				}
+			}
+			got := []*Vector{New(n), New(n)}
+			bind.MajorityInto(got, lv, &BindScratch{})
+			if !got[0].Equal(refBind[0]) || !got[1].Equal(refBind[1]) {
+				t.Fatalf("%s: bind majority diverges (n=%d features=%d)", name, n, features)
 			}
 			cnt := NewCounter(n)
 			cnt.AddWeighted(a, w)

@@ -10,7 +10,8 @@ import (
 // kernelTable is one complete set of word-level SIMD kernels. Every
 // hot inner loop in this package — popcount-Hamming scoring, the
 // 8-wide carry-save bundling tree, the bit-plane ripple-carry, the
-// fleet majority vote, and the signed tally accumulation of training —
+// fleet majority vote, the signed tally accumulation of training and
+// the bind-bundle-majority sweep of record encoding —
 // dispatches through the active table, so an architecture back end
 // swaps all of them at once.
 //
@@ -54,6 +55,13 @@ type kernelTable struct {
 	// length. This is PlaneCounter's threshold/majority back end and
 	// the LogHD codeword-threshold hot path.
 	planeCompare func(gt, eq, plane []uint64, tb uint64)
+
+	// bindMajority is record encoding's fused bind-bundle-majority
+	// sweep over a BindMemory layout (see bindPass): it binds item and
+	// level rows on the fly, counts the binds per bit in bit planes
+	// held in registers for the whole feature sweep, and ends in the
+	// threshold compare or a plane dump.
+	bindMajority func(p *bindPass)
 }
 
 var portableTable = kernelTable{
@@ -66,6 +74,7 @@ var portableTable = kernelTable{
 	addScaled:  addScaledGo,
 
 	planeCompare: planeCompareGo,
+	bindMajority: bindMajorityGo,
 }
 
 // kern is the active kernel table, selected at init by the

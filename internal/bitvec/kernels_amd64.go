@@ -4,10 +4,12 @@ package bitvec
 
 import "math/bits"
 
-// Assembly kernels (kernels_amd64.s). Each processes n &^ 3 words (the
-// TALLY kernel processes all n whole words); the Go wrappers below peel
-// the remainder through the portable reference so any length and any
-// subslice alignment is bit-identical to the portable table.
+// Assembly kernels (kernels_amd64.s). The word-stream kernels process
+// n &^ 3 words (the TALLY kernel processes all n whole words); the Go
+// wrappers below peel the remainder through the portable reference so
+// any length and any subslice alignment is bit-identical to the
+// portable table. The bindMajority kernels need no tail: a BindMemory
+// is whole stripes and whole carry-save blocks by construction.
 
 //go:noescape
 func popcntXorHS(a, b *uint64, n int) int
@@ -32,6 +34,12 @@ func addScaledAsm(tallies *int32, words *uint64, n int, w int32)
 
 //go:noescape
 func planeCompareAsm(gt, eq, plane *uint64, n int, tb uint64)
+
+//go:noescape
+func bindMajorityY(out, planes, items, levels *uint64, offs *int32, masks *uint64, stripes, samples, features, stride, levelRows, top int)
+
+//go:noescape
+func bindMajorityZ(out, planes, items, levels *uint64, offs *int32, masks *uint64, stripes, samples, features, stride, levelRows, top int)
 
 func cpuidProbe(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -124,6 +132,21 @@ func planeCompareAVX2(gt, eq, plane []uint64, tb uint64) {
 	}
 }
 
+func bindMajorityAVX2(p *bindPass) { bindMajorityAsm(p, bindMajorityY) }
+
+func bindMajorityAVX512(p *bindPass) { bindMajorityAsm(p, bindMajorityZ) }
+
+func bindMajorityAsm(p *bindPass, f func(out, planes, items, levels *uint64, offs *int32, masks *uint64, stripes, samples, features, stride, levelRows, top int)) {
+	var out, planes *uint64
+	if p.planes != nil {
+		planes = &p.planes[0]
+	} else {
+		out = &p.out[0]
+	}
+	f(out, planes, &p.items[0], &p.levels[0], &p.offs[0], &p.masks[0],
+		p.stripes, p.samples, p.features, p.stride, p.levelRows, bits.Len(uint(p.features)))
+}
+
 // CPUID feature bits (Intel SDM vol. 2, CPUID leaf 1 ECX and leaf 7
 // EBX/ECX), plus the XCR0 state-component bits AVX and AVX-512 need
 // the OS to have enabled.
@@ -181,16 +204,21 @@ func init() {
 		addScaled:  addScaledAVX2,
 
 		planeCompare: planeCompareAVX2,
+		bindMajority: bindMajorityAVX2,
 	}
 	registerKernels(avx2)
 	best := avx2
 	if cpuHasAVX512Popcnt() {
-		// Same AVX2 table with the popcount-Hamming kernel swapped for
-		// hardware VPOPCNTQ; the bitwise kernels gain nothing from
-		// wider encodings at 256-bit lanes.
+		// The AVX2 table with two kernels swapped: popcount-Hamming for
+		// hardware VPOPCNTQ, and the bind-bundle-majority sweep for the
+		// 512-bit VPTERNLOGQ kernel, whose 32 registers hold all eleven
+		// count planes and a 16-bind carry-save block at once. The
+		// streaming kernels stay on 256-bit lanes: they are bound by
+		// memory, not by lane width.
 		vp := avx2
 		vp.name = "avx512popcnt"
 		vp.popcntXor = popcntXorAVX512
+		vp.bindMajority = bindMajorityAVX512
 		registerKernels(vp)
 		best = vp
 	}

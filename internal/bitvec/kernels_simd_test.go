@@ -313,6 +313,90 @@ func TestKernelCounterAddScaledEquivalence(t *testing.T) {
 	})
 }
 
+// bindMajorityRef is the per-bit reference of BindMemory.MajorityInto:
+// count the binds one bit at a time, then take the majority with the
+// even-dimension tie rule.
+func bindMajorityRef(items, levels []*Vector, lv []int32) *Vector {
+	n := items[0].Len()
+	out := New(n)
+	for i := 0; i < n; i++ {
+		c := 0
+		for k, it := range items {
+			if it.Get(i) != levels[lv[k]].Get(i) {
+				c++
+			}
+		}
+		out.Set(i, 2*c > len(items) || 2*c == len(items) && i%2 == 0)
+	}
+	return out
+}
+
+func TestKernelBindMajorityEquivalence(t *testing.T) {
+	forEachKernel(t, func(t *testing.T, name string) {
+		rng := kernelRNG(210)
+		for _, n := range []int{1, 63, 64, 65, 100, 257, 10000} {
+			// Feature counts straddle the 16-row block (zero-row
+			// padding), reach every top plane from 4 to 10, include
+			// even counts (ties) and, at small n, cross the register
+			// planes' 2032-row sweep into the plane-merging path.
+			counts := []int{1, 2, 15, 16, 17, 64, 75, 200, 300, 617}
+			if n <= 257 {
+				counts = append(counts, 2032, 2033, 2048, 4100)
+			}
+			for _, features := range counts {
+				levels := make([]*Vector, 5)
+				for l := range levels {
+					levels[l] = patternedVector(n, l%4, rng)
+				}
+				items := make([]*Vector, features)
+				for k := range items {
+					items[k] = patternedVector(n, k%5, rng)
+				}
+				m := NewBindMemory(items, levels)
+				const samples = 3
+				lv := make([]int32, samples*features)
+				for j := range lv {
+					lv[j] = int32(rng.IntN(len(levels)))
+				}
+				// Sample 1 binds every item to the all-zeros level: the
+				// all-ones items (every fifth) saturate no plane, but a
+				// count of exactly half is reachable at even counts.
+				for k := 0; k < features; k++ {
+					lv[features+k] = 0
+				}
+				dsts := make([]*Vector, samples)
+				for i := range dsts {
+					dsts[i] = Random(n, rng)
+				}
+				m.MajorityInto(dsts, lv, &BindScratch{})
+				for i, got := range dsts {
+					if want := bindMajorityRef(items, levels, lv[i*features:(i+1)*features]); !got.Equal(want) {
+						t.Fatalf("n=%d features=%d sample %d: bind majority diverges from the per-bit reference", n, features, i)
+					}
+				}
+				// Saturated counts: all-ones items bound to the all-zeros
+				// level count every feature in every bit, filling the top
+				// plane; bound to all-ones they count nothing; half of each
+				// ties at even counts.
+				ones := patternedVector(n, 1, rng)
+				for k := range items {
+					items[k] = ones
+				}
+				m = NewBindMemory(items, levels[:2])
+				for k := 0; k < features; k++ {
+					lv[k], lv[features+k], lv[2*features+k] = 0, 1, int32(k%2)
+				}
+				m.MajorityInto(dsts, lv, &BindScratch{})
+				for i, got := range dsts {
+					if want := bindMajorityRef(items, levels, lv[i*features:(i+1)*features]); !got.Equal(want) {
+						t.Fatalf("n=%d features=%d saturated sample %d: bind majority diverges from the per-bit reference", n, features, i)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestNearestEarlyAbandonSurvivesSIMD instruments the dispatched
 // popcount kernel with a word counter and proves the vectorized path
 // still abandons hopeless candidates between SIMD blocks: with one

@@ -232,27 +232,6 @@ func TestFlipBernoulliCoversAllPositions(t *testing.T) {
 	}
 }
 
-func TestPlaneCounterPresizeKeepsSemantics(t *testing.T) {
-	rng := kernelRNG(111)
-	const n, adds = 300, 37
-	plain := NewPlaneCounter(n)
-	sized := NewPlaneCounter(n)
-	sized.Presize(adds)
-	for i := 0; i < adds; i++ {
-		v := Random(n, rng)
-		plain.Add(v)
-		sized.Add(v)
-	}
-	for i := 0; i < n; i++ {
-		if plain.Count(i) != sized.Count(i) {
-			t.Fatalf("dim %d: plain count %d != presized count %d", i, plain.Count(i), sized.Count(i))
-		}
-	}
-	if !plain.Majority().Equal(sized.Majority()) {
-		t.Fatal("presized counter majority diverges")
-	}
-}
-
 func TestPlaneCounterIntoVariantsMatchAllocating(t *testing.T) {
 	rng := kernelRNG(112)
 	const n = 500

@@ -1,18 +1,15 @@
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // PlaneCounter counts, per dimension, how many added vectors had that
 // bit set. Counts are stored bit-sliced: plane b holds bit b of every
 // dimension's count, so adding a vector is a word-wise carry chain
-// (O(words · log adds)) instead of a per-bit loop. This is the hot
-// accumulator behind record encoding, where every sample bundles
-// hundreds of bound feature hypervectors.
+// (O(words · log adds)) instead of a per-bit loop. LogHD bundles its
+// codeword planes through it, and record encoding merges the counts of
+// feature blocks too long for the encode kernel's registers into it.
 //
-// Bulk adds (AddMany, AddGroup) go through a two-level carry-save front
+// Bulk adds (AddMany) go through a two-level carry-save front
 // end instead of the planes. Level one folds eight weight-1 rows into
 // running ones/twos/fours accumulators and emits one weight-8 row; eight
 // pending weight-8 rows fold through level two into weight-8/16/32
@@ -21,10 +18,8 @@ import (
 // Threshold, Majority).
 //
 // A PlaneCounter is built for reuse: every scratch row lives on the
-// counter (no per-call allocation), Presize pre-allocates what a known
-// add-count needs, and Reset keeps every buffer for the next
-// accumulation. Encoding scratch pools rely on this — a warmed counter
-// makes the steady-state encode path allocation-free.
+// counter (no per-call allocation), and Reset keeps every buffer for
+// the next accumulation, so a warmed counter adds without allocating.
 type PlaneCounter struct {
 	planes [][]uint64
 	// carry is Add's ripple-carry scratch and level two's weight-64
@@ -63,21 +58,6 @@ func (p *PlaneCounter) Len() int { return p.n }
 
 // Adds returns how many vectors have been accumulated.
 func (p *PlaneCounter) Adds() int { return p.adds }
-
-// Presize allocates enough planes up front for per-dimension counts up
-// to adds, plus the carry-save front end, so no add in a bundle of that
-// many vectors grows the counter. Presizing an already-large counter is
-// a no-op; everything survives Reset, so a pooled counter pays the
-// allocation once.
-func (p *PlaneCounter) Presize(adds int) {
-	if adds <= 0 || p.words == 0 {
-		return
-	}
-	for len(p.planes) < bits.Len(uint(adds)) {
-		p.planes = append(p.planes, make([]uint64, p.words))
-	}
-	p.ensureRows()
-}
 
 // ensureRows allocates the carry scratch and the front-end rows in one
 // backing array.
@@ -172,23 +152,6 @@ func (p *PlaneCounter) AddMany(vs []*Vector) {
 		p.addGroup(n)
 		vs = vs[n:]
 	}
-}
-
-// AddGroup accumulates up to eight rows of raw words as one carry-save
-// step; absent rows count as zero. Every row must hold exactly the
-// counter's word count, ceil(Len()/64). It is AddMany's step, for callers that bundle rows of a flat table
-// rather than Vectors — record encoding feeds it bound rows directly.
-func (p *PlaneCounter) AddGroup(rows [][]uint64) {
-	if len(rows) > 8 {
-		panic(fmt.Sprintf("bitvec: carry-save group of %d rows, max 8", len(rows)))
-	}
-	for k, r := range rows {
-		if len(r) != p.words {
-			panic(fmt.Sprintf("bitvec: plane counter row of %d words != %d", len(r), p.words))
-		}
-		p.group[k] = r
-	}
-	p.addGroup(len(rows))
 }
 
 // addGroup folds group[:n] through level one, padding the rest with
@@ -320,9 +283,6 @@ func (p *PlaneCounter) compareInto(dst *Vector, thresh int, withTies bool) {
 		kern.planeCompare(gt, eq, p.planes[b], tb)
 	}
 	if withTies {
-		// evenMask selects even global bit indices; word offsets are
-		// multiples of 64, so global parity equals in-word parity.
-		const evenMask = 0x5555555555555555
 		for w := 0; w < p.words; w++ {
 			dst.words[w] = gt[w] | eq[w]&evenMask
 		}

@@ -32,22 +32,18 @@ type Encoder interface {
 	Dimensions() int
 }
 
-// DefaultBoundCacheBudget caps the memory the flat bound table may
-// occupy (64 MiB). The full table costs BoundCacheBytes; encoders whose
-// table fits the budget build it at construction, others compute each
-// bind on the fly into scratch.
-const DefaultBoundCacheBudget = 64 << 20
-
 // MaxLevelMemory caps the level memory (levels · dims/8 bytes) an
 // encoder may be asked to build (16 MiB, over 13k levels at D=10k), so
 // a configuration or snapshot header cannot demand an unbounded
 // allocation.
 const MaxLevelMemory = 16 << 20
 
-// MaxItemMemory caps the item memory (features · dims/8 bytes, one base
-// hypervector per feature) an encoder may be asked to build (64 MiB,
-// over 50k features at D=10k). The bound table on top of it is capped
-// by DefaultBoundCacheBudget.
+// MaxItemMemory caps the item memory an encoder may be asked to build
+// (64 MiB, over 50k features at D=10k): one base hypervector per
+// feature, stored in the whole 512-bit stripes and 16-row blocks the
+// encode kernel reads (bitvec.BindRowBytes per row). The encoder
+// stores no per-bind table, so beside the level hypervectors this is
+// all it holds.
 const MaxItemMemory = 64 << 20
 
 // MaxCounterMemory caps the int32 training counters (classes · dims · 4
@@ -55,18 +51,11 @@ const MaxItemMemory = 64 << 20
 // over 6,700 classes at D=10k).
 const MaxCounterMemory = 256 << 20
 
-// MaxBatch is the most samples one batch-major pass encodes together:
-// the per-sample carry-save state of a pass stays cache-resident next to
-// the table rows it shares. Longer batches run as consecutive passes.
+// MaxBatch is the most samples one encode pass sweeps together: the
+// kernel walks stripes outer and the pass's samples inner, so each
+// stripe's item slice is read from L1 by every sample of the pass.
+// Longer batches run as consecutive passes.
 const MaxBatch = 16
-
-// BoundCacheBytes returns the memory cost of a full bound table:
-// features·levels vectors of dims bits, i.e. features·levels·dims/8
-// bytes (rounded up to whole 64-bit words per vector).
-func BoundCacheBytes(dims, features, levels int) int64 {
-	words := int64((dims + 63) / 64)
-	return int64(features) * int64(levels) * words * 8
-}
 
 // ValidateLevels checks a level count against dims: at least 2 levels,
 // and at most MaxLevelMemory bytes of level hypervectors.
@@ -81,12 +70,15 @@ func ValidateLevels(dims, levels int) error {
 }
 
 // ValidateFeatures checks a feature count against dims: at least one
-// feature, and at most MaxItemMemory bytes of base hypervectors.
+// feature, and at most MaxItemMemory bytes of striped base
+// hypervectors.
 func ValidateFeatures(dims, features int) error {
 	if features <= 0 {
 		return fmt.Errorf("encoding: features must be positive, got %d", features)
 	}
-	if words := int64((dims + 63) / 64); words > 0 && int64(features) > MaxItemMemory/(8*words) {
+	// A row costs at least 64 bytes, so more features than cap bytes
+	// never fit; testing that first keeps BindRows from overflowing.
+	if features > MaxItemMemory || dims > 0 && int64(bitvec.BindRows(features)) > MaxItemMemory/bitvec.BindRowBytes(dims) {
 		return fmt.Errorf("encoding: %d features of %d bits exceed the %d-byte item-memory cap", features, dims, MaxItemMemory)
 	}
 	return nil
@@ -107,35 +99,23 @@ func ValidateClasses(dims, classes int) error {
 // is safe for concurrent use: everything it reads is built at
 // construction.
 //
-// The bound table stores every bind L(l) ⊕ B_k as one flat row, so
-// the encode hot loop bundles table rows instead of binding. It is
-// built whenever it fits DefaultBoundCacheBudget; otherwise the base
-// hypervectors are kept and each group of eight binds is computed into
-// scratch before feeding the same bundler.
+// The encoder keeps only the base hypervectors B_k and the level
+// hypervectors L(l), laid out in one bitvec.BindMemory, and binds on
+// the fly: each bind L(l_k) ⊕ B_k is one register XOR inside the fused
+// bind-bundle-majority kernel, so no table of products is stored.
 type RecordEncoder struct {
-	levels   *hdc.LevelMemory
+	mem      *bitvec.BindMemory
 	dims     int
-	words    int
 	features int
+	levels   int
 	lo, hi   float64
-
-	// table holds L(l) ⊕ B_k at word offset (k·levels + l)·words; nil
-	// when over budget, in which case items holds B_k.
-	table   []uint64
-	items   []*bitvec.Vector
-	scratch sync.Pool // *Scratch, for calls without caller scratch
+	scratch  sync.Pool // *Scratch, for calls without caller scratch
 }
 
 // NewRecordEncoder builds an encoder for feature vectors of length
 // features, quantizing each feature into levels buckets over the
 // value range [lo, hi].
 func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (*RecordEncoder, error) {
-	return newRecordEncoder(dims, features, levels, lo, hi, seed, DefaultBoundCacheBudget)
-}
-
-// newRecordEncoder is NewRecordEncoder with an explicit bound-table
-// budget; tests pass 0 to reach the over-budget path.
-func newRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64, budget int64) (*RecordEncoder, error) {
 	if err := ValidateFeatures(dims, features); err != nil {
 		return nil, err
 	}
@@ -157,27 +137,19 @@ func newRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64, b
 	for k := range items {
 		items[k] = im.Vector(k)
 	}
-	e := &RecordEncoder{levels: lv, dims: dims, words: (dims + 63) / 64, features: features, lo: lo, hi: hi}
-	if BoundCacheBytes(dims, features, levels) > budget {
-		e.items = items
-		return e, nil
+	levelVecs := make([]*bitvec.Vector, levels)
+	for l := range levelVecs {
+		levelVecs[l] = lv.Vector(l)
 	}
-	e.table = make([]uint64, features*levels*e.words)
-	row := e.table
-	for _, b := range items {
-		for l := 0; l < levels; l++ {
-			lw, bw := lv.Vector(l).Words(), b.Words()
-			for i := range lw {
-				row[i] = lw[i] ^ bw[i]
-			}
-			row = row[e.words:]
-		}
-	}
-	return e, nil
+	return &RecordEncoder{
+		mem:      bitvec.NewBindMemory(items, levelVecs),
+		dims:     dims,
+		features: features,
+		levels:   levels,
+		lo:       lo,
+		hi:       hi,
+	}, nil
 }
-
-// BoundCacheEnabled reports whether the flat bound table was built.
-func (e *RecordEncoder) BoundCacheEnabled() bool { return e.table != nil }
 
 // Dimensions returns the hypervector dimensionality.
 func (e *RecordEncoder) Dimensions() int { return e.dims }
@@ -185,29 +157,19 @@ func (e *RecordEncoder) Dimensions() int { return e.dims }
 // Features returns the expected original-space feature count.
 func (e *RecordEncoder) Features() int { return e.features }
 
-// Scratch holds the reusable working state of encode calls: one
-// bit-sliced bundling counter per sample of a batch-major pass, the
-// row gather list, and (over budget) the bind rows. A Scratch is not
-// safe for concurrent use — give each worker its own.
+// Scratch holds the reusable working state of encode calls: the
+// quantized level index of every feature of a pass and the kernel's
+// scratch. A Scratch is not safe for concurrent use — give each worker
+// its own.
 type Scratch struct {
-	counters []*bitvec.PlaneCounter
-	group    [8][]uint64
-	binds    [8]*bitvec.Vector
+	lv   []int32
+	bind bitvec.BindScratch
 }
 
-// NewScratch returns encode scratch sized for this encoder. Counters
-// for batch slots are added on first use and kept, so once a scratch
-// has encoded a batch of some size, batches up to that size allocate
-// nothing.
-func (e *RecordEncoder) NewScratch() *Scratch {
-	s := &Scratch{}
-	if e.table == nil {
-		for j := range s.binds {
-			s.binds[j] = bitvec.New(e.dims)
-		}
-	}
-	return s
-}
+// NewScratch returns encode scratch for this encoder. Buffers grow on
+// first use and are kept, so once a scratch has encoded a batch of
+// some size, batches up to that size allocate nothing.
+func (e *RecordEncoder) NewScratch() *Scratch { return &Scratch{} }
 
 // Encode maps a feature vector to a hypervector: bind each feature's
 // level vector with its positional base vector, then bundle by
@@ -227,11 +189,10 @@ func (e *RecordEncoder) EncodeInto(dst *bitvec.Vector, features []float64, s *Sc
 }
 
 // EncodeBatchInto encodes rows[i] into dsts[i] for every i, bit-
-// identical to encoding each row on its own. It walks feature groups
-// of eight in the outer loop and the batch's samples in the inner one,
-// each sample keeping its own carry-save state, so a group's table rows
-// stay in cache across the whole batch; batches longer than MaxBatch
-// run as consecutive passes. Every row must have Features() values and
+// identical to encoding each row on its own. Each pass of at most
+// MaxBatch samples quantizes its rows, then runs one kernel sweep that
+// walks the hypervector's stripes in the outer loop and the pass's
+// samples in the inner one. Every row must have Features() values and
 // every dst Dimensions() bits. With caller-owned dsts and scratch the
 // call is allocation-free once the scratch has seen a batch this size;
 // a nil s borrows scratch from the encoder's internal pool.
@@ -256,42 +217,17 @@ func (e *RecordEncoder) EncodeBatchInto(dsts []*bitvec.Vector, rows [][]float64,
 	}
 	for len(rows) > 0 {
 		n := min(len(rows), MaxBatch)
-		e.encodePass(dsts[:n], rows[:n], s)
-		dsts, rows = dsts[n:], rows[n:]
-	}
-}
-
-// encodePass runs one batch-major pass over at most MaxBatch samples.
-func (e *RecordEncoder) encodePass(dsts []*bitvec.Vector, rows [][]float64, s *Scratch) {
-	for len(s.counters) < len(rows) {
-		c := bitvec.NewPlaneCounter(e.dims)
-		c.Presize(e.features)
-		s.counters = append(s.counters, c)
-	}
-	cs := s.counters[:len(rows)]
-	for _, c := range cs {
-		c.Reset()
-	}
-	nl := e.levels.Levels()
-	for k0 := 0; k0 < e.features; k0 += len(s.group) {
-		g := s.group[:min(len(s.group), e.features-k0)]
-		for i, row := range rows {
-			for j := range g {
-				k := k0 + j
-				l := e.levels.Quantize(row[k], e.lo, e.hi)
-				if e.table != nil {
-					off := (k*nl + l) * e.words
-					g[j] = e.table[off : off+e.words : off+e.words]
-				} else {
-					e.levels.Vector(l).XorInto(s.binds[j], e.items[k])
-					g[j] = s.binds[j].Words()
-				}
-			}
-			cs[i].AddGroup(g)
+		if cap(s.lv) < n*e.features {
+			s.lv = make([]int32, MaxBatch*e.features)
 		}
-	}
-	for i, c := range cs {
-		c.MajorityInto(dsts[i])
+		lv := s.lv[:n*e.features]
+		for i, row := range rows[:n] {
+			for k, f := range row {
+				lv[i*e.features+k] = int32(hdc.Quantize(f, e.lo, e.hi, e.levels))
+			}
+		}
+		e.mem.MajorityInto(dsts[:n], lv, &s.bind)
+		dsts, rows = dsts[n:], rows[n:]
 	}
 }
 

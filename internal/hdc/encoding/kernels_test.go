@@ -10,18 +10,23 @@ import (
 )
 
 // encodeRef is the reference record encoder: the textbook bind then
-// bundle, counted one bit at a time with no table, no carry-save tree
-// and no batching. The base vectors are regenerated from the seed, so
-// nothing the encoder built is trusted. Ties at even feature counts
-// break by dimension parity, as PlaneCounter.Majority does.
+// bundle, counted one bit at a time with no striping, no carry-save
+// tree and no batching. The base and level vectors are regenerated from
+// the seed, so nothing the encoder built is trusted. Ties at even
+// feature counts break by dimension parity, as PlaneCounter.Majority
+// does.
 func encodeRef(e *RecordEncoder, seed uint64, features []float64) *bitvec.Vector {
 	items, err := hdc.NewItemMemory(e.Dimensions(), seed)
 	if err != nil {
 		panic(err)
 	}
+	levels, err := hdc.NewLevelMemory(e.Dimensions(), e.levels, seed^0xE7037ED1A0B428DB)
+	if err != nil {
+		panic(err)
+	}
 	counts := make([]int, e.Dimensions())
 	for k, f := range features {
-		bound := e.levels.Vector(e.levels.Quantize(f, e.lo, e.hi)).Xor(items.Vector(k))
+		bound := levels.Vector(levels.Quantize(f, e.lo, e.hi)).Xor(items.Vector(k))
 		for i := range counts {
 			if bound.Get(i) {
 				counts[i]++
@@ -47,26 +52,22 @@ func randFeatures(n int, seed uint64) []float64 {
 
 // TestEncodeBatchMatchesReference proves every encode entry point
 // reproduces the per-bit reference: EncodeBatchInto at batch sizes on
-// both sides of MaxBatch, EncodeInto and Encode, on the table path and
-// the over-budget path. Feature counts straddle the eight-row group and
-// the 64-row level-two fold, dimensions straddle the word boundary;
-// even feature counts exercise the majority tie-break.
+// both sides of MaxBatch, EncodeInto and Encode. Feature counts
+// straddle the kernel's 16-row block and, at small dims, the 2047
+// counts its register planes hold; dimensions straddle the word and
+// the 8-word stripe; even feature counts exercise the majority
+// tie-break.
 func TestEncodeBatchMatchesReference(t *testing.T) {
 	const seed = 42
 	dimsGrid := []int{1, 63, 64, 65, 100, 257, 10000}
-	for _, nf := range []int{1, 2, 7, 8, 9, 63, 64, 65, 75, 561, 617} {
+	for _, nf := range []int{1, 2, 7, 8, 9, 63, 64, 65, 75, 561, 617, 2047, 2048, 2049, 4100} {
 		for _, dims := range dimsGrid {
-			table, err := NewRecordEncoder(dims, nf, 8, 0, 1, seed)
+			if nf > 617 && dims > 257 {
+				continue
+			}
+			e, err := NewRecordEncoder(dims, nf, 8, 0, 1, seed)
 			if err != nil {
 				t.Fatal(err)
-			}
-			over, err := newRecordEncoder(dims, nf, 8, 0, 1, seed, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !table.BoundCacheEnabled() || over.BoundCacheEnabled() {
-				t.Fatalf("nf=%d dims=%d: table built %v / %v, want true / false",
-					nf, dims, table.BoundCacheEnabled(), over.BoundCacheEnabled())
 			}
 			rows := make([][]float64, MaxBatch+1)
 			want := make([]*bitvec.Vector, len(rows))
@@ -74,44 +75,35 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 				rows[i] = randFeatures(nf, uint64(100*nf+dims+i))
 				// Values outside [lo, hi] clamp to the end levels.
 				rows[i][i%nf] = float64(i%3) - 0.5
-				want[i] = encodeRef(table, seed, rows[i])
+				want[i] = encodeRef(e, seed, rows[i])
 			}
-			for name, e := range map[string]*RecordEncoder{"table": table, "over-budget": over} {
-				scratch := e.NewScratch()
-				for _, batch := range []int{1, 3, MaxBatch, MaxBatch + 1} {
-					dsts := make([]*bitvec.Vector, batch)
-					for i := range dsts {
-						dsts[i] = bitvec.Random(dims, stats.NewRNG(uint64(i)))
-					}
-					e.EncodeBatchInto(dsts, rows[:batch], scratch)
-					for i, got := range dsts {
-						if !got.Equal(want[i]) {
-							t.Fatalf("%s nf=%d dims=%d batch=%d: sample %d diverges from the reference", name, nf, dims, batch, i)
-						}
+			scratch := e.NewScratch()
+			for _, batch := range []int{1, 3, MaxBatch, MaxBatch + 1} {
+				dsts := make([]*bitvec.Vector, batch)
+				for i := range dsts {
+					dsts[i] = bitvec.Random(dims, stats.NewRNG(uint64(i)))
+				}
+				e.EncodeBatchInto(dsts, rows[:batch], scratch)
+				for i, got := range dsts {
+					if !got.Equal(want[i]) {
+						t.Fatalf("nf=%d dims=%d batch=%d: sample %d diverges from the reference", nf, dims, batch, i)
 					}
 				}
-				dst := bitvec.New(dims)
-				e.EncodeInto(dst, rows[2], scratch)
-				if !dst.Equal(want[2]) || !e.Encode(rows[1]).Equal(want[1]) {
-					t.Fatalf("%s nf=%d dims=%d: single-sample encode diverges from the reference", name, nf, dims)
-				}
+			}
+			dst := bitvec.New(dims)
+			e.EncodeInto(dst, rows[2], scratch)
+			if !dst.Equal(want[2]) || !e.Encode(rows[1]).Equal(want[1]) {
+				t.Fatalf("nf=%d dims=%d: single-sample encode diverges from the reference", nf, dims)
 			}
 		}
 	}
 }
 
 // TestEncodeCachedMatchesReference pins Encode and scratch-reusing
-// EncodeInto, with and without the bound table, to the reference.
+// EncodeInto to the reference.
 func TestEncodeCachedMatchesReference(t *testing.T) {
 	for _, nf := range []int{1, 7, 8, 20, 75} {
 		e, err := NewRecordEncoder(2048, nf, 8, 0, 1, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !e.BoundCacheEnabled() {
-			t.Fatalf("nf=%d: bound table should fit the default budget", nf)
-		}
-		uncached, err := newRecordEncoder(2048, nf, 8, 0, 1, 42, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,10 +113,7 @@ func TestEncodeCachedMatchesReference(t *testing.T) {
 			x := randFeatures(nf, uint64(100+trial))
 			want := encodeRef(e, 42, x)
 			if got := e.Encode(x); !got.Equal(want) {
-				t.Fatalf("nf=%d trial %d: cached Encode diverges from reference", nf, trial)
-			}
-			if got := uncached.Encode(x); !got.Equal(want) {
-				t.Fatalf("nf=%d trial %d: uncached Encode diverges from reference", nf, trial)
+				t.Fatalf("nf=%d trial %d: Encode diverges from reference", nf, trial)
 			}
 			e.EncodeInto(dst, x, scratch)
 			if !dst.Equal(want) {
@@ -180,37 +169,25 @@ func TestEncodeConcurrentCacheFill(t *testing.T) {
 
 // TestEncodeBatchIntoAllocs pins the zero-allocation contract: with
 // caller-owned destinations and scratch, a batch-major encode
-// allocates nothing, on either path.
+// allocates nothing, in register planes or past them.
 func TestEncodeBatchIntoAllocs(t *testing.T) {
-	for _, budget := range []int64{DefaultBoundCacheBudget, 0} {
-		e, err := newRecordEncoder(2048, 75, 8, 0, 1, 3, budget)
+	for _, c := range []struct{ dims, features int }{{2048, 75}, {64, 2049}} {
+		e, err := NewRecordEncoder(c.dims, c.features, 8, 0, 1, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows := make([][]float64, MaxBatch+3)
 		dsts := make([]*bitvec.Vector, len(rows))
 		for i := range rows {
-			rows[i], dsts[i] = randFeatures(75, uint64(i)), bitvec.New(2048)
+			rows[i], dsts[i] = randFeatures(c.features, uint64(i)), bitvec.New(c.dims)
 		}
 		scratch := e.NewScratch()
 		if allocs := testing.AllocsPerRun(20, func() { e.EncodeBatchInto(dsts, rows, scratch) }); allocs != 0 {
-			t.Fatalf("budget %d: EncodeBatchInto allocated %v times per call", budget, allocs)
+			t.Fatalf("%d features: EncodeBatchInto allocated %v times per call", c.features, allocs)
 		}
 		if allocs := testing.AllocsPerRun(20, func() { e.EncodeInto(dsts[0], rows[0], scratch) }); allocs != 0 {
-			t.Fatalf("budget %d: EncodeInto allocated %v times per call", budget, allocs)
+			t.Fatalf("%d features: EncodeInto allocated %v times per call", c.features, allocs)
 		}
-	}
-}
-
-func TestBoundCacheBudgetDisablesLargeTables(t *testing.T) {
-	// 200k dims × 200 features × 64 levels ≈ 320 MB > 64 MiB budget.
-	e, err := NewRecordEncoder(200000, 200, 64, 0, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.BoundCacheEnabled() {
-		t.Fatalf("table built for %d bytes over the %d budget",
-			BoundCacheBytes(200000, 200, 64), int64(DefaultBoundCacheBudget))
 	}
 }
 
@@ -235,13 +212,6 @@ func TestValidateLevelsCapsLevelMemory(t *testing.T) {
 	}
 	if _, err := NewRecordEncoder(1024, 1, 1<<20, 0, 1, 1); err == nil {
 		t.Fatal("encoder built a 128 MiB level memory")
-	}
-}
-
-func TestBoundCacheBytesFormula(t *testing.T) {
-	// 10000 bits → 157 words → 1256 bytes per vector.
-	if got, want := BoundCacheBytes(10000, 75, 8), int64(75*8*157*8); got != want {
-		t.Fatalf("BoundCacheBytes = %d, want %d", got, want)
 	}
 }
 
