@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/hdc"
 	"repro/internal/hdc/am"
 	"repro/internal/hdc/encoding"
 	"repro/internal/hdc/model"
@@ -324,22 +325,6 @@ func BenchmarkHammingManySIMD(b *testing.B) {
 	})
 }
 
-// BenchmarkAddManySIMD bundles 75 vectors at D=10000 into a plane
-// counter through each kernel tier (the encode-hot CSA tree).
-func BenchmarkAddManySIMD(b *testing.B) {
-	rng := stats.NewRNG(5)
-	vs := make([]*bitvec.Vector, 75)
-	for i := range vs {
-		vs[i] = bitvec.Random(10000, rng)
-	}
-	forEachKernelBench(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := bitvec.NewPlaneCounter(10000)
-			c.AddMany(vs)
-		}
-	})
-}
-
 // BenchmarkMajorityIntoSIMD votes 3- and 5-replica majorities at
 // D=10000 through each kernel tier (the fleet anti-entropy kernel).
 func BenchmarkMajorityIntoSIMD(b *testing.B) {
@@ -359,27 +344,6 @@ func BenchmarkMajorityIntoSIMD(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkPlaneThresholdSIMD thresholds a warmed 75-add plane counter
-// at D=10000 through each kernel tier — the comparison sweep behind
-// PlaneCounter majority bundling and the LogHD codeword-threshold
-// path.
-func BenchmarkPlaneThresholdSIMD(b *testing.B) {
-	rng := stats.NewRNG(8)
-	vs := make([]*bitvec.Vector, 75)
-	for i := range vs {
-		vs[i] = bitvec.Random(10000, rng)
-	}
-	c := bitvec.NewPlaneCounter(10000)
-	c.AddMany(vs)
-	dst := bitvec.New(10000)
-	forEachKernelBench(b, func(b *testing.B) {
-		b.SetBytes(int64(10000 / 8))
-		for i := 0; i < b.N; i++ {
-			c.MajorityInto(dst)
-		}
-	})
 }
 
 // BenchmarkNearestEarlyAbandon pins the block-level abandon win at
@@ -471,8 +435,7 @@ func BenchmarkHamming10k(b *testing.B) {
 	}
 }
 
-// BenchmarkBundle measures bit-sliced majority accumulation of 100
-// hypervectors.
+// BenchmarkBundle measures the majority bundle of 100 hypervectors.
 func BenchmarkBundle(b *testing.B) {
 	rng := stats.NewRNG(2)
 	vs := make([]*bitvec.Vector, 100)
@@ -481,11 +444,27 @@ func BenchmarkBundle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := bitvec.NewPlaneCounter(10000)
-		for _, v := range vs {
-			c.Add(v)
+		hdc.Bundle(vs...)
+	}
+}
+
+// BenchmarkCompressLogHD folds a 5-class model at D=10000 into a LogHD
+// deployment with 2 redundancy planes, the shape of a PAMAP tenant
+// served through the LogHD backend.
+func BenchmarkCompressLogHD(b *testing.B) {
+	rng := stats.NewRNG(9)
+	m, err := model.New(5, 10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < m.Classes(); c++ {
+		m.SetClassVector(c, bitvec.Random(10000, rng))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.CompressLogHD(m, 2); err != nil {
+			b.Fatal(err)
 		}
-		c.Majority()
 	}
 }
 

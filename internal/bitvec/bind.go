@@ -16,8 +16,8 @@ const (
 	// registers, so one call counts at most 2^bindPlanes-1 per bit.
 	bindPlanes = 11
 	// bindMaxFeatures is the most (padded) features one kernel call
-	// sweeps; longer records sweep in blocks whose planes merge in a
-	// PlaneCounter.
+	// sweeps; longer records sweep in blocks whose planes merge in
+	// mergePlanes.
 	bindMaxFeatures = (1<<bindPlanes - 1) &^ (bindBlock - 1)
 )
 
@@ -107,13 +107,13 @@ type BindScratch struct {
 	offs   []int32
 	out    []uint64
 	planes []uint64
-	wide   []*PlaneCounter
+	sums   []uint64
 }
 
 // MajorityInto sets every dsts[i] to the majority bundle
 // Majority_k(items[k] ⊕ levels[lv[i·F+k]]), F the number of items,
-// with the PlaneCounter tie rule: an exact tie at an even feature count
-// sets the even dimensions. It panics on a shape mismatch or a level
+// with the parity tie rule: an exact tie at an even feature count sets
+// the even dimensions. It panics on a shape mismatch or a level
 // index out of range.
 func (m *BindMemory) MajorityInto(dsts []*Vector, lv []int32, s *BindScratch) {
 	samples := len(dsts)
@@ -156,15 +156,17 @@ func (m *BindMemory) MajorityInto(dsts []*Vector, lv []int32, s *BindScratch) {
 		stride:    m.stride,
 		levelRows: m.levelRows,
 	}
+	thresh := m.features / 2
+	var tie uint64
+	if m.features%2 == 0 {
+		tie = evenMask
+	}
 	if m.stride <= bindMaxFeatures {
 		p.out = grow(&s.out, samples*rowWords)
-		thresh := m.features / 2
 		for b := range bindPlanes {
 			p.masks[b] = -uint64(thresh >> b & 1)
 		}
-		if m.features%2 == 0 {
-			p.masks[bindPlanes] = evenMask
-		}
+		p.masks[bindPlanes] = tie
 		kern.bindMajority(p)
 		for i, d := range dsts {
 			copy(d.words, p.out[i*rowWords:])
@@ -173,33 +175,49 @@ func (m *BindMemory) MajorityInto(dsts []*Vector, lv []int32, s *BindScratch) {
 		return
 	}
 	// Too many features for the register planes: sweep blocks that
-	// dump their counts and merge them, plane b at weight 2^b.
-	for len(s.wide) < samples {
-		s.wide = append(s.wide, NewPlaneCounter(m.n))
-	}
-	wide := s.wide[:samples]
-	for i, c := range wide {
-		if c.n != m.n {
-			c = NewPlaneCounter(m.n)
-			wide[i] = c
-		}
-		c.Reset()
-	}
+	// dump their counts, and merge them into wider bit-sliced sums.
+	sumPlanes := bits.Len(uint(m.features))
+	sums := grow(&s.sums, samples*sumPlanes*rowWords)
+	clear(sums)
 	p.planes = grow(&s.planes, samples*bindPlanes*rowWords)
 	for k0 := 0; k0 < m.stride; k0 += bindMaxFeatures {
 		p.items, p.offs = m.items[k0*bindStripe:], offs[k0:]
 		p.features = min(bindMaxFeatures, m.stride-k0)
 		kern.bindMajority(p)
-		for i, c := range wide {
-			for b := range bindPlanes {
-				row := p.planes[(i*bindPlanes+b)*rowWords:]
-				c.rippleFrom(b, row[:c.words])
+		mergePlanes(sums, p.planes, samples, rowWords)
+	}
+	for i, d := range dsts {
+		sum := sums[i*sumPlanes*rowWords:]
+		for w := range d.words {
+			gt, eq := uint64(0), ^uint64(0)
+			for q := sumPlanes - 1; q >= 0; q-- {
+				pl, tb := sum[q*rowWords+w], -uint64(thresh>>q&1)
+				gt |= eq & pl &^ tb
+				eq &^= pl ^ tb
+			}
+			d.words[w] = gt | eq&tie
+		}
+		d.maskTail()
+	}
+}
+
+// mergePlanes adds one block's dumped count planes (bindPass.planes)
+// into sums, where sample i's sum plane q is
+// sums[(i·Q+q)·rowWords:] for Q planes per sample: dumped plane b is
+// added at weight 2^b by a word-wise ripple carry. A sum never exceeds
+// the feature count, so Q = bits.Len(features) planes hold every carry.
+func mergePlanes(sums, planes []uint64, samples, rowWords int) {
+	sumPlanes := len(sums) / (samples * rowWords)
+	for i := 0; i < samples; i++ {
+		sum := sums[i*sumPlanes*rowWords : (i+1)*sumPlanes*rowWords]
+		for b := range bindPlanes {
+			for w, c := range planes[(i*bindPlanes+b)*rowWords:][:rowWords] {
+				for q := b; c != 0; q++ {
+					x := sum[q*rowWords+w]
+					sum[q*rowWords+w], c = x^c, x&c
+				}
 			}
 		}
-	}
-	for i, c := range wide {
-		c.adds = m.features
-		c.MajorityInto(dsts[i])
 	}
 }
 

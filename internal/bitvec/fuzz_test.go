@@ -114,8 +114,6 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err := UseKernels("portable"); err != nil {
 			t.Fatal(err)
 		}
-		refPlane := NewPlaneCounter(n)
-		refPlane.AddMany([]*Vector{a, b, c, d, e, a, b, c, d})
 		refCounter := NewCounter(n)
 		refCounter.AddWeighted(a, w)
 		refCounter.AddWeighted(b, -w)
@@ -159,14 +157,6 @@ func FuzzKernelEquivalence(f *testing.F) {
 			if !m3.Equal(wantMaj3) || !m5.Equal(wantMaj5) {
 				t.Fatalf("%s: majority kernel diverges (n=%d)", name, n)
 			}
-			pc := NewPlaneCounter(n)
-			pc.AddMany([]*Vector{a, b, c, d, e, a, b, c, d})
-			for i := 0; i < n; i += 1 + n/97 {
-				if pc.Count(i) != refPlane.Count(i) {
-					t.Fatalf("%s: plane count dim %d: %d != %d (n=%d)",
-						name, i, pc.Count(i), refPlane.Count(i), n)
-				}
-			}
 			got := []*Vector{New(n), New(n)}
 			bind.MajorityInto(got, lv, &BindScratch{})
 			if !got[0].Equal(refBind[0]) || !got[1].Equal(refBind[1]) {
@@ -186,55 +176,60 @@ func FuzzKernelEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzAddMany pins the two-level carry-save bundler to per-vector Add:
-// 0–300 rows of 1–700 bits, each row random, all ones or all zeros as
-// the fuzzed kind mask picks, bundled by AddMany in two calls split at
-// a fuzzed point. Every count, the add total and the majority (with its
-// even-count parity ties) must match.
-func FuzzAddMany(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint16(1), uint16(0), uint8(0))
-	f.Add(uint64(2), uint16(8), uint16(64), uint16(3), uint8(0x55))
-	f.Add(uint64(3), uint16(64), uint16(65), uint16(64), uint8(0x0F))
-	f.Add(uint64(4), uint16(300), uint16(700), uint16(150), uint8(0xF0))
-	f.Add(uint64(5), uint16(72), uint16(257), uint16(9), uint8(0xFF))
-	f.Fuzz(func(t *testing.T, seed uint64, rowsRaw, dimsRaw, splitRaw uint16, kinds uint8) {
-		rows, dims := int(rowsRaw)%301, int(dimsRaw)%700+1
+// FuzzBindMajority pins BindMemory.MajorityInto to the per-bit count
+// reference over 1–300 bits, 1–4200 features (past 2032 the kernel's
+// register planes merge block by block), 1–8 levels and 1–3 samples.
+// Item rows are random, all ones or all zeros as the fuzzed kind mask
+// picks, so counts saturate and tie; level picks are random, except
+// that the mask's top bits can bind every feature of sample 0 or 1 to
+// the all-zeros level row.
+func FuzzBindMajority(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint16(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint16(63), uint16(2031), uint8(1), uint8(0x55))
+	f.Add(uint64(3), uint16(64), uint16(2032), uint8(0x12), uint8(0x4F))
+	f.Add(uint64(4), uint16(299), uint16(4099), uint8(0x17), uint8(0xF0))
+	f.Add(uint64(5), uint16(256), uint16(2047), uint8(0x09), uint8(0xC5))
+	f.Fuzz(func(t *testing.T, seed uint64, dimsRaw, featuresRaw uint16, shape, kinds uint8) {
+		dims, features := int(dimsRaw)%300+1, int(featuresRaw)%4200+1
+		nLevels, samples := int(shape%8)+1, int(shape>>3)%3+1
 		rng := newTestRNG(seed)
-		ones := New(dims)
-		for i := 0; i < dims; i++ {
-			ones.Set(i, true)
-		}
-		vs := make([]*Vector, rows)
-		for i := range vs {
+		ones := New(dims).Not()
+		items := make([]*Vector, features)
+		for k := range items {
 			// Two bits of the kind mask per row, cycling: 0 random,
 			// 1 all ones, 2 all zeros, 3 random.
-			switch kinds >> (2 * uint(i%4)) & 3 {
+			switch kinds >> (2 * uint(k%4)) & 3 {
 			case 1:
-				vs[i] = ones
+				items[k] = ones
 			case 2:
-				vs[i] = New(dims)
+				items[k] = New(dims)
 			default:
-				vs[i] = Random(dims, rng)
+				items[k] = Random(dims, rng)
 			}
 		}
-		want := NewPlaneCounter(dims)
-		for _, v := range vs {
-			want.Add(v)
+		levels := []*Vector{New(dims)}
+		for len(levels) < nLevels {
+			levels = append(levels, Random(dims, rng))
 		}
-		got := NewPlaneCounter(dims)
-		split := int(splitRaw) % (rows + 1)
-		got.AddMany(vs[:split])
-		got.AddMany(vs[split:])
-		if got.Adds() != want.Adds() {
-			t.Fatalf("AddMany counted %d adds, Add %d", got.Adds(), want.Adds())
-		}
-		for i := 0; i < dims; i++ {
-			if g, w := got.Count(i), want.Count(i); g != w {
-				t.Fatalf("rows=%d dims=%d split=%d: dim %d count %d, want %d", rows, dims, split, i, g, w)
+		lv := make([]int32, samples*features)
+		for i := 0; i < samples; i++ {
+			if i < 2 && kinds>>uint(6+i)&1 == 1 {
+				continue // every feature binds to the all-zeros row
+			}
+			for k := 0; k < features; k++ {
+				lv[i*features+k] = int32(rng.IntN(nLevels))
 			}
 		}
-		if !got.Majority().Equal(want.Majority()) {
-			t.Fatalf("rows=%d dims=%d split=%d: majority diverges", rows, dims, split)
+		dsts := make([]*Vector, samples)
+		for i := range dsts {
+			dsts[i] = Random(dims, rng)
+		}
+		NewBindMemory(items, levels).MajorityInto(dsts, lv, &BindScratch{})
+		for i, got := range dsts {
+			if want := bindMajorityRef(items, levels, lv[i*features:(i+1)*features]); !got.Equal(want) {
+				t.Fatalf("dims=%d features=%d levels=%d sample %d: bind majority diverges from the per-bit reference",
+					dims, features, nLevels, i)
+			}
 		}
 	})
 }

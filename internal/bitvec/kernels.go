@@ -9,11 +9,10 @@ import (
 
 // kernelTable is one complete set of word-level SIMD kernels. Every
 // hot inner loop in this package — popcount-Hamming scoring, the
-// 8-wide carry-save bundling tree, the bit-plane ripple-carry, the
 // fleet majority vote, the signed tally accumulation of training and
-// the bind-bundle-majority sweep of record encoding —
-// dispatches through the active table, so an architecture back end
-// swaps all of them at once.
+// the bind-bundle-majority sweep that builds every bundle (record
+// encoding and LogHD planes) — dispatches through the active table, so
+// an architecture back end swaps all of them at once.
 //
 // Contract: every kernel must be bit-identical to the portable
 // reference on all inputs (any length, any tail, any alignment). The
@@ -26,17 +25,6 @@ type kernelTable struct {
 	// caller guarantees len(b) >= len(a).
 	popcntXor func(a, b []uint64) int
 
-	// csaAdd8 folds eight equal-length word slices (vs) into the
-	// ones/twos/fours carry-save accumulators, writing the weight-8
-	// carry into eights (fully overwritten) and returning the OR of
-	// all eights words. All slices share ones' length.
-	csaAdd8 func(ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64
-
-	// rippleStep adds carry into plane (half-adder per bit: plane ^=
-	// carry with the AND escaping), leaves the residual carry in
-	// carry, and returns the OR of the residual words.
-	rippleStep func(plane, carry []uint64) uint64
-
 	// majority3 and majority5 write the bitwise majority of the three
 	// (five) source slices into dst. dst may alias a source; kernels
 	// must load every source word of a chunk before storing it.
@@ -48,32 +36,21 @@ type kernelTable struct {
 	// partial tail word).
 	addScaled func(tallies []int32, words []uint64, w int32)
 
-	// planeCompare folds one bit plane into a running magnitude
-	// comparison (planes visited high to low): gt |= eq & plane &^ tb,
-	// eq &= ^(plane ^ tb), with tb the threshold's bit at this plane
-	// broadcast to all words (0 or all-ones). All slices share plane's
-	// length. This is PlaneCounter's threshold/majority back end and
-	// the LogHD codeword-threshold hot path.
-	planeCompare func(gt, eq, plane []uint64, tb uint64)
-
-	// bindMajority is record encoding's fused bind-bundle-majority
-	// sweep over a BindMemory layout (see bindPass): it binds item and
-	// level rows on the fly, counts the binds per bit in bit planes
-	// held in registers for the whole feature sweep, and ends in the
-	// threshold compare or a plane dump.
+	// bindMajority is the fused bind-bundle-majority sweep behind
+	// record encoding and LogHD compression, over a BindMemory layout
+	// (see bindPass): it binds item and level rows on the fly, counts
+	// the binds per bit in bit planes held in registers for the whole
+	// feature sweep, and ends in the threshold compare or a plane
+	// dump.
 	bindMajority func(p *bindPass)
 }
 
 var portableTable = kernelTable{
-	name:       "portable",
-	popcntXor:  popcntXorGo,
-	csaAdd8:    csaAdd8Go,
-	rippleStep: rippleStepGo,
-	majority3:  majority3Go,
-	majority5:  majority5Go,
-	addScaled:  addScaledGo,
-
-	planeCompare: planeCompareGo,
+	name:         "portable",
+	popcntXor:    popcntXorGo,
+	majority3:    majority3Go,
+	majority5:    majority5Go,
+	addScaled:    addScaledGo,
 	bindMajority: bindMajorityGo,
 }
 
@@ -154,74 +131,6 @@ func popcntXorGo(a, b []uint64) int {
 	return t
 }
 
-func csaAdd8Go(ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
-	return csaAdd8From(0, ones, twos, fours, eights, vs)
-}
-
-// csaAdd8From is csaAdd8Go over words [from, len(ones)). SIMD wrappers
-// finish their ragged tails with it in place, without re-slicing the
-// eight inputs.
-func csaAdd8From(from int, ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
-	w0, w1, w2, w3 := vs[0], vs[1], vs[2], vs[3]
-	w4, w5, w6, w7 := vs[4], vs[5], vs[6], vs[7]
-	var any uint64
-	for i := from; i < len(ones); i++ {
-		// Three CSA layers: eight weight-1 inputs fold into the
-		// running ones/twos/fours accumulators; only the weight-8
-		// carry escapes to the caller.
-		o := ones[i]
-		s01 := w0[i] ^ w1[i]
-		c01 := w0[i] & w1[i]
-		s23 := w2[i] ^ w3[i]
-		c23 := w2[i] & w3[i]
-		sA := s01 ^ s23
-		cA := (s01 & s23) | (o & sA)
-		o ^= sA
-		s45 := w4[i] ^ w5[i]
-		c45 := w4[i] & w5[i]
-		s67 := w6[i] ^ w7[i]
-		c67 := w6[i] & w7[i]
-		sB := s45 ^ s67
-		cB := (s45 & s67) | (o & sB)
-		ones[i] = o ^ sB
-
-		t := twos[i]
-		sC := c01 ^ c23
-		cC := (c01 & c23) | (t & sC)
-		t ^= sC
-		sD := c45 ^ c67
-		cD := (c45 & c67) | (t & sD)
-		t ^= sD
-		sE := cA ^ cB
-		cE := (cA & cB) | (t & sE)
-		twos[i] = t ^ sE
-
-		f := fours[i]
-		sF := cC ^ cD
-		cF := (cC & cD) | (f & sF)
-		f ^= sF
-		e := (f & cE) | cF
-		fours[i] = f ^ cE
-		eights[i] = e
-		any |= e
-	}
-	return any
-}
-
-func rippleStepGo(plane, carry []uint64) uint64 {
-	var any uint64
-	for i, c := range carry {
-		if c == 0 {
-			continue
-		}
-		nc := plane[i] & c
-		plane[i] ^= c
-		carry[i] = nc
-		any |= nc
-	}
-	return any
-}
-
 func majority3Go(dst, a, b, c []uint64) {
 	for i := range dst {
 		dst[i] = a[i]&b[i] | a[i]&c[i] | b[i]&c[i]
@@ -237,14 +146,6 @@ func majority5Go(dst, a, b, c, d, e []uint64) {
 		all3 := a[i] & b[i] & c[i]
 		one3 := (a[i] | b[i] | c[i]) &^ maj3 // exactly one of a,b,c
 		dst[i] = all3 | maj3&(d[i]|e[i]) | one3&d[i]&e[i]
-	}
-}
-
-func planeCompareGo(gt, eq, plane []uint64, tb uint64) {
-	for i, pb := range plane {
-		e := eq[i]
-		gt[i] |= e & pb &^ tb
-		eq[i] = e &^ (pb ^ tb)
 	}
 }
 

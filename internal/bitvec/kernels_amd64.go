@@ -4,24 +4,19 @@ package bitvec
 
 import "math/bits"
 
-// Assembly kernels (kernels_amd64.s). The word-stream kernels process
-// n &^ 3 words (the TALLY kernel processes all n whole words); the Go
-// wrappers below peel the remainder through the portable reference so
-// any length and any subslice alignment is bit-identical to the
-// portable table. The bindMajority kernels need no tail: a BindMemory
-// is whole stripes and whole carry-save blocks by construction.
+// Assembly kernels (kernels_amd64.s). The popcount-Hamming and
+// majority-vote kernels process n &^ 3 words (the tally kernel
+// processes all n whole words); the Go wrappers below peel the
+// remainder through the portable reference so any length and any
+// subslice alignment is bit-identical to the portable table. The
+// bindMajority kernels need no tail: a BindMemory is whole stripes and
+// whole carry-save blocks by construction.
 
 //go:noescape
 func popcntXorHS(a, b *uint64, n int) int
 
 //go:noescape
 func popcntXorVP(a, b *uint64, n int) int
-
-//go:noescape
-func csaAdd8Asm(ones, twos, fours, eights, w0, w1, w2, w3, w4, w5, w6, w7 *uint64, n int) uint64
-
-//go:noescape
-func rippleStepAsm(plane, carry *uint64, n int) uint64
 
 //go:noescape
 func majority3Asm(dst, a, b, c *uint64, n int)
@@ -31,9 +26,6 @@ func majority5Asm(dst, a, b, c, d, e *uint64, n int)
 
 //go:noescape
 func addScaledAsm(tallies *int32, words *uint64, n int, w int32)
-
-//go:noescape
-func planeCompareAsm(gt, eq, plane *uint64, n int, tb uint64)
 
 //go:noescape
 func bindMajorityY(out, planes, items, levels *uint64, offs *int32, masks *uint64, stripes, samples, features, stride, levelRows, top int)
@@ -69,32 +61,6 @@ func popcntXorAVX512(a, b []uint64) int {
 	return t
 }
 
-func csaAdd8AVX2(ones, twos, fours, eights []uint64, vs *[8][]uint64) uint64 {
-	n := len(ones) &^ 3
-	var any uint64
-	if n > 0 {
-		any = csaAdd8Asm(&ones[0], &twos[0], &fours[0], &eights[0],
-			&vs[0][0], &vs[1][0], &vs[2][0], &vs[3][0],
-			&vs[4][0], &vs[5][0], &vs[6][0], &vs[7][0], n)
-	}
-	if n < len(ones) {
-		any |= csaAdd8From(n, ones, twos, fours, eights, vs)
-	}
-	return any
-}
-
-func rippleStepAVX2(plane, carry []uint64) uint64 {
-	n := len(carry) &^ 3
-	var any uint64
-	if n > 0 {
-		any = rippleStepAsm(&plane[0], &carry[0], n)
-	}
-	if n < len(carry) {
-		any |= rippleStepGo(plane[n:], carry[n:])
-	}
-	return any
-}
-
 func majority3AVX2(dst, a, b, c []uint64) {
 	n := len(dst) &^ 3
 	if n > 0 {
@@ -120,16 +86,6 @@ func addScaledAVX2(tallies []int32, words []uint64, w int32) {
 		return
 	}
 	addScaledAsm(&tallies[0], &words[0], len(words), w)
-}
-
-func planeCompareAVX2(gt, eq, plane []uint64, tb uint64) {
-	n := len(plane) &^ 3
-	if n > 0 {
-		planeCompareAsm(&gt[0], &eq[0], &plane[0], n, tb)
-	}
-	if n < len(plane) {
-		planeCompareGo(gt[n:], eq[n:], plane[n:], tb)
-	}
 }
 
 func bindMajorityAVX2(p *bindPass) { bindMajorityAsm(p, bindMajorityY) }
@@ -195,15 +151,11 @@ func init() {
 		return
 	}
 	avx2 := kernelTable{
-		name:       "avx2",
-		popcntXor:  popcntXorAVX2,
-		csaAdd8:    csaAdd8AVX2,
-		rippleStep: rippleStepAVX2,
-		majority3:  majority3AVX2,
-		majority5:  majority5AVX2,
-		addScaled:  addScaledAVX2,
-
-		planeCompare: planeCompareAVX2,
+		name:         "avx2",
+		popcntXor:    popcntXorAVX2,
+		majority3:    majority3AVX2,
+		majority5:    majority5AVX2,
+		addScaled:    addScaledAVX2,
 		bindMajority: bindMajorityAVX2,
 	}
 	registerKernels(avx2)
@@ -213,8 +165,8 @@ func init() {
 		// hardware VPOPCNTQ, and the bind-bundle-majority sweep for the
 		// 512-bit VPTERNLOGQ kernel, whose 32 registers hold all eleven
 		// count planes and a 16-bind carry-save block at once. The
-		// streaming kernels stay on 256-bit lanes: they are bound by
-		// memory, not by lane width.
+		// majority-vote and tally kernels stay on 256-bit lanes: they
+		// are bound by memory, not by lane width.
 		vp := avx2
 		vp.name = "avx512popcnt"
 		vp.popcntXor = popcntXorAVX512

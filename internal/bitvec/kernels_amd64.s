@@ -4,18 +4,17 @@
 
 // SIMD kernels for amd64. Two popcount-Hamming tiers are provided —
 // an AVX2 Harley-Seal VPSHUFB kernel and an AVX-512 VPOPCNTQ kernel
-// (256-bit lanes via AVX512VL) — plus AVX2 kernels for the 8-wide
-// carry-save bundling tree, the bit-plane ripple step, the 3/5-way
-// majority vote, the signed tally accumulation and the plane compare.
-// These streaming kernels are bound by loads and stores, so they stay
-// on 256-bit lanes; each processes the words it can cover at its
-// vector width (multiples of 4) and leaves the remainder to the Go
-// wrapper. All loads/stores are unaligned (VMOVDQU), so callers may
-// pass arbitrary word subslices.
+// (256-bit lanes via AVX512VL) — plus AVX2 kernels for the 3/5-way
+// majority vote and the signed tally accumulation. These streaming
+// kernels are bound by loads and stores, so they stay on 256-bit
+// lanes; each processes the words it can cover at its vector width
+// (multiples of 4) and leaves the remainder to the Go wrapper. All
+// loads/stores are unaligned (VMOVDQU), so callers may pass arbitrary
+// word subslices.
 //
-// Record encoding's bind-bundle-majority sweep has two tiers of its
-// own: an AVX2 kernel and a 512-bit VPTERNLOGQ kernel. It is bound by
-// logic ops on L1-resident data, so the 512-bit tier's wider lanes,
+// The bind-bundle-majority sweep behind every bundle has two tiers of
+// its own: an AVX2 kernel and a 512-bit VPTERNLOGQ kernel. It is bound
+// by logic ops on L1-resident data, so the 512-bit tier's wider lanes,
 // two-op full adder and 32 registers pay. Its layout (whole 8-word
 // stripes, whole 16-row blocks) leaves no tail.
 //
@@ -73,14 +72,6 @@ GLOBL bitSel<>(SB), RODATA|NOPTR, $16
 	VPADDQ       XT, XV, XV \
 	VPSRLDQ      $8, XV, XT \
 	VPADDQ       XT, XV, XV \
-	VMOVQ        XV, GP
-
-// ORQY horizontally ORs the four qwords of YV into GP.
-#define ORQY(YV, XV, XT, GP) \
-	VEXTRACTI128 $1, YV, XT \
-	VPOR         XT, XV, XV \
-	VPSRLDQ      $8, XV, XT \
-	VPOR         XT, XV, XV \
 	VMOVQ        XV, GP
 
 // func popcntXorHS(a, b *uint64, n int) int
@@ -241,141 +232,6 @@ vpDone:
 	VZEROUPPER
 	RET
 
-// func csaAdd8Asm(ones, twos, fours, eights, w0, w1, w2, w3, w4, w5, w6, w7 *uint64, n int) uint64
-//
-// One pass of the 8-wide carry-save bundling tree over n &^ 3 words:
-// eight input streams fold into the ones/twos/fours accumulators in
-// memory, the weight-8 carry lands in eights, and the return value is
-// the OR of every eights word written (zero means no ripple needed).
-TEXT ·csaAdd8Asm(SB), NOSPLIT, $0-112
-	MOVQ ones+0(FP), SI
-	MOVQ twos+8(FP), DI
-	MOVQ fours+16(FP), R8
-	MOVQ eights+24(FP), R9
-	MOVQ w0+32(FP), R10
-	MOVQ w1+40(FP), R11
-	MOVQ w2+48(FP), R12
-	MOVQ w3+56(FP), R13
-	MOVQ w4+64(FP), R14
-	MOVQ w5+72(FP), R15
-	MOVQ w6+80(FP), AX
-	MOVQ w7+88(FP), BX
-	MOVQ n+96(FP), CX
-	XORQ DX, DX
-	VPXOR Y14, Y14, Y14 // OR-of-eights accumulator
-
-csa4:
-	CMPQ CX, $4
-	JLT  csaDone
-	VMOVDQU (R10)(DX*1), Y0
-	VMOVDQU (R11)(DX*1), Y1
-	VMOVDQU (R12)(DX*1), Y2
-	VMOVDQU (R13)(DX*1), Y3
-	VMOVDQU (R14)(DX*1), Y4
-	VMOVDQU (R15)(DX*1), Y5
-	VMOVDQU (AX)(DX*1), Y6
-	VMOVDQU (BX)(DX*1), Y7
-
-	// Pairwise half-adders: sums stay in Y0/Y2/Y4/Y6, carries move to
-	// Y8-Y11.
-	VPAND Y1, Y0, Y8
-	VPXOR Y1, Y0, Y0
-	VPAND Y3, Y2, Y9
-	VPXOR Y3, Y2, Y2
-	VPAND Y5, Y4, Y10
-	VPXOR Y5, Y4, Y4
-	VPAND Y7, Y6, Y11
-	VPXOR Y7, Y6, Y6
-
-	// Fold the four sum streams into ones (carries cA=Y12, cB=Y13).
-	VMOVDQU (SI)(DX*1), Y1
-	VPXOR Y2, Y0, Y3
-	VPAND Y2, Y0, Y12
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y12, Y12
-	VPXOR Y3, Y1, Y1
-	VPXOR Y6, Y4, Y3
-	VPAND Y6, Y4, Y13
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y13, Y13
-	VPXOR Y3, Y1, Y1
-	VMOVDQU Y1, (SI)(DX*1)
-
-	// Fold the weight-2 carries into twos (cC=Y8, cD=Y10, cE=Y12).
-	VMOVDQU (DI)(DX*1), Y1
-	VPXOR Y9, Y8, Y3
-	VPAND Y9, Y8, Y8
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y8, Y8
-	VPXOR Y3, Y1, Y1
-	VPXOR Y11, Y10, Y3
-	VPAND Y11, Y10, Y10
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y10, Y10
-	VPXOR Y3, Y1, Y1
-	VPXOR Y13, Y12, Y3
-	VPAND Y13, Y12, Y12
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y12, Y12
-	VPXOR Y3, Y1, Y1
-	VMOVDQU Y1, (DI)(DX*1)
-
-	// Fold the weight-4 carries into fours; the escape is eights.
-	VMOVDQU (R8)(DX*1), Y1
-	VPXOR Y10, Y8, Y3
-	VPAND Y10, Y8, Y8
-	VPAND Y3, Y1, Y5
-	VPOR  Y5, Y8, Y8
-	VPXOR Y3, Y1, Y1
-	VPAND Y12, Y1, Y5
-	VPOR  Y8, Y5, Y5
-	VPXOR Y12, Y1, Y1
-	VMOVDQU Y1, (R8)(DX*1)
-	VMOVDQU Y5, (R9)(DX*1)
-	VPOR  Y5, Y14, Y14
-
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  csa4
-
-csaDone:
-	ORQY(Y14, X14, X0, DX)
-	MOVQ DX, ret+104(FP)
-	VZEROUPPER
-	RET
-
-// func rippleStepAsm(plane, carry *uint64, n int) uint64
-//
-// Half-adder between one bit plane and the carry words: plane ^= carry
-// with the AND escaping back into carry. Returns the OR of the
-// residual carry. Processes n &^ 3 words.
-TEXT ·rippleStepAsm(SB), NOSPLIT, $0-32
-	MOVQ plane+0(FP), SI
-	MOVQ carry+8(FP), DI
-	MOVQ n+16(FP), CX
-	XORQ DX, DX
-	VPXOR Y3, Y3, Y3
-
-rip4:
-	CMPQ CX, $4
-	JLT  ripDone
-	VMOVDQU (DI)(DX*1), Y0
-	VMOVDQU (SI)(DX*1), Y1
-	VPAND   Y0, Y1, Y2
-	VPXOR   Y0, Y1, Y1
-	VMOVDQU Y1, (SI)(DX*1)
-	VMOVDQU Y2, (DI)(DX*1)
-	VPOR    Y2, Y3, Y3
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  rip4
-
-ripDone:
-	ORQY(Y3, X3, X0, AX)
-	MOVQ AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func majority3Asm(dst, a, b, c *uint64, n int)
 //
 // dst = maj(a,b,c) over n &^ 3 words. Every source chunk is loaded
@@ -495,43 +351,6 @@ tallyLoop:
 	JNZ  tallyLoop
 
 tallyDone:
-	VZEROUPPER
-	RET
-
-// func planeCompareAsm(gt, eq, plane *uint64, n int, tb uint64)
-//
-// One plane of a bit-sliced magnitude comparison (planes visited high
-// to low by the caller): gt |= eq & plane &^ tb, eq &= ^(plane ^ tb),
-// with tb (the threshold's bit at this plane, 0 or all-ones)
-// broadcast across lanes. Processes n &^ 3 words.
-TEXT ·planeCompareAsm(SB), NOSPLIT, $0-40
-	MOVQ gt+0(FP), BX
-	MOVQ eq+8(FP), SI
-	MOVQ plane+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ tb+32(FP), AX
-	MOVQ AX, X4
-	VPBROADCASTQ X4, Y4
-	XORQ DX, DX
-
-pcmpLoop:
-	CMPQ CX, $4
-	JLT  pcmpDone
-	VMOVDQU (SI)(DX*1), Y1 // eq
-	VMOVDQU (DI)(DX*1), Y2 // plane
-	VMOVDQU (BX)(DX*1), Y0 // gt
-	VPXOR   Y4, Y2, Y3     // plane ^ tb
-	VPANDN  Y1, Y3, Y3     // eq &^ (plane ^ tb) = new eq
-	VPANDN  Y2, Y4, Y5     // plane &^ tb
-	VPAND   Y5, Y1, Y5     // eq & plane &^ tb
-	VPOR    Y5, Y0, Y0     // new gt
-	VMOVDQU Y0, (BX)(DX*1)
-	VMOVDQU Y3, (SI)(DX*1)
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  pcmpLoop
-
-pcmpDone:
 	VZEROUPPER
 	RET
 

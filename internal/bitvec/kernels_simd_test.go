@@ -174,76 +174,6 @@ func TestKernelHammingRangeEquivalence(t *testing.T) {
 	})
 }
 
-func TestKernelPlaneCounterEquivalence(t *testing.T) {
-	forEachKernel(t, func(t *testing.T, name string) {
-		rng := kernelRNG(205)
-		for _, n := range []int{1, 63, 64, 65, 300, 4097} {
-			for _, count := range []int{1, 7, 8, 9, 24, 75} {
-				vs := make([]*Vector, count)
-				for i := range vs {
-					vs[i] = patternedVector(n, i%5, rng)
-				}
-				bulk := NewPlaneCounter(n)
-				bulk.AddMany(vs)
-				// Per-bit reference counts.
-				for i := 0; i < n; i += 1 + n/17 {
-					want := 0
-					for _, v := range vs {
-						if v.Get(i) {
-							want++
-						}
-					}
-					if got := bulk.Count(i); got != want {
-						t.Fatalf("n=%d count=%d dim %d: %d != %d", n, count, i, got, want)
-					}
-				}
-				seq := NewPlaneCounter(n)
-				for _, v := range vs {
-					seq.Add(v)
-				}
-				if !bulk.Majority().Equal(seq.Majority()) {
-					t.Fatalf("n=%d count=%d: AddMany majority diverges from Add", n, count)
-				}
-			}
-		}
-	})
-}
-
-func TestKernelPlaneCompareEquivalence(t *testing.T) {
-	forEachKernel(t, func(t *testing.T, name string) {
-		rng := kernelRNG(209)
-		for _, n := range []int{1, 63, 64, 65, 129, 300, 4097} {
-			for _, count := range []int{1, 5, 8, 17, 33} {
-				vs := make([]*Vector, count)
-				for i := range vs {
-					vs[i] = patternedVector(n, i%5, rng)
-				}
-				p := NewPlaneCounter(n)
-				p.AddMany(vs)
-				// Every threshold from below the range to above it, with
-				// and without the parity tie-break, against per-bit counts.
-				dst := New(n)
-				for thresh := -1; thresh <= count+1; thresh++ {
-					for _, withTies := range []bool{false, true} {
-						p.compareInto(dst, thresh, withTies)
-						for i := 0; i < n; i += 1 + n/23 {
-							c := p.Count(i)
-							want := c > thresh
-							if withTies && c == thresh && i%2 == 0 {
-								want = true
-							}
-							if dst.Get(i) != want {
-								t.Fatalf("n=%d count=%d thresh=%d ties=%v dim %d (count %d): got %v want %v",
-									n, count, thresh, withTies, i, c, dst.Get(i), want)
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 func TestKernelMajorityEquivalence(t *testing.T) {
 	forEachKernel(t, func(t *testing.T, name string) {
 		rng := kernelRNG(206)

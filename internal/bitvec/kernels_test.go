@@ -231,111 +231,3 @@ func TestFlipBernoulliCoversAllPositions(t *testing.T) {
 		}
 	}
 }
-
-func TestPlaneCounterIntoVariantsMatchAllocating(t *testing.T) {
-	rng := kernelRNG(112)
-	const n = 500
-	p := NewPlaneCounter(n)
-	for i := 0; i < 24; i++ {
-		p.Add(Random(n, rng))
-	}
-	for _, thresh := range []int{0, 5, 12, 24, 100} {
-		dst := New(n)
-		p.ThresholdInto(dst, thresh)
-		if !dst.Equal(p.Threshold(thresh)) {
-			t.Fatalf("ThresholdInto(%d) diverges from Threshold", thresh)
-		}
-	}
-	dst := New(n)
-	p.MajorityInto(dst)
-	if !dst.Equal(p.Majority()) {
-		t.Fatal("MajorityInto diverges from Majority")
-	}
-}
-
-// TestPlaneCounterThresholdBeyondRange pins the out-of-range contract:
-// no count can exceed a threshold at or above 2^planes, so the result
-// is all-zero rather than an aliased comparison against the low bits.
-func TestPlaneCounterThresholdBeyondRange(t *testing.T) {
-	p := NewPlaneCounter(128)
-	v := New(128)
-	v.Set(3, true)
-	p.Add(v) // counts ≤ 1 → one plane
-	if got := p.Threshold(4); got.OnesCount() != 0 {
-		t.Fatalf("Threshold(4) over max count 1 set %d bits, want 0", got.OnesCount())
-	}
-}
-
-// TestPlaneCounterAddManyMatchesAdd proves the carry-save bulk kernel
-// is count-exact: AddMany over any bundle size (remainders, sub-8
-// bundles, reused counters) leaves every per-dimension count and the
-// majority identical to sequential Add.
-func TestPlaneCounterAddManyMatchesAdd(t *testing.T) {
-	rng := kernelRNG(114)
-	for _, count := range []int{0, 1, 7, 8, 9, 16, 23, 75, 200} {
-		const n = 300
-		vs := make([]*Vector, count)
-		for i := range vs {
-			vs[i] = Random(n, rng)
-		}
-		seq := NewPlaneCounter(n)
-		for _, v := range vs {
-			seq.Add(v)
-		}
-		bulk := NewPlaneCounter(n)
-		bulk.AddMany(vs)
-		if bulk.Adds() != seq.Adds() {
-			t.Fatalf("count=%d: AddMany adds %d != %d", count, bulk.Adds(), seq.Adds())
-		}
-		for i := 0; i < n; i++ {
-			if bulk.Count(i) != seq.Count(i) {
-				t.Fatalf("count=%d dim %d: AddMany count %d != Add count %d",
-					count, i, bulk.Count(i), seq.Count(i))
-			}
-		}
-		if !bulk.Majority().Equal(seq.Majority()) {
-			t.Fatalf("count=%d: AddMany majority diverges", count)
-		}
-		if count == 0 {
-			continue
-		}
-		// Reuse after Reset, and AddMany on a counter with prior Adds.
-		bulk.Reset()
-		bulk.Add(vs[0])
-		seq2 := NewPlaneCounter(n)
-		seq2.Add(vs[0])
-		for _, v := range vs {
-			seq2.Add(v)
-		}
-		bulk.AddMany(vs)
-		for i := 0; i < n; i++ {
-			if bulk.Count(i) != seq2.Count(i) {
-				t.Fatalf("count=%d dim %d: reused AddMany count %d != %d",
-					count, i, bulk.Count(i), seq2.Count(i))
-			}
-		}
-	}
-}
-
-func TestPlaneCounterReuseAfterReset(t *testing.T) {
-	rng := kernelRNG(113)
-	const n = 320
-	p := NewPlaneCounter(n)
-	fresh := NewPlaneCounter(n)
-	// Heavy first use grows planes and the carry scratch.
-	for i := 0; i < 100; i++ {
-		p.Add(Random(n, rng))
-	}
-	p.Reset()
-	for i := 0; i < 9; i++ {
-		v := Random(n, rng)
-		p.Add(v)
-		fresh.Add(v)
-	}
-	if !p.Majority().Equal(fresh.Majority()) {
-		t.Fatal("reused counter majority diverges from fresh counter")
-	}
-	if p.Adds() != fresh.Adds() {
-		t.Fatalf("adds %d != %d", p.Adds(), fresh.Adds())
-	}
-}

@@ -32,10 +32,11 @@ type Encoder interface {
 	Dimensions() int
 }
 
-// MaxLevelMemory caps the level memory (levels · dims/8 bytes) an
-// encoder may be asked to build (16 MiB, over 13k levels at D=10k), so
-// a configuration or snapshot header cannot demand an unbounded
-// allocation.
+// MaxLevelMemory caps the level memory an encoder may be asked to
+// build (16 MiB, over 13k levels at D=10k), so a configuration or
+// snapshot header cannot demand an unbounded allocation. It is counted
+// as the encode kernel stores it: the levels plus one zero row, each in
+// whole 512-bit stripes (bitvec.BindRowBytes per row).
 const MaxLevelMemory = 16 << 20
 
 // MaxItemMemory caps the item memory an encoder may be asked to build
@@ -58,12 +59,14 @@ const MaxCounterMemory = 256 << 20
 const MaxBatch = 16
 
 // ValidateLevels checks a level count against dims: at least 2 levels,
-// and at most MaxLevelMemory bytes of level hypervectors.
+// and at most MaxLevelMemory bytes of striped level rows.
 func ValidateLevels(dims, levels int) error {
 	if levels < 2 {
 		return fmt.Errorf("encoding: need at least 2 levels, got %d", levels)
 	}
-	if dims > 0 && int64(levels) > MaxLevelMemory*8/int64(dims) {
+	// A row costs at least 64 bytes, so more levels than cap bytes
+	// never fit; testing that first keeps levels+1 from overflowing.
+	if levels > MaxLevelMemory || dims > 0 && int64(levels)+1 > MaxLevelMemory/bitvec.BindRowBytes(dims) {
 		return fmt.Errorf("encoding: %d levels of %d bits exceed the %d-byte level-memory cap", levels, dims, MaxLevelMemory)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // bundle, counted one bit at a time with no striping, no carry-save
 // tree and no batching. The base and level vectors are regenerated from
 // the seed, so nothing the encoder built is trusted. Ties at even
-// feature counts break by dimension parity, as PlaneCounter.Majority
+// feature counts set the even dimensions, as BindMemory.MajorityInto
 // does.
 func encodeRef(e *RecordEncoder, seed uint64, features []float64) *bitvec.Vector {
 	items, err := hdc.NewItemMemory(e.Dimensions(), seed)
@@ -191,6 +192,10 @@ func TestEncodeBatchIntoAllocs(t *testing.T) {
 	}
 }
 
+// maxLevelsAt8 is the most levels the level-memory cap admits at 8
+// bits: each row takes one 64-byte stripe, and the zero row takes one.
+const maxLevelsAt8 = MaxLevelMemory/64 - 1
+
 // TestValidateLevelsCapsLevelMemory checks the level-count rule the
 // constructor, training and snapshot loading share.
 func TestValidateLevelsCapsLevelMemory(t *testing.T) {
@@ -201,7 +206,8 @@ func TestValidateLevelsCapsLevelMemory(t *testing.T) {
 		{10000, 8, true},
 		{10000, 1, false},
 		{10000, 0, false},
-		{8, MaxLevelMemory, true},
+		{8, maxLevelsAt8, true},
+		{8, maxLevelsAt8 + 1, false},
 		{8, MaxLevelMemory + 1, false},
 		{1024, 1 << 20, false},
 		{10000, 1 << 62, false},
@@ -213,6 +219,26 @@ func TestValidateLevelsCapsLevelMemory(t *testing.T) {
 	if _, err := NewRecordEncoder(1024, 1, 1<<20, 0, 1, 1); err == nil {
 		t.Fatal("encoder built a 128 MiB level memory")
 	}
+}
+
+// TestNewRecordEncoderAllocBoundedByLevelCap builds an encoder at the
+// most levels the cap admits and bounds everything the constructor
+// allocates, the transient hdc.LevelMemory included, by
+// 3 × MaxLevelMemory: the striped level rows take the cap itself, and
+// the level vectors they are copied from about as much again (1.9 ×
+// the cap in all).
+func TestNewRecordEncoderAllocBoundedByLevelCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := NewRecordEncoder(8, 1, maxLevelsAt8, 0, 1, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*MaxLevelMemory {
+		t.Fatalf("encoder with %d levels allocated %d bytes, over 3 × the %d-byte cap", maxLevelsAt8, got, MaxLevelMemory)
+	}
+	runtime.KeepAlive(e)
 }
 
 func TestEncodeIntoValidatesShapes(t *testing.T) {

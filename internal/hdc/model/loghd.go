@@ -86,30 +86,21 @@ func CompressLogHD(m *Model, extraPlanes int) (*LogHD, error) {
 		return nil, fmt.Errorf("model: %d planes exceeds the %d-plane cap", n, maxLogHDPlanes)
 	}
 	code := assignCodewords(m.classes, n)
+	// Each plane is a bind-majority over the classes: class c binds to
+	// the all-zeros level (voting C_c) where bit j of its codeword is
+	// set and to the all-ones level (voting ^C_c) where it is clear. All
+	// n planes bundle in one kernel sweep.
+	zeros := bitvec.New(m.dims)
+	mem := bitvec.NewBindMemory(m.deployed, []*bitvec.Vector{zeros, zeros.Not()})
+	lv := make([]int32, n*m.classes)
 	planes := make([]*bitvec.Vector, n)
-
-	// Each class contributes its vector to planes where its codeword
-	// bit is set and its complement elsewhere; precompute the
-	// complements once.
-	nots := make([]*bitvec.Vector, m.classes)
-	for c, v := range m.deployed {
-		nots[c] = v.Not()
-	}
-	pc := bitvec.NewPlaneCounter(m.dims)
-	votes := make([]*bitvec.Vector, m.classes)
-	for j := 0; j < n; j++ {
-		for c := range votes {
-			if code[c]>>uint(j)&1 == 1 {
-				votes[c] = m.deployed[c]
-			} else {
-				votes[c] = nots[c]
-			}
-		}
-		pc.Reset()
-		pc.AddMany(votes)
+	for j := range planes {
 		planes[j] = bitvec.New(m.dims)
-		pc.MajorityInto(planes[j])
+		for c, w := range code {
+			lv[j*m.classes+c] = int32(1 - w>>uint(j)&1)
+		}
 	}
+	mem.MajorityInto(planes, lv, &bitvec.BindScratch{})
 	// Centering offsets: each plane's summed distance to the prototypes
 	// it was built from. Derived once here, fixed thereafter — attacks
 	// mutate planes, not the decode constants.

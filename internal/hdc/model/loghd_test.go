@@ -87,6 +87,49 @@ func TestCompressLogHDShapeAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestCompressLogHDPlanesMatchVoteCount pins every plane to its
+// definition by a per-bit vote count: class c votes C_c[i] where bit j
+// of its codeword is set and ^C_c[i] where it is clear, plane j's bit i
+// is set when more than k/2 votes have it, and an exact tie at even k
+// sets the even dimensions. The class counts cross 2032, past which the
+// bundling kernel merges blocks of its register planes.
+func TestCompressLogHDPlanesMatchVoteCount(t *testing.T) {
+	rng := stats.NewRNG(501)
+	for _, k := range []int{2, 3, 12, 13, 2047, 2100} {
+		for _, dims := range []int{1, 63, 65, 257} {
+			m, err := New(k, dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < k; c++ {
+				m.SetClassVector(c, bitvec.Random(dims, rng))
+			}
+			for _, extra := range []int{0, 2} {
+				l, err := CompressLogHD(m, extra)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < l.Planes(); j++ {
+					plane := l.PlaneVector(j)
+					for i := 0; i < dims; i++ {
+						votes := 0
+						for c := 0; c < k; c++ {
+							if m.ClassVector(c).Get(i) == (l.Codeword(c)>>uint(j)&1 == 1) {
+								votes++
+							}
+						}
+						want := 2*votes > k || 2*votes == k && i%2 == 0
+						if plane.Get(i) != want {
+							t.Fatalf("k=%d dims=%d extra=%d plane %d bit %d: got %v, %d of %d votes",
+								k, dims, extra, j, i, plane.Get(i), votes, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLogHDMemoryReduction(t *testing.T) {
 	// The acceptance bar: ≥ 2× class-memory reduction at k ≥ 10.
 	m, l, _, _ := trainedLogHDPair(t, 10, 4096, 0)
