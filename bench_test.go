@@ -197,20 +197,37 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeBatch measures batch-major record encoding at D=10k
-// for the three served feature counts (PAMAP 75, UCIHAR 561, ISOLET
-// 617) and batch sizes 1, 8 and 16, under every registered kernel
-// tier. Every op encodes the next batch of a 64-sample pool, so the
+// unitEncoder builds a D=dims encoder over features values already in
+// [0, 1]: a unit range per feature, so every raw value still takes the
+// encoder's normalize-and-quantize pass.
+func unitEncoder(b *testing.B, dims, features, levels int, seed uint64) *encoding.RecordEncoder {
+	b.Helper()
+	zeros, ones := make([]float64, features), make([]float64, features)
+	for j := range ones {
+		ones[j] = 1
+	}
+	norm, err := encoding.NormalizerFromRanges(zeros, ones)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := encoding.NewRecordEncoder(dims, levels, norm, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return enc
+}
+
+// BenchmarkEncodeBatch measures batch-major record encoding, from raw
+// rows through the normalize-and-quantize pass, at D=10k for the three
+// served feature counts (PAMAP 75, UCIHAR 561, ISOLET 617) and batch
+// sizes 1, 8 and 16, under every registered kernel tier. Every op encodes the next batch of a 64-sample pool, so the
 // level indices, and the level rows they pick, change from op to op.
 // Each parallel goroutine owns its scratch and destinations, so -cpu 2
 // runs two concurrent encoders; ns/sample is wall time per encoded
 // sample.
 func BenchmarkEncodeBatch(b *testing.B) {
 	for _, features := range []int{75, 561, 617} {
-		enc, err := encoding.NewRecordEncoder(10000, features, 8, 0, 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		enc := unitEncoder(b, 10000, features, 8, 1)
 		rng := stats.NewRNG(2)
 		pool := make([][]float64, 64)
 		for i := range pool {
@@ -244,10 +261,7 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // steady-state encode path: EncodeInto with a caller-owned destination
 // and scratch must not allocate.
 func BenchmarkEncodeAllocs(b *testing.B) {
-	enc, err := encoding.NewRecordEncoder(10000, 75, 8, 0, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	enc := unitEncoder(b, 10000, 75, 8, 1)
 	rng := stats.NewRNG(3)
 	x := make([]float64, 75)
 	for i := range x {
@@ -325,9 +339,9 @@ func BenchmarkHammingManySIMD(b *testing.B) {
 	})
 }
 
-// BenchmarkMajorityIntoSIMD votes 3- and 5-replica majorities at
-// D=10000 through each kernel tier (the fleet anti-entropy kernel).
-func BenchmarkMajorityIntoSIMD(b *testing.B) {
+// BenchmarkMajorityInto votes 3- and 5-replica majorities at D=10000
+// (the fleet anti-entropy vote; portable Go on every tier).
+func BenchmarkMajorityInto(b *testing.B) {
 	rng := stats.NewRNG(6)
 	vs := make([]*bitvec.Vector, 5)
 	for i := range vs {
@@ -337,11 +351,9 @@ func BenchmarkMajorityIntoSIMD(b *testing.B) {
 	for _, fanIn := range []int{3, 5} {
 		fanIn := fanIn
 		b.Run(fmt.Sprintf("fanin=%d", fanIn), func(b *testing.B) {
-			forEachKernelBench(b, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					bitvec.MajorityInto(dst, vs[:fanIn])
-				}
-			})
+			for i := 0; i < b.N; i++ {
+				bitvec.MajorityInto(dst, vs[:fanIn])
+			}
 		})
 	}
 }
@@ -492,19 +504,6 @@ func BenchmarkAttack10k(b *testing.B) {
 		if _, err := attack.Random(img, 0.10, rng); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkNormalizerApply measures feature normalization.
-func BenchmarkNormalizerApply(b *testing.B) {
-	_, ds := benchSystem(b)
-	norm, err := encoding.FitNormalizer(ds.TrainX)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		norm.Apply(ds.TestX[i%len(ds.TestX)])
 	}
 }
 
@@ -785,10 +784,7 @@ func BenchmarkSECDEDDecode(b *testing.B) {
 // prediction at D=8192.
 func BenchmarkRegressionPredict(b *testing.B) {
 	rng := stats.NewRNG(34)
-	enc, err := encoding.NewRecordEncoder(8192, 12, 16, 0, 1, 35)
-	if err != nil {
-		b.Fatal(err)
-	}
+	enc := unitEncoder(b, 8192, 12, 16, 35)
 	var hs []*bitvec.Vector
 	var ys []float64
 	for i := 0; i < 150; i++ {

@@ -29,7 +29,17 @@ const (
 )
 
 func main() {
-	enc, err := encoding.NewRecordEncoder(dims, features, 16, 0, 1, 31)
+	// The synthetic channels are already in [0, 1]: a unit range per
+	// feature encodes them as they are.
+	zeros, ones := make([]float64, features), make([]float64, features)
+	for j := range ones {
+		ones[j] = 1
+	}
+	norm, err := encoding.NormalizerFromRanges(zeros, ones)
+	if err != nil {
+		log.Fatal(err)
+	}
+	enc, err := encoding.NewRecordEncoder(dims, 16, norm, 31)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 
 // kernelTable is one complete set of word-level SIMD kernels. Every
 // hot inner loop in this package — popcount-Hamming scoring, the
-// fleet majority vote, the signed tally accumulation of training and
-// the bind-bundle-majority sweep that builds every bundle (record
+// signed tally accumulation of training and the bind-bundle-majority
+// sweep that builds every bundle (record
 // encoding and LogHD planes) — dispatches through the active table, so
 // an architecture back end swaps all of them at once.
 //
@@ -24,12 +24,6 @@ type kernelTable struct {
 	// popcntXor returns popcount(a XOR b) over the paired words. The
 	// caller guarantees len(b) >= len(a).
 	popcntXor func(a, b []uint64) int
-
-	// majority3 and majority5 write the bitwise majority of the three
-	// (five) source slices into dst. dst may alias a source; kernels
-	// must load every source word of a chunk before storing it.
-	majority3 func(dst, a, b, c []uint64)
-	majority5 func(dst, a, b, c, d, e []uint64)
 
 	// addScaled adds +w to tallies[i] when bit i of words is set and
 	// -w when clear, for len(words)*64 tallies (the caller peels the
@@ -48,8 +42,6 @@ type kernelTable struct {
 var portableTable = kernelTable{
 	name:         "portable",
 	popcntXor:    popcntXorGo,
-	majority3:    majority3Go,
-	majority5:    majority5Go,
 	addScaled:    addScaledGo,
 	bindMajority: bindMajorityGo,
 }
@@ -129,24 +121,6 @@ func popcntXorGo(a, b []uint64) int {
 		t += bits.OnesCount64(x ^ b[i])
 	}
 	return t
-}
-
-func majority3Go(dst, a, b, c []uint64) {
-	for i := range dst {
-		dst[i] = a[i]&b[i] | a[i]&c[i] | b[i]&c[i]
-	}
-}
-
-func majority5Go(dst, a, b, c, d, e []uint64) {
-	for i := range dst {
-		// maj5 = "at least 3 of 5", split on how many of a,b,c vote
-		// yes: all three carry alone; exactly two need one of d,e;
-		// exactly one needs both.
-		maj3 := a[i]&b[i] | a[i]&c[i] | b[i]&c[i] // at least two of a,b,c
-		all3 := a[i] & b[i] & c[i]
-		one3 := (a[i] | b[i] | c[i]) &^ maj3 // exactly one of a,b,c
-		dst[i] = all3 | maj3&(d[i]|e[i]) | one3&d[i]&e[i]
-	}
 }
 
 func addScaledGo(tallies []int32, words []uint64, w int32) {

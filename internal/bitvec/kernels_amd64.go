@@ -4,9 +4,8 @@ package bitvec
 
 import "math/bits"
 
-// Assembly kernels (kernels_amd64.s). The popcount-Hamming and
-// majority-vote kernels process n &^ 3 words (the tally kernel
-// processes all n whole words); the Go wrappers below peel the
+// Assembly kernels (kernels_amd64.s). The popcount-Hamming kernels
+// process n &^ 3 words (the tally kernel processes all n whole words); the Go wrappers below peel the
 // remainder through the portable reference so any length and any
 // subslice alignment is bit-identical to the portable table. The
 // bindMajority kernels need no tail: a BindMemory is whole stripes and
@@ -17,12 +16,6 @@ func popcntXorHS(a, b *uint64, n int) int
 
 //go:noescape
 func popcntXorVP(a, b *uint64, n int) int
-
-//go:noescape
-func majority3Asm(dst, a, b, c *uint64, n int)
-
-//go:noescape
-func majority5Asm(dst, a, b, c, d, e *uint64, n int)
 
 //go:noescape
 func addScaledAsm(tallies *int32, words *uint64, n int, w int32)
@@ -59,26 +52,6 @@ func popcntXorAVX512(a, b []uint64) int {
 		t += bits.OnesCount64(a[i] ^ b[i])
 	}
 	return t
-}
-
-func majority3AVX2(dst, a, b, c []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		majority3Asm(&dst[0], &a[0], &b[0], &c[0], n)
-	}
-	if n < len(dst) {
-		majority3Go(dst[n:], a[n:], b[n:], c[n:])
-	}
-}
-
-func majority5AVX2(dst, a, b, c, d, e []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		majority5Asm(&dst[0], &a[0], &b[0], &c[0], &d[0], &e[0], n)
-	}
-	if n < len(dst) {
-		majority5Go(dst[n:], a[n:], b[n:], c[n:], d[n:], e[n:])
-	}
 }
 
 func addScaledAVX2(tallies []int32, words []uint64, w int32) {
@@ -153,8 +126,6 @@ func init() {
 	avx2 := kernelTable{
 		name:         "avx2",
 		popcntXor:    popcntXorAVX2,
-		majority3:    majority3AVX2,
-		majority5:    majority5AVX2,
 		addScaled:    addScaledAVX2,
 		bindMajority: bindMajorityAVX2,
 	}
@@ -165,8 +136,8 @@ func init() {
 		// hardware VPOPCNTQ, and the bind-bundle-majority sweep for the
 		// 512-bit VPTERNLOGQ kernel, whose 32 registers hold all eleven
 		// count planes and a 16-bind carry-save block at once. The
-		// majority-vote and tally kernels stay on 256-bit lanes: they
-		// are bound by memory, not by lane width.
+		// tally kernel stays on 256-bit lanes: it is bound by memory,
+		// not by lane width.
 		vp := avx2
 		vp.name = "avx512popcnt"
 		vp.popcntXor = popcntXorAVX512

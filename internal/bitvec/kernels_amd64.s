@@ -4,11 +4,11 @@
 
 // SIMD kernels for amd64. Two popcount-Hamming tiers are provided —
 // an AVX2 Harley-Seal VPSHUFB kernel and an AVX-512 VPOPCNTQ kernel
-// (256-bit lanes via AVX512VL) — plus AVX2 kernels for the 3/5-way
-// majority vote and the signed tally accumulation. These streaming
-// kernels are bound by loads and stores, so they stay on 256-bit
-// lanes; each processes the words it can cover at its vector width
-// (multiples of 4) and leaves the remainder to the Go wrapper. All
+// (256-bit lanes via AVX512VL) — plus an AVX2 kernel for the signed
+// tally accumulation. These streaming kernels are bound by loads and
+// stores, so they stay on 256-bit lanes; the Hamming kernels process
+// the words they can cover at their vector width (multiples of 4) and
+// leave the remainder to the Go wrapper. All
 // loads/stores are unaligned (VMOVDQU), so callers may pass arbitrary
 // word subslices.
 //
@@ -229,81 +229,6 @@ vpDone:
 	VPADDQ Y4, Y0, Y0
 	SUMQ(Y0, X0, X1, AX)
 	MOVQ AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func majority3Asm(dst, a, b, c *uint64, n int)
-//
-// dst = maj(a,b,c) over n &^ 3 words. Every source chunk is loaded
-// before dst's chunk is stored, so dst may alias a source.
-TEXT ·majority3Asm(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), BX
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), R8
-	MOVQ n+32(FP), CX
-	XORQ DX, DX
-
-maj3loop:
-	CMPQ CX, $4
-	JLT  maj3done
-	VMOVDQU (SI)(DX*1), Y0
-	VMOVDQU (DI)(DX*1), Y1
-	VMOVDQU (R8)(DX*1), Y2
-	VPAND   Y1, Y0, Y3 // a&b
-	VPOR    Y1, Y0, Y4 // a|b
-	VPAND   Y2, Y4, Y4 // c&(a|b)
-	VPOR    Y4, Y3, Y3
-	VMOVDQU Y3, (BX)(DX*1)
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  maj3loop
-
-maj3done:
-	VZEROUPPER
-	RET
-
-// func majority5Asm(dst, a, b, c, d, e *uint64, n int)
-//
-// dst = maj(a..e) over n &^ 3 words, via the same 3-of-5 split as the
-// portable kernel. dst may alias a source.
-TEXT ·majority5Asm(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), BX
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), R8
-	MOVQ d+32(FP), R9
-	MOVQ e+40(FP), R10
-	MOVQ n+48(FP), CX
-	XORQ DX, DX
-
-maj5loop:
-	CMPQ CX, $4
-	JLT  maj5done
-	VMOVDQU (SI)(DX*1), Y0
-	VMOVDQU (DI)(DX*1), Y1
-	VMOVDQU (R8)(DX*1), Y2
-	VMOVDQU (R9)(DX*1), Y3
-	VMOVDQU (R10)(DX*1), Y4
-	VPAND   Y1, Y0, Y5 // a&b
-	VPOR    Y1, Y0, Y6 // a|b
-	VPAND   Y2, Y6, Y7 // c&(a|b)
-	VPOR    Y7, Y5, Y7 // maj3 = at least two of a,b,c
-	VPAND   Y2, Y5, Y5 // all3
-	VPOR    Y2, Y6, Y6 // a|b|c
-	VPANDN  Y6, Y7, Y6 // one3 = (a|b|c) &^ maj3
-	VPOR    Y4, Y3, Y8 // d|e
-	VPAND   Y8, Y7, Y7 // maj3 & (d|e)
-	VPAND   Y4, Y3, Y8 // d&e
-	VPAND   Y8, Y6, Y6 // one3 & d&e
-	VPOR    Y7, Y5, Y5
-	VPOR    Y6, Y5, Y5
-	VMOVDQU Y5, (BX)(DX*1)
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JMP  maj5loop
-
-maj5done:
 	VZEROUPPER
 	RET
 

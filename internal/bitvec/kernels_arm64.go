@@ -25,12 +25,11 @@ func popcntXorNEONWrap(a, b []uint64) int {
 
 func init() {
 	// NEON (AdvSIMD) is baseline on arm64 — no feature probe needed.
-	// Only the popcount-Hamming kernel is vectorized. The majority-vote
-	// and tally kernels are load/store bound, where the Go compiler's
-	// scalar 64-bit AND/XOR/OR loops already compete, and the portable
-	// bind-bundle-majority sweep keeps a word column's count planes in
-	// scalar registers; so those table entries stay on the portable
-	// reference.
+	// Only the popcount-Hamming kernel is vectorized. The tally kernel
+	// is load/store bound, where the Go compiler's scalar loop already
+	// competes, and the portable bind-bundle-majority sweep keeps a
+	// word column's count planes in scalar registers; so those table
+	// entries stay on the portable reference.
 	neon := portableTable
 	neon.name = "neon"
 	neon.popcntXor = popcntXorNEONWrap

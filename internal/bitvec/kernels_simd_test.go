@@ -174,42 +174,6 @@ func TestKernelHammingRangeEquivalence(t *testing.T) {
 	})
 }
 
-func TestKernelMajorityEquivalence(t *testing.T) {
-	forEachKernel(t, func(t *testing.T, name string) {
-		rng := kernelRNG(206)
-		for _, n := range []int{1, 64, 65, 513, 4097} {
-			for fanIn := 1; fanIn <= 9; fanIn++ {
-				vs := make([]*Vector, fanIn)
-				for i := range vs {
-					vs[i] = patternedVector(n, (i+fanIn)%5, rng)
-				}
-				got := Majority(vs)
-				for i := 0; i < n; i += 1 + n/29 {
-					votes := 0
-					for _, v := range vs {
-						if v.Get(i) {
-							votes++
-						}
-					}
-					want := votes*2 > fanIn
-					if votes*2 == fanIn {
-						want = vs[0].Get(i) // even tie: incumbent wins
-					}
-					if got.Get(i) != want {
-						t.Fatalf("n=%d fanIn=%d bit %d: majority %v != %v", n, fanIn, i, got.Get(i), want)
-					}
-				}
-				// Aliasing contract: dst may be one of the voters.
-				alias := vs[0].Clone()
-				MajorityInto(alias, append([]*Vector{alias}, vs[1:]...))
-				if !alias.Equal(got) {
-					t.Fatalf("n=%d fanIn=%d: aliased MajorityInto diverges", n, fanIn)
-				}
-			}
-		}
-	})
-}
-
 func TestKernelCounterAddScaledEquivalence(t *testing.T) {
 	forEachKernel(t, func(t *testing.T, name string) {
 		rng := kernelRNG(207)

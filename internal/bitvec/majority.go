@@ -35,13 +35,34 @@ func MajorityInto(dst *Vector, vs []*Vector) {
 		dst.CopyFrom(vs[0])
 		return
 	case 3:
-		kern.majority3(dst.words, vs[0].words, vs[1].words, vs[2].words)
+		majority3Go(dst.words, vs[0].words, vs[1].words, vs[2].words)
 		return
 	case 5:
-		kern.majority5(dst.words, vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words)
+		majority5Go(dst.words, vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words)
 		return
 	}
 	majorityGeneral(dst, vs)
+}
+
+// majority3Go and majority5Go write the bitwise majority of the three
+// (five) source slices into dst, one word at a time. dst may alias a
+// source: each word is read from every source before it is stored.
+func majority3Go(dst, a, b, c []uint64) {
+	for i := range dst {
+		dst[i] = a[i]&b[i] | a[i]&c[i] | b[i]&c[i]
+	}
+}
+
+func majority5Go(dst, a, b, c, d, e []uint64) {
+	for i := range dst {
+		// maj5 = "at least 3 of 5", split on how many of a,b,c vote
+		// yes: all three carry alone; exactly two need one of d,e;
+		// exactly one needs both.
+		maj3 := a[i]&b[i] | a[i]&c[i] | b[i]&c[i] // at least two of a,b,c
+		all3 := a[i] & b[i] & c[i]
+		one3 := (a[i] | b[i] | c[i]) &^ maj3 // exactly one of a,b,c
+		dst[i] = all3 | maj3&(d[i]|e[i]) | one3&d[i]&e[i]
+	}
 }
 
 // majorityGeneral is the arbitrary-fan-in path: per 64-bit word it

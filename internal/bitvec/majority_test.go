@@ -26,6 +26,9 @@ func majorityRef(vs []*Vector) *Vector {
 	return out
 }
 
+// TestMajorityMatchesReference holds every fan-in path (copy, the 3-
+// and 5-way formulas, the bit-sliced counter) to the per-bit
+// reference on random vectors.
 func TestMajorityMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 0))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 11} {
@@ -45,6 +48,33 @@ func TestMajorityMatchesReference(t *testing.T) {
 			MajorityInto(aliased, vs)
 			if !aliased.Equal(want) {
 				t.Fatalf("n=%d dims=%d: aliased MajorityInto disagrees", n, dims)
+			}
+		}
+	}
+}
+
+// TestKernelMajorityEquivalence holds the vote to the per-bit rule at
+// every fan-in from 1 to 9 on all-zeros, all-ones, alternating and
+// random vectors, whose votes tie or saturate where random bits rarely
+// do. The vote is portable Go in no kernel table, so it runs once
+// rather than per dispatch tier.
+func TestKernelMajorityEquivalence(t *testing.T) {
+	rng := kernelRNG(206)
+	for _, n := range []int{1, 64, 65, 513, 4097} {
+		for fanIn := 1; fanIn <= 9; fanIn++ {
+			vs := make([]*Vector, fanIn)
+			for i := range vs {
+				vs[i] = patternedVector(n, (i+fanIn)%5, rng)
+			}
+			got := Majority(vs)
+			if want := majorityRef(vs); !got.Equal(want) {
+				t.Fatalf("n=%d fanIn=%d: majority disagrees with per-bit reference", n, fanIn)
+			}
+			// Aliasing contract: dst may be one of the voters.
+			alias := vs[0].Clone()
+			MajorityInto(alias, append([]*Vector{alias}, vs[1:]...))
+			if !alias.Equal(got) {
+				t.Fatalf("n=%d fanIn=%d: aliased MajorityInto diverges", n, fanIn)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
-// Package core assembles the RobustHD system: feature normalization,
-// hyperdimensional record encoding, the HDC classifier, and the
-// adaptive self-recovery loop, behind one facade. Examples, the CLI,
-// and the experiment drivers all build on this package.
+// Package core assembles the RobustHD system: hyperdimensional record
+// encoding of raw features (the encoder owns the fitted normalizer
+// ranges), the HDC classifier, and the adaptive self-recovery loop,
+// behind one facade. Examples, the CLI, and the experiment drivers all
+// build on this package.
 //
 // The division of state mirrors the paper's threat model:
 //
-//   - The encoder and normalizer are derived deterministically from
-//     (seed, config) and never need to live in attackable memory.
+//   - The encoder, with its normalizer ranges, is derived
+//     deterministically from (seed, config, training data) and never
+//     needs to live in attackable memory.
 //   - The deployed binary class hypervectors ARE the attackable
 //     memory; attacks flip their bits and recovery rewrites them.
 package core
@@ -81,32 +83,10 @@ func (c Config) Validate() error {
 // (log-compressed class memory, no per-class recovery surface).
 type System struct {
 	cfg     Config
-	norm    *encoding.Normalizer
 	encoder *encoding.RecordEncoder
 	model   *model.Model
 	log     *model.LogHD
-
-	// enc pools per-worker encode scratch (normalized-feature buffer +
-	// encoder scratch) so the steady-state encode path only allocates
-	// the output hypervector.
-	enc sync.Pool
 }
-
-// encodeScratch is one worker's reusable encode state: a normalized
-// row per batch slot and the encoder's scratch.
-type encodeScratch struct {
-	rows    [][]float64
-	scratch *encoding.Scratch
-}
-
-func (s *System) getScratch() *encodeScratch {
-	if sc, ok := s.enc.Get().(*encodeScratch); ok {
-		return sc
-	}
-	return &encodeScratch{scratch: s.encoder.NewScratch()}
-}
-
-func (s *System) putScratch(sc *encodeScratch) { s.enc.Put(sc) }
 
 // Train builds and trains a system on raw feature vectors with labels
 // in [0, classes).
@@ -133,7 +113,7 @@ func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	enc, err := encoding.NewRecordEncoder(cfg.Dimensions, len(trainX[0]), cfg.Levels, 0, 1, cfg.Seed)
+	enc, err := encoding.NewRecordEncoder(cfg.Dimensions, cfg.Levels, norm, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -141,7 +121,7 @@ func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s := &System{cfg: cfg, norm: norm, encoder: enc, model: m}
+	s := &System{cfg: cfg, encoder: enc, model: m}
 	encoded := s.EncodeAllParallel(trainX, cfg.Workers)
 	if err := m.TrainParallel(encoded, trainY, cfg.Workers); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -178,12 +158,12 @@ func (s *System) backend() backend {
 }
 
 // Fork returns an independent copy of the system for concurrent use:
-// the deployed backend is deep-copied while the immutable encoder and
-// normalizer are shared. Forks let parallel experiment trials attack
-// and recover private model copies instead of serializing
-// attack/restore cycles on one shared system.
+// the deployed backend is deep-copied while the immutable encoder is
+// shared. Forks let parallel experiment trials attack and recover
+// private model copies instead of serializing attack/restore cycles on
+// one shared system.
 func (s *System) Fork() *System {
-	f := &System{cfg: s.cfg, norm: s.norm, encoder: s.encoder}
+	f := &System{cfg: s.cfg, encoder: s.encoder}
 	if s.log != nil {
 		f.log = s.log.Clone()
 	} else {
@@ -194,9 +174,9 @@ func (s *System) Fork() *System {
 
 // CompressLogHD returns a sibling system whose deployment is the LogHD
 // compression of this system's trained dense model, sharing the
-// encoder and normalizer (queries encode identically; only scoring
-// memory changes). extraPlanes adds redundancy planes beyond
-// ceil(log2 k); see model.CompressLogHD.
+// encoder (queries encode identically; only scoring memory changes).
+// extraPlanes adds redundancy planes beyond ceil(log2 k); see
+// model.CompressLogHD.
 func (s *System) CompressLogHD(extraPlanes int) (*System, error) {
 	if s.model == nil {
 		return nil, fmt.Errorf("core: compression requires a dense backend")
@@ -205,7 +185,7 @@ func (s *System) CompressLogHD(extraPlanes int) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &System{cfg: s.cfg, norm: s.norm, encoder: s.encoder, log: l}, nil
+	return &System{cfg: s.cfg, encoder: s.encoder, log: l}, nil
 }
 
 // Config returns the construction configuration.
@@ -249,55 +229,24 @@ func (s *System) Dimensions() int { return s.backend().Dimensions() }
 // callers (the serve package) validate against this first.
 func (s *System) Features() int { return s.encoder.Features() }
 
-// Encode normalizes and encodes one raw feature vector. Only the
-// returned hypervector is allocated; normalization and bundling run in
-// pooled scratch.
-func (s *System) Encode(x []float64) *bitvec.Vector {
-	out := bitvec.New(s.encoder.Dimensions())
-	s.EncodeInto(out, x)
-	return out
-}
+// Encode encodes one raw feature vector. Only the returned
+// hypervector is allocated; the encoder's pooled scratch holds the
+// rest.
+func (s *System) Encode(x []float64) *bitvec.Vector { return s.encoder.Encode(x) }
 
-// EncodeInto normalizes and encodes one raw feature vector into dst —
-// the fully allocation-free variant for callers that recycle query
-// vectors. dst must have the system's dimensionality.
-func (s *System) EncodeInto(dst *bitvec.Vector, x []float64) {
-	sc := s.getScratch()
-	s.encodeBatch([]*bitvec.Vector{dst}, [][]float64{x}, sc)
-	s.putScratch(sc)
-}
-
-// encodeBatch normalizes xs into the scratch rows and encodes them
-// into out in batch-major passes.
-func (s *System) encodeBatch(out []*bitvec.Vector, xs [][]float64, sc *encodeScratch) {
-	for len(sc.rows) < min(len(xs), encoding.MaxBatch) {
-		sc.rows = append(sc.rows, make([]float64, s.encoder.Features()))
-	}
-	for len(xs) > 0 {
-		n := min(len(xs), encoding.MaxBatch)
-		rows := sc.rows[:n]
-		for i, x := range xs[:n] {
-			s.norm.ApplyInto(rows[i], x)
-		}
-		s.encoder.EncodeBatchInto(out[:n], rows, sc.scratch)
-		out, xs = out[n:], xs[n:]
-	}
-}
-
-// encodeAllInto allocates out[i] and encodes xs[i] into it.
-func (s *System) encodeAllInto(out []*bitvec.Vector, xs [][]float64, sc *encodeScratch) {
+// encodeAllInto allocates out[i] and encodes xs[i] into it, on
+// scratch borrowed from the encoder's pool.
+func (s *System) encodeAllInto(out []*bitvec.Vector, xs [][]float64) {
 	for i := range out {
 		out[i] = bitvec.New(s.encoder.Dimensions())
 	}
-	s.encodeBatch(out, xs, sc)
+	s.encoder.EncodeBatchInto(out, xs, nil)
 }
 
 // EncodeAll encodes a batch of raw feature vectors.
 func (s *System) EncodeAll(xs [][]float64) []*bitvec.Vector {
 	out := make([]*bitvec.Vector, len(xs))
-	sc := s.getScratch()
-	s.encodeAllInto(out, xs, sc)
-	s.putScratch(sc)
+	s.encodeAllInto(out, xs)
 	return out
 }
 
@@ -325,17 +274,13 @@ func (s *System) EncodeAllParallel(xs [][]float64, workers int) []*bitvec.Vector
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local scratch: normalization rows and bundling
-			// counters per goroutine for the whole batch.
-			sc := s.getScratch()
-			defer s.putScratch(sc)
 			for {
 				lo := int(next.Add(1)-1) * chunk
 				if lo >= len(xs) {
 					return
 				}
 				hi := min(lo+chunk, len(xs))
-				s.encodeAllInto(out[lo:hi], xs[lo:hi], sc)
+				s.encodeAllInto(out[lo:hi], xs[lo:hi])
 			}
 		}()
 	}

@@ -196,7 +196,7 @@ func TestEncodeAllParallelMatchesSerial(t *testing.T) {
 		xs := ds.TestX[:n]
 		serial := s.EncodeAll(xs)
 		for i, x := range xs {
-			if want := s.encoder.Encode(s.norm.Apply(x)); !serial[i].Equal(want) {
+			if want := s.encoder.Encode(x); !serial[i].Equal(want) {
 				t.Fatalf("n=%d sample %d: EncodeAll differs from per-sample encoding", n, i)
 			}
 		}

@@ -68,7 +68,7 @@ func (s *System) SaveStamped(w io.Writer, probeAccuracy float64) error {
 // anchor's sealed seq and Merkle root to the payload so restore paths
 // can verify the snapshot's journal lineage.
 func (s *System) SaveAnchored(w io.Writer, probeAccuracy float64, anchor *JournalAnchor) error {
-	if s.encoder == nil || s.norm == nil || (s.model == nil && s.log == nil) {
+	if s.encoder == nil || (s.model == nil && s.log == nil) {
 		return fmt.Errorf("core: cannot save an untrained system")
 	}
 	if !math.IsNaN(probeAccuracy) && (probeAccuracy < 0 || probeAccuracy > 1) {
@@ -107,7 +107,7 @@ func (s *System) SaveAnchored(w io.Writer, probeAccuracy float64, anchor *Journa
 			return fmt.Errorf("core: save anchor: %w", err)
 		}
 	}
-	mins, maxs := s.norm.Ranges()
+	mins, maxs := s.encoder.Normalizer().Ranges()
 	for _, slice := range [][]float64{mins, maxs} {
 		for _, v := range slice {
 			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
@@ -237,14 +237,13 @@ func LoadAnchored(r io.Reader) (*System, float64, *JournalAnchor, error) {
 	}
 	sys := &System{
 		cfg:   Config{Dimensions: int(dims), Levels: int(levels), Seed: seed},
-		norm:  norm,
 		model: m,
 		log:   l,
 	}
 	if sys.Dimensions() != int(dims) {
 		return nil, nan, nil, fmt.Errorf("core: model dims %d != config dims %d", sys.Dimensions(), dims)
 	}
-	if sys.encoder, err = encoding.NewRecordEncoder(int(dims), int(features), int(levels), 0, 1, seed); err != nil {
+	if sys.encoder, err = encoding.NewRecordEncoder(int(dims), int(levels), norm, seed); err != nil {
 		return nil, nan, nil, fmt.Errorf("core: %w", err)
 	}
 	return sys, stamp, anchor, nil

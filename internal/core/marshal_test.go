@@ -240,9 +240,10 @@ func TestLoadAnchoredRejectsZeroSealedSeq(t *testing.T) {
 }
 
 // TestLoadAnchoredBoundsAllocation feeds correctly sealed snapshots
-// whose headers claim far more than their payload holds. The CRC is
-// the sender's, so it gates nothing: the load must fail having
-// allocated in proportion to the bytes present, not to the claims.
+// whose headers claim far more than their payload holds, or whose
+// normalizer ranges could not scale a feature. The CRC is the
+// sender's, so it gates nothing: the load must fail having allocated
+// in proportion to the bytes present, not to the claims.
 func TestLoadAnchoredBoundsAllocation(t *testing.T) {
 	const bound = 1 << 20
 	sealed := func(words ...uint64) []byte {
@@ -253,11 +254,39 @@ func TestLoadAnchoredBoundsAllocation(t *testing.T) {
 		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	}
 	stamp := math.Float64bits(0.5)
+	// A genuine two-feature snapshot with its ranges rewritten and the
+	// CRC recomputed.
+	sys, err := Train([][]float64{{0, 0}, {1, 1}, {0.1, 0.2}, {0.9, 0.8}}, []int{0, 1, 0, 1}, 2, Config{Dimensions: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	forgeRanges := func(min0, min1, max0, max1 float64) []byte {
+		img := append([]byte(nil), buf.Bytes()...)
+		payload := img[:len(img)-4]
+		// Header words: magic, dims, levels, seed, features, stamp; then
+		// both mins, then both maxes.
+		for k, v := range []float64{min0, min1, max0, max1} {
+			binary.LittleEndian.PutUint64(payload[6*8+8*k:], math.Float64bits(v))
+		}
+		return binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	}
+	if _, err := Load(bytes.NewReader(forgeRanges(-2, 0, 3, 1))); err != nil {
+		t.Fatalf("finite forged ranges refused: %v", err)
+	}
 	for name, img := range map[string][]byte{
 		// 2^24 features and no normalizer behind them.
 		"features": sealed(systemMagic, 10000, 8, 1, 1<<24, stamp),
 		// One feature's normalizer, then D=2^23 and no model section.
 		"dims": sealed(systemMagic, 1<<23, 2, 1, 1, stamp, math.Float64bits(0), math.Float64bits(1)),
+		// Feature 0's min is NaN and feature 1's is −Inf.
+		"non-finite mins": forgeRanges(math.NaN(), math.Inf(-1), 1, 1),
+		"infinite max":    forgeRanges(0, 0, 1, math.Inf(1)),
+		// max − min overflows to +Inf.
+		"overflowing span": forgeRanges(-1e308, 0, 1e308, 1),
 	} {
 		var before, after runtime.MemStats
 		var err error

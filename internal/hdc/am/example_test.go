@@ -10,7 +10,8 @@ import (
 // The cleanup loop: encode two known records, store them, then recall
 // the right one from a noisy observation.
 func Example() {
-	enc, _ := encoding.NewRecordEncoder(10000, 4, 8, 0, 1, 7)
+	unit, _ := encoding.NormalizerFromRanges([]float64{0, 0, 0, 0}, []float64{1, 1, 1, 1})
+	enc, _ := encoding.NewRecordEncoder(10000, 8, unit, 7)
 	memory, _ := am.New(10000)
 
 	_ = memory.Store("walking", enc.Encode([]float64{0.9, 0.1, 0.3, 0.2}))

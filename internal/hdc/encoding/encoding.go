@@ -22,16 +22,6 @@ import (
 	"repro/internal/hdc"
 )
 
-// Encoder converts an original-space feature vector into a binary
-// hypervector of fixed dimensionality.
-type Encoder interface {
-	// Encode maps features to a hypervector. It panics if the feature
-	// count does not match the encoder's configuration.
-	Encode(features []float64) *bitvec.Vector
-	// Dimensions returns the hypervector dimensionality produced.
-	Dimensions() int
-}
-
 // MaxLevelMemory caps the level memory an encoder may be asked to
 // build (16 MiB, over 13k levels at D=10k), so a configuration or
 // snapshot header cannot demand an unbounded allocation. It is counted
@@ -96,34 +86,34 @@ func ValidateClasses(dims, classes int) error {
 	return nil
 }
 
-// RecordEncoder is the paper's ID–level encoder. It is deterministic
-// given (dims, features, levels, seed), so an encoder never needs to be
-// stored in attackable memory — it can always be regenerated. Encoding
-// is safe for concurrent use: everything it reads is built at
-// construction.
+// RecordEncoder is the paper's ID–level encoder over raw feature
+// vectors. It is deterministic given (dims, levels, normalizer ranges,
+// seed), so an encoder never needs to be stored in attackable memory —
+// it can always be regenerated. Encoding is safe for concurrent use:
+// everything it reads is built at construction.
 //
-// The encoder keeps only the base hypervectors B_k and the level
-// hypervectors L(l), laid out in one bitvec.BindMemory, and binds on
-// the fly: each bind L(l_k) ⊕ B_k is one register XOR inside the fused
-// bind-bundle-majority kernel, so no table of products is stored.
+// The encoder owns the whole path from a raw row to a hypervector: its
+// Normalizer's ranges pick each feature's level, and the base
+// hypervectors B_k and the level hypervectors L(l), laid out in one
+// bitvec.BindMemory, are bound on the fly: each bind L(l_k) ⊕ B_k is
+// one register XOR inside the fused bind-bundle-majority kernel, so no
+// table of products is stored.
 type RecordEncoder struct {
-	mem      *bitvec.BindMemory
-	dims     int
-	features int
-	levels   int
-	lo, hi   float64
-	scratch  sync.Pool // *Scratch, for calls without caller scratch
+	mem     *bitvec.BindMemory
+	norm    *Normalizer
+	dims    int
+	levels  int
+	scratch sync.Pool // *Scratch, for calls without caller scratch
 }
 
-// NewRecordEncoder builds an encoder for feature vectors of length
-// features, quantizing each feature into levels buckets over the
-// value range [lo, hi].
-func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (*RecordEncoder, error) {
+// NewRecordEncoder builds an encoder for raw feature vectors of
+// norm.Features() values: each feature is scaled by norm to [0, 1] and
+// quantized into one of levels buckets. Data already in [0, 1] encodes
+// through NormalizerFromRanges(zeros, ones).
+func NewRecordEncoder(dims, levels int, norm *Normalizer, seed uint64) (*RecordEncoder, error) {
+	features := norm.Features()
 	if err := ValidateFeatures(dims, features); err != nil {
 		return nil, err
-	}
-	if lo >= hi {
-		return nil, fmt.Errorf("encoding: invalid value range [%v, %v]", lo, hi)
 	}
 	if err := ValidateLevels(dims, levels); err != nil {
 		return nil, err
@@ -145,12 +135,10 @@ func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (
 		levelVecs[l] = lv.Vector(l)
 	}
 	return &RecordEncoder{
-		mem:      bitvec.NewBindMemory(items, levelVecs),
-		dims:     dims,
-		features: features,
-		levels:   levels,
-		lo:       lo,
-		hi:       hi,
+		mem:    bitvec.NewBindMemory(items, levelVecs),
+		norm:   norm,
+		dims:   dims,
+		levels: levels,
 	}, nil
 }
 
@@ -158,12 +146,15 @@ func NewRecordEncoder(dims, features, levels int, lo, hi float64, seed uint64) (
 func (e *RecordEncoder) Dimensions() int { return e.dims }
 
 // Features returns the expected original-space feature count.
-func (e *RecordEncoder) Features() int { return e.features }
+func (e *RecordEncoder) Features() int { return e.norm.Features() }
 
-// Scratch holds the reusable working state of encode calls: the
-// quantized level index of every feature of a pass and the kernel's
-// scratch. A Scratch is not safe for concurrent use — give each worker
-// its own.
+// Normalizer returns the ranges the encoder scales raw features by
+// (shared, immutable).
+func (e *RecordEncoder) Normalizer() *Normalizer { return e.norm }
+
+// Scratch holds the reusable working state of encode calls: the level
+// index of every feature of a pass and the kernel's scratch. A Scratch
+// is not safe for concurrent use — give each worker its own.
 type Scratch struct {
 	lv   []int32
 	bind bitvec.BindScratch
@@ -174,10 +165,10 @@ type Scratch struct {
 // some size, batches up to that size allocate nothing.
 func (e *RecordEncoder) NewScratch() *Scratch { return &Scratch{} }
 
-// Encode maps a feature vector to a hypervector: bind each feature's
-// level vector with its positional base vector, then bundle by
-// majority. Only the returned vector is allocated; working state comes
-// from an internal scratch pool.
+// Encode maps a raw feature vector to a hypervector: bind each
+// feature's level vector with its positional base vector, then bundle
+// by majority. Only the returned vector is allocated; working state
+// comes from an internal scratch pool.
 func (e *RecordEncoder) Encode(features []float64) *bitvec.Vector {
 	out := bitvec.New(e.dims)
 	e.EncodeInto(out, features, nil)
@@ -191,21 +182,23 @@ func (e *RecordEncoder) EncodeInto(dst *bitvec.Vector, features []float64, s *Sc
 	e.EncodeBatchInto([]*bitvec.Vector{dst}, [][]float64{features}, s)
 }
 
-// EncodeBatchInto encodes rows[i] into dsts[i] for every i, bit-
-// identical to encoding each row on its own. Each pass of at most
-// MaxBatch samples quantizes its rows, then runs one kernel sweep that
-// walks the hypervector's stripes in the outer loop and the pass's
-// samples in the inner one. Every row must have Features() values and
-// every dst Dimensions() bits. With caller-owned dsts and scratch the
-// call is allocation-free once the scratch has seen a batch this size;
-// a nil s borrows scratch from the encoder's internal pool.
+// EncodeBatchInto encodes the raw rows[i] into dsts[i] for every i,
+// bit-identical to encoding each row on its own. Each pass of at most
+// MaxBatch samples maps every raw value straight to its level index,
+// then runs one kernel sweep that walks the hypervector's stripes in
+// the outer loop and the pass's samples in the inner one. Every row
+// must have Features() values and every dst Dimensions() bits. With
+// caller-owned dsts and scratch the call is allocation-free once the
+// scratch has seen a batch this size; a nil s borrows scratch from the
+// encoder's internal pool.
 func (e *RecordEncoder) EncodeBatchInto(dsts []*bitvec.Vector, rows [][]float64, s *Scratch) {
 	if len(dsts) != len(rows) {
 		panic(fmt.Sprintf("encoding: %d destinations for %d rows", len(dsts), len(rows)))
 	}
+	features := e.norm.Features()
 	for i, row := range rows {
-		if len(row) != e.features {
-			panic(fmt.Sprintf("encoding: got %d features, want %d", len(row), e.features))
+		if len(row) != features {
+			panic(fmt.Sprintf("encoding: got %d features, want %d", len(row), features))
 		}
 		if dsts[i].Len() != e.dims {
 			panic(fmt.Sprintf("encoding: dst has %d dims, want %d", dsts[i].Len(), e.dims))
@@ -218,15 +211,38 @@ func (e *RecordEncoder) EncodeBatchInto(dsts []*bitvec.Vector, rows [][]float64,
 		}
 		defer e.scratch.Put(s)
 	}
+	mins, maxs := e.norm.min, e.norm.max
 	for len(rows) > 0 {
 		n := min(len(rows), MaxBatch)
-		if cap(s.lv) < n*e.features {
-			s.lv = make([]int32, MaxBatch*e.features)
+		if cap(s.lv) < n*features {
+			s.lv = make([]int32, MaxBatch*features)
 		}
-		lv := s.lv[:n*e.features]
+		lv := s.lv[:n*features]
 		for i, row := range rows[:n] {
-			for k, f := range row {
-				lv[i*e.features+k] = int32(hdc.Quantize(f, e.lo, e.hi, e.levels))
+			for k, v := range row {
+				// The float operations of Normalizer.Apply and then
+				// LevelMemory.Quantize over [0, 1] (whose division by
+				// the unit span is exact), in their order: the level is
+				// bit-identical to that reference. A reciprocal multiply
+				// would round differently at bucket edges.
+				f := 0.5
+				if span := maxs[k] - mins[k]; span != 0 {
+					f = (v - mins[k]) / span
+					if f < 0 {
+						f = 0
+					}
+					if f > 1 {
+						f = 1
+					}
+				}
+				l := int(f * float64(e.levels))
+				if l < 0 {
+					l = 0
+				}
+				if l >= e.levels {
+					l = e.levels - 1
+				}
+				lv[i*features+k] = int32(l)
 			}
 		}
 		e.mem.MajorityInto(dsts[:n], lv, &s.bind)
@@ -286,13 +302,15 @@ func (e *NGramEncoder) EncodeSequence(symbols []int) *bitvec.Vector {
 
 // Normalizer rescales features to [0, 1] using per-feature min/max
 // learned from training data, so a single level-memory range serves
-// heterogeneous features.
+// heterogeneous features. Every range is finite with a finite span.
 type Normalizer struct {
 	min, max []float64
 }
 
 // FitNormalizer learns per-feature min/max from the rows of data. It
-// returns an error on empty or ragged input.
+// returns an error on empty or ragged input, and on a feature whose
+// range checkRanges refuses (an infinite value, no non-NaN value, or a
+// span past the float64 range).
 func FitNormalizer(data [][]float64) (*Normalizer, error) {
 	if len(data) == 0 || len(data[0]) == 0 {
 		return nil, fmt.Errorf("encoding: cannot fit normalizer on empty data")
@@ -317,7 +335,29 @@ func FitNormalizer(data [][]float64) (*Normalizer, error) {
 			}
 		}
 	}
+	if err := checkRanges(mn, mx); err != nil {
+		return nil, err
+	}
 	return &Normalizer{min: mn, max: mx}, nil
+}
+
+// checkRanges refuses ranges that cannot scale a feature: a NaN or
+// infinite bound, a min above its max, or a span max − min that
+// overflows to +Inf. Any of these would pin the feature to one level
+// whatever its value.
+func checkRanges(mins, maxs []float64) error {
+	for j, lo := range mins {
+		hi := maxs[j]
+		switch {
+		case math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0):
+			return fmt.Errorf("encoding: feature %d has non-finite range [%v, %v]", j, lo, hi)
+		case lo > hi:
+			return fmt.Errorf("encoding: feature %d has min %v > max %v", j, lo, hi)
+		case math.IsInf(hi-lo, 1):
+			return fmt.Errorf("encoding: feature %d range [%v, %v] spans past the float64 range", j, lo, hi)
+		}
+	}
+	return nil
 }
 
 // Features returns the feature count the normalizer was fit on.
@@ -330,15 +370,14 @@ func (n *Normalizer) Ranges() (mins, maxs []float64) {
 
 // NormalizerFromRanges reconstructs a normalizer from previously
 // fitted ranges (e.g. loaded from a saved system). The slices must
-// have equal nonzero length.
+// have equal nonzero length and pass the range check FitNormalizer
+// applies.
 func NormalizerFromRanges(mins, maxs []float64) (*Normalizer, error) {
 	if len(mins) == 0 || len(mins) != len(maxs) {
 		return nil, fmt.Errorf("encoding: bad range shapes %d/%d", len(mins), len(maxs))
 	}
-	for j := range mins {
-		if mins[j] > maxs[j] {
-			return nil, fmt.Errorf("encoding: feature %d has min %v > max %v", j, mins[j], maxs[j])
-		}
+	if err := checkRanges(mins, maxs); err != nil {
+		return nil, err
 	}
 	return &Normalizer{
 		min: append([]float64(nil), mins...),
@@ -348,27 +387,18 @@ func NormalizerFromRanges(mins, maxs []float64) (*Normalizer, error) {
 
 // Apply returns a normalized copy of row with each feature mapped to
 // [0, 1] (values outside the fit range are clamped; constant features
-// map to 0.5). It panics on a feature-count mismatch.
+// map to 0.5). It panics on a feature-count mismatch. RecordEncoder
+// runs the same arithmetic fused with its level quantization; Apply is
+// the reference its tests hold it to.
 func (n *Normalizer) Apply(row []float64) []float64 {
-	out := make([]float64, len(row))
-	n.ApplyInto(out, row)
-	return out
-}
-
-// ApplyInto normalizes row into dst without allocating (the zero-alloc
-// variant the encode scratch path uses). dst and row must both have the
-// fitted feature count.
-func (n *Normalizer) ApplyInto(dst, row []float64) {
 	if len(row) != len(n.min) {
 		panic(fmt.Sprintf("encoding: got %d features, want %d", len(row), len(n.min)))
 	}
-	if len(dst) != len(row) {
-		panic(fmt.Sprintf("encoding: dst has %d features, want %d", len(dst), len(row)))
-	}
+	out := make([]float64, len(row))
 	for j, v := range row {
 		span := n.max[j] - n.min[j]
 		if span == 0 {
-			dst[j] = 0.5
+			out[j] = 0.5
 			continue
 		}
 		f := (v - n.min[j]) / span
@@ -378,15 +408,7 @@ func (n *Normalizer) ApplyInto(dst, row []float64) {
 		if f > 1 {
 			f = 1
 		}
-		dst[j] = f
-	}
-}
-
-// ApplyAll normalizes every row of data, returning a new matrix.
-func (n *Normalizer) ApplyAll(data [][]float64) [][]float64 {
-	out := make([][]float64, len(data))
-	for i, row := range data {
-		out[i] = n.Apply(row)
+		out[j] = f
 	}
 	return out
 }

@@ -8,11 +8,11 @@ import (
 )
 
 func TestRecordEncoderDeterministic(t *testing.T) {
-	e1, err := NewRecordEncoder(2000, 10, 8, 0, 1, 99)
+	e1, err := NewRecordEncoder(2000, 8, unitNormalizer(10), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := NewRecordEncoder(2000, 10, 8, 0, 1, 99)
+	e2, _ := NewRecordEncoder(2000, 8, unitNormalizer(10), 99)
 	f := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	if !e1.Encode(f).Equal(e2.Encode(f)) {
 		t.Fatal("same config encoders disagree")
@@ -23,22 +23,16 @@ func TestRecordEncoderDeterministic(t *testing.T) {
 }
 
 func TestRecordEncoderValidation(t *testing.T) {
-	if _, err := NewRecordEncoder(100, 0, 8, 0, 1, 1); err == nil {
-		t.Fatal("features=0 accepted")
-	}
-	if _, err := NewRecordEncoder(100, 5, 8, 1, 1, 1); err == nil {
-		t.Fatal("lo==hi accepted")
-	}
-	if _, err := NewRecordEncoder(0, 5, 8, 0, 1, 1); err == nil {
+	if _, err := NewRecordEncoder(0, 8, unitNormalizer(5), 1); err == nil {
 		t.Fatal("dims=0 accepted")
 	}
-	if _, err := NewRecordEncoder(100, 5, 1, 0, 1, 1); err == nil {
+	if _, err := NewRecordEncoder(100, 1, unitNormalizer(5), 1); err == nil {
 		t.Fatal("levels=1 accepted")
 	}
 }
 
 func TestRecordEncoderFeatureCountPanics(t *testing.T) {
-	e, _ := NewRecordEncoder(100, 5, 8, 0, 1, 1)
+	e, _ := NewRecordEncoder(100, 8, unitNormalizer(5), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -48,7 +42,7 @@ func TestRecordEncoderFeatureCountPanics(t *testing.T) {
 }
 
 func TestRecordEncoderSimilarInputsSimilarOutputs(t *testing.T) {
-	e, _ := NewRecordEncoder(10000, 20, 32, 0, 1, 5)
+	e, _ := NewRecordEncoder(10000, 32, unitNormalizer(20), 5)
 	rng := stats.NewRNG(1)
 	base := make([]float64, 20)
 	for i := range base {
@@ -75,15 +69,15 @@ func TestRecordEncoderSimilarInputsSimilarOutputs(t *testing.T) {
 
 func TestRecordEncoderSeedsProduceDifferentSpaces(t *testing.T) {
 	f := []float64{0.3, 0.6, 0.9}
-	a, _ := NewRecordEncoder(10000, 3, 8, 0, 1, 1)
-	b, _ := NewRecordEncoder(10000, 3, 8, 0, 1, 2)
+	a, _ := NewRecordEncoder(10000, 8, unitNormalizer(3), 1)
+	b, _ := NewRecordEncoder(10000, 8, unitNormalizer(3), 2)
 	if s := a.Encode(f).Similarity(b.Encode(f)); math.Abs(s-0.5) > 0.05 {
 		t.Fatalf("different seeds gave similarity %v, want ~0.5", s)
 	}
 }
 
 func TestRecordEncoderDimensionsAccessors(t *testing.T) {
-	e, _ := NewRecordEncoder(4096, 7, 8, 0, 1, 1)
+	e, _ := NewRecordEncoder(4096, 8, unitNormalizer(7), 1)
 	if e.Dimensions() != 4096 || e.Features() != 7 {
 		t.Fatalf("accessors wrong: %d, %d", e.Dimensions(), e.Features())
 	}
@@ -164,24 +158,35 @@ func TestNormalizerFitApply(t *testing.T) {
 }
 
 func TestNormalizerErrors(t *testing.T) {
-	if _, err := FitNormalizer(nil); err == nil {
-		t.Fatal("empty data accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	fromRanges := func(mins, maxs []float64) func() error {
+		return func() error { _, err := NormalizerFromRanges(mins, maxs); return err }
 	}
-	if _, err := FitNormalizer([][]float64{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged data accepted")
+	fit := func(data ...[]float64) func() error {
+		return func() error { _, err := FitNormalizer(data); return err }
 	}
-}
-
-func TestNormalizerApplyAll(t *testing.T) {
-	data := [][]float64{{0, 0}, {2, 4}}
-	n, _ := FitNormalizer(data)
-	out := n.ApplyAll(data)
-	if out[1][0] != 1 || out[1][1] != 1 || out[0][0] != 0 {
-		t.Fatalf("ApplyAll = %v", out)
+	for name, build := range map[string]func() error{
+		"empty data":           fit(),
+		"ragged data":          fit([]float64{1, 2}, []float64{1}),
+		"no ranges":            fromRanges(nil, nil),
+		"mismatched ranges":    fromRanges([]float64{0}, []float64{1, 1}),
+		"min above max":        fromRanges([]float64{0, 2}, []float64{1, 1}),
+		"NaN min":              fromRanges([]float64{nan, 0}, []float64{1, 1}),
+		"NaN max":              fromRanges([]float64{0, 0}, []float64{1, nan}),
+		"-Inf min":             fromRanges([]float64{0, -inf}, []float64{1, 1}),
+		"+Inf max":             fromRanges([]float64{0, 0}, []float64{inf, 1}),
+		"overflowing span":     fromRanges([]float64{-1e308, 0}, []float64{1e308, 1}),
+		"fit infinite value":   fit([]float64{0, 1}, []float64{inf, 2}),
+		"fit all-NaN feature":  fit([]float64{nan, 1}, []float64{nan, 2}),
+		"fit overflowing span": fit([]float64{-1e308, 1}, []float64{1e308, 2}),
+	} {
+		if build() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	// Original data untouched.
-	if data[1][0] != 2 {
-		t.Fatal("ApplyAll mutated input")
+	// The widest finite span is still a usable range.
+	if _, err := NormalizerFromRanges([]float64{-1e307, -math.MaxFloat64}, []float64{1e307, 0}); err != nil {
+		t.Fatalf("finite span refused: %v", err)
 	}
 }
 

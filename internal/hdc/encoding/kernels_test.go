@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,13 +12,15 @@ import (
 	"repro/internal/stats"
 )
 
-// encodeRef is the reference record encoder: the textbook bind then
+// encodeRef is the reference record encoder: Normalizer.Apply, then
+// LevelMemory.Quantize over [0, 1], then the textbook bind and
 // bundle, counted one bit at a time with no striping, no carry-save
 // tree and no batching. The base and level vectors are regenerated from
 // the seed, so nothing the encoder built is trusted. Ties at even
 // feature counts set the even dimensions, as BindMemory.MajorityInto
 // does.
 func encodeRef(e *RecordEncoder, seed uint64, features []float64) *bitvec.Vector {
+	unit := e.norm.Apply(features)
 	items, err := hdc.NewItemMemory(e.Dimensions(), seed)
 	if err != nil {
 		panic(err)
@@ -26,8 +30,8 @@ func encodeRef(e *RecordEncoder, seed uint64, features []float64) *bitvec.Vector
 		panic(err)
 	}
 	counts := make([]int, e.Dimensions())
-	for k, f := range features {
-		bound := levels.Vector(levels.Quantize(f, e.lo, e.hi)).Xor(items.Vector(k))
+	for k := range features {
+		bound := levels.Vector(levels.Quantize(unit[k], 0, 1)).Xor(items.Vector(k))
 		for i := range counts {
 			if bound.Get(i) {
 				counts[i]++
@@ -40,6 +44,20 @@ func encodeRef(e *RecordEncoder, seed uint64, features []float64) *bitvec.Vector
 		out.Set(i, 2*c > n || 2*c == n && i%2 == 0)
 	}
 	return out
+}
+
+// unitNormalizer is the identity range [0, 1] on each of n features,
+// for test rows already drawn in [0, 1].
+func unitNormalizer(n int) *Normalizer {
+	zeros, ones := make([]float64, n), make([]float64, n)
+	for j := range ones {
+		ones[j] = 1
+	}
+	norm, err := NormalizerFromRanges(zeros, ones)
+	if err != nil {
+		panic(err)
+	}
+	return norm
 }
 
 func randFeatures(n int, seed uint64) []float64 {
@@ -66,7 +84,7 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 			if nf > 617 && dims > 257 {
 				continue
 			}
-			e, err := NewRecordEncoder(dims, nf, 8, 0, 1, seed)
+			e, err := NewRecordEncoder(dims, 8, unitNormalizer(nf), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +92,8 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 			want := make([]*bitvec.Vector, len(rows))
 			for i := range rows {
 				rows[i] = randFeatures(nf, uint64(100*nf+dims+i))
-				// Values outside [lo, hi] clamp to the end levels.
+				// Values outside the normalizer's range clamp to the
+				// end levels.
 				rows[i][i%nf] = float64(i%3) - 0.5
 				want[i] = encodeRef(e, seed, rows[i])
 			}
@@ -100,11 +119,102 @@ func TestEncodeBatchMatchesReference(t *testing.T) {
 	}
 }
 
+// floatBytes packs vs as little-endian float64 bits, the form
+// FuzzEncodeRaw reads its ranges and values in.
+func floatBytes(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzEncodeRaw holds EncodeBatchInto on raw rows to the reference
+// path — Normalizer.Apply, then LevelMemory.Quantize over [0, 1], then
+// the per-bit bind and bundle — at up to 300 bits, 1–40 features and
+// batches on both sides of MaxBatch. ranges holds a (min, max) pair of
+// float64s per feature, reused cyclically; a pair the normalizer
+// refuses ends the case. values holds the row values in order; rows
+// past its end take level boundaries min + span·j/levels for j from −1
+// to levels+1, so every case also walks the exact bucket edges and
+// values outside the range.
+func FuzzEncodeRaw(f *testing.F) {
+	const seed = 11
+	// Level boundaries of unit, offset and narrow ranges.
+	f.Add(floatBytes(0, 1, -3, 5, 10, 10.5, -7.25, 1e-3), []byte{}, uint8(4), uint8(8), uint16(257), uint8(MaxBatch+1))
+	f.Add(floatBytes(0.1, 0.7), []byte{}, uint8(1), uint8(5), uint16(64), uint8(MaxBatch))
+	// Over [0, 3] at 7 levels, (v − min)·(1/span) puts the edge of
+	// bucket 5 in bucket 4: only the division lands it.
+	f.Add(floatBytes(-1, 1, 0, 3), []byte{}, uint8(38), uint8(5), uint16(100), uint8(2*MaxBatch+1))
+	// Values outside [min, max].
+	f.Add(floatBytes(0, 1, -3, 5), floatBytes(-1, 2, 100, -100, 5.5, -3.5, 1, 0), uint8(2), uint8(8), uint16(65), uint8(3))
+	// Zero spans and −0.
+	f.Add(floatBytes(2, 2, math.Copysign(0, -1), 0, 0, math.Copysign(0, -1), -4, -4), floatBytes(math.Copysign(0, -1), 0, 2, 3, -4, 1), uint8(4), uint8(8), uint16(63), uint8(MaxBatch+1))
+	// ±1e308: (v − min) and (v − min)/span overflow to ±Inf.
+	f.Add(floatBytes(-1e308, 0, 0, 1e308, -1, 1), floatBytes(1e308, -1e308, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)), uint8(3), uint8(8), uint16(200), uint8(MaxBatch+2))
+	// A span past the float64 range is refused.
+	f.Add(floatBytes(-1e308, 1e308), []byte{}, uint8(1), uint8(8), uint16(64), uint8(1))
+	// NaN values.
+	f.Add(floatBytes(0, 1, -2, 2), floatBytes(math.NaN(), 0.5, math.NaN(), math.NaN()), uint8(2), uint8(4), uint16(130), uint8(MaxBatch+1))
+	f.Fuzz(func(t *testing.T, ranges, values []byte, featRaw, levelsRaw uint8, dimsRaw uint16, batchRaw uint8) {
+		features := 1 + int(featRaw)%40
+		levels := 2 + int(levelsRaw)%31
+		dims := 1 + int(dimsRaw)%300
+		batch := 1 + int(batchRaw)%(2*MaxBatch+2)
+		floats := func(b []byte) []float64 {
+			out := make([]float64, len(b)/8)
+			for i := range out {
+				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+			return out
+		}
+		rs, vs := floats(ranges), floats(values)
+		if len(rs) < 2 {
+			rs = []float64{0, 1}
+		}
+		mins, maxs := make([]float64, features), make([]float64, features)
+		for k := range mins {
+			mins[k], maxs[k] = rs[(2*k)%len(rs)], rs[(2*k+1)%len(rs)]
+			if mins[k] > maxs[k] {
+				mins[k], maxs[k] = maxs[k], mins[k]
+			}
+		}
+		norm, err := NormalizerFromRanges(mins, maxs)
+		if err != nil {
+			return
+		}
+		e, err := NewRecordEncoder(dims, levels, norm, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, batch)
+		dsts := make([]*bitvec.Vector, batch)
+		for i := range rows {
+			rows[i] = make([]float64, features)
+			for k := range rows[i] {
+				if idx := i*features + k; idx < len(vs) {
+					rows[i][k] = vs[idx]
+				} else {
+					j := float64(idx%(levels+3) - 1)
+					rows[i][k] = mins[k] + (maxs[k]-mins[k])*j/float64(levels)
+				}
+			}
+			dsts[i] = bitvec.New(dims)
+		}
+		e.EncodeBatchInto(dsts, rows, nil)
+		for i, got := range dsts {
+			if !got.Equal(encodeRef(e, seed, rows[i])) {
+				t.Fatalf("dims=%d features=%d levels=%d batch=%d: sample %d %v diverges from the reference", dims, features, levels, batch, i, rows[i])
+			}
+		}
+	})
+}
+
 // TestEncodeCachedMatchesReference pins Encode and scratch-reusing
 // EncodeInto to the reference.
 func TestEncodeCachedMatchesReference(t *testing.T) {
 	for _, nf := range []int{1, 7, 8, 20, 75} {
-		e, err := NewRecordEncoder(2048, nf, 8, 0, 1, 42)
+		e, err := NewRecordEncoder(2048, 8, unitNormalizer(nf), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +239,7 @@ func TestEncodeCachedMatchesReference(t *testing.T) {
 // table is read-only, so every result must match (run under -race in
 // CI).
 func TestEncodeConcurrentCacheFill(t *testing.T) {
-	e, err := NewRecordEncoder(1024, 30, 8, 0, 1, 7)
+	e, err := NewRecordEncoder(1024, 8, unitNormalizer(30), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +283,7 @@ func TestEncodeConcurrentCacheFill(t *testing.T) {
 // allocates nothing, in register planes or past them.
 func TestEncodeBatchIntoAllocs(t *testing.T) {
 	for _, c := range []struct{ dims, features int }{{2048, 75}, {64, 2049}} {
-		e, err := NewRecordEncoder(c.dims, c.features, 8, 0, 1, 3)
+		e, err := NewRecordEncoder(c.dims, 8, unitNormalizer(c.features), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +326,7 @@ func TestValidateLevelsCapsLevelMemory(t *testing.T) {
 			t.Errorf("ValidateLevels(%d, %d) = %v, want ok=%v", c.dims, c.levels, err, c.ok)
 		}
 	}
-	if _, err := NewRecordEncoder(1024, 1, 1<<20, 0, 1, 1); err == nil {
+	if _, err := NewRecordEncoder(1024, 1<<20, unitNormalizer(1), 1); err == nil {
 		t.Fatal("encoder built a 128 MiB level memory")
 	}
 }
@@ -230,7 +340,7 @@ func TestValidateLevelsCapsLevelMemory(t *testing.T) {
 func TestNewRecordEncoderAllocBoundedByLevelCap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	e, err := NewRecordEncoder(8, 1, maxLevelsAt8, 0, 1, 1)
+	e, err := NewRecordEncoder(8, maxLevelsAt8, unitNormalizer(1), 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +352,7 @@ func TestNewRecordEncoderAllocBoundedByLevelCap(t *testing.T) {
 }
 
 func TestEncodeIntoValidatesShapes(t *testing.T) {
-	e, err := NewRecordEncoder(512, 4, 8, 0, 1, 5)
+	e, err := NewRecordEncoder(512, 8, unitNormalizer(4), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,20 +362,4 @@ func TestEncodeIntoValidatesShapes(t *testing.T) {
 		}
 	}()
 	e.EncodeInto(bitvec.New(256), randFeatures(4, 1), nil)
-}
-
-func TestNormalizerApplyIntoMatchesApply(t *testing.T) {
-	n, err := FitNormalizer([][]float64{{0, 10, -5}, {2, 20, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := []float64{1, 25, 0}
-	want := n.Apply(row)
-	dst := make([]float64, 3)
-	n.ApplyInto(dst, row)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("feature %d: ApplyInto %v != Apply %v", i, dst[i], want[i])
-		}
-	}
 }

@@ -120,22 +120,17 @@ func (m *LevelMemory) Vector(l int) *bitvec.Vector {
 
 // Quantize maps a value in [lo, hi] to a level index, clamping values
 // outside the range. It panics if lo >= hi.
-func (m *LevelMemory) Quantize(v, lo, hi float64) int { return Quantize(v, lo, hi, m.levels) }
-
-// Quantize maps a value in [lo, hi] to one of levels level indices, as
-// LevelMemory.Quantize does for a memory of that many levels, for
-// callers that keep the level vectors in another layout.
-func Quantize(v, lo, hi float64, levels int) int {
+func (m *LevelMemory) Quantize(v, lo, hi float64) int {
 	if lo >= hi {
 		panic("hdc: Quantize requires lo < hi")
 	}
 	frac := (v - lo) / (hi - lo)
-	l := int(frac * float64(levels))
+	l := int(frac * float64(m.levels))
 	if l < 0 {
 		l = 0
 	}
-	if l >= levels {
-		l = levels - 1
+	if l >= m.levels {
+		l = m.levels - 1
 	}
 	return l
 }

@@ -23,15 +23,15 @@ func encodeDataset(t *testing.T, spec dataset.Spec, dims int) (tr, te []*bitvec.
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := encoding.NewRecordEncoder(dims, spec.Features, 16, 0, 1, spec.Seed)
+	enc, err := encoding.NewRecordEncoder(dims, 16, norm, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range ds.TrainX {
-		tr = append(tr, enc.Encode(norm.Apply(x)))
+		tr = append(tr, enc.Encode(x))
 	}
 	for _, x := range ds.TestX {
-		te = append(te, enc.Encode(norm.Apply(x)))
+		te = append(te, enc.Encode(x))
 	}
 	return tr, te, ds.TrainY, ds.TestY
 }

@@ -15,7 +15,15 @@ import (
 func syntheticRegression(t *testing.T, dims, nTrain, nTest int, seed uint64) (tr, te []*bitvec.Vector, try, tey []float64) {
 	t.Helper()
 	const features = 12
-	enc, err := encoding.NewRecordEncoder(dims, features, 16, 0, 1, seed)
+	zeros, ones := make([]float64, features), make([]float64, features)
+	for j := range ones {
+		ones[j] = 1
+	}
+	norm, err := encoding.NormalizerFromRanges(zeros, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encoding.NewRecordEncoder(dims, 16, norm, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
