@@ -14,6 +14,11 @@
 // and decodes is therefore encoding/json's answer in every case; the
 // fast path only gets there sooner when the body is canonical.
 //
+// Numbers are converted in the scan that checks their grammar, with
+// the Eisel–Lemire algorithm strconv.ParseFloat itself tries first, so
+// each digit is read once and the bits are ParseFloat's; ParseFloat
+// runs only on the rare literal that algorithm cannot decide.
+//
 // The package imports only the standard library.
 package httpjson
 
@@ -261,41 +266,89 @@ func (p *parser) plainString() ([]byte, bool) {
 	return nil, false
 }
 
-// number consumes a JSON number and converts it with the call
-// encoding/json makes for a float64 field, strconv.ParseFloat(s, 64);
-// a conversion error (such as 1e400) declines.
+// number consumes a JSON number and converts it in the same scan that
+// checks its grammar: up to 19 significant digits go into a uint64
+// mantissa, the fraction digits and the e part into a decimal
+// exponent, and eiselLemire64 rounds the pair to the nearest float64.
+// That is the value encoding/json's strconv.ParseFloat(s, 64) gives,
+// and ParseFloat itself runs only where eiselLemire64 cannot answer: a
+// non-zero digit past the 19th, an exponent outside the power table, a
+// product too close to a rounding boundary, or a subnormal or infinite
+// result. A ParseFloat error (such as 1e400) declines.
 func (p *parser) number() (float64, bool) {
 	b, i := p.b, p.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var (
+		man   uint64 // the first 19 significant digits
+		nd    int    // significant digits in man
+		exp   int    // value = man · 10^exp, unless trunc
+		trunc bool   // a non-zero digit did not fit in man
+	)
 	switch {
 	case i >= len(b):
 		return 0, false
 	case b[i] == '0':
 		i++
 	case '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				exp++
+				trunc = trunc || b[i] != '0'
+			}
+		}
 	default:
 		return 0, false
 	}
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				exp--
+				if man != 0 { // leading zeros are not significant
+					nd++
+				}
+			} else {
+				trunc = trunc || b[i] != '0'
+			}
+		}
+		if i == j {
 			return 0, false
 		}
-		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
+		j, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // saturate: any larger exponent is out of range
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
 			return 0, false
 		}
-		i = j
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if !trunc {
+		if v, ok := eiselLemire64(man, exp, neg); ok {
+			p.i = i
+			return v, true
+		}
 	}
 	v, err := strconv.ParseFloat(string(b[p.i:i]), 64)
 	if err != nil {
@@ -303,14 +356,6 @@ func (p *parser) number() (float64, bool) {
 	}
 	p.i = i
 	return v, true
-}
-
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // floats consumes an array of numbers, appending them to dst, which

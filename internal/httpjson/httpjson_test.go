@@ -330,6 +330,12 @@ func FuzzPredictBody(f *testing.F) {
 		`{"x":[01,.5,1.,+1,1e400]}`,
 		`{"model":"a\u0062","xs":null}`,
 		` {"xs" : [ [ ] ] } x`,
+		`{"x":[9007199254740993,2.2250738585072011e-308]}`,
+		`{"x":[4.9e-324,-5e-324]}`,
+		`{"xs":[[1234567890123456789,12345678901234567891]]}`,
+		`{"x":[0.000000000000000000000000000001]}`,
+		`{"x":[1e-99999999999999999999]}`,
+		`{"x":[-0.0e+0]}`,
 	} {
 		f.Add([]byte(seed))
 	}
