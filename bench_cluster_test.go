@@ -66,7 +66,7 @@ func BenchmarkClusterPredict(b *testing.B) {
 	xs := testX[:batch]
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := co.ScoreBatch(xs, co.Temperature()); err != nil {
+			if _, _, err := co.ScoreBatch(xs); err != nil {
 				b.Fatal(err)
 			}
 		}

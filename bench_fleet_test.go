@@ -42,7 +42,7 @@ func BenchmarkFleetPredict(b *testing.B) {
 	encoded := sys.EncodeAll(testX[:batch])
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := f.ScoreBatch(encoded, f.Temperature()); err != nil {
+			if _, _, err := f.ScoreBatch(encoded); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 
+	"repro/internal/bitvec"
 	"repro/internal/hdc/model"
 )
 
@@ -17,19 +18,37 @@ type BitReader interface {
 	BitValue(i, b int) bool
 }
 
-// BinaryModel adapts a deployed binary HDC model to the Image
-// interface: one element per (class, dimension) bit. With a single bit
-// per element, random and targeted attacks are identical — the
-// holographic-representation property the paper exploits.
+// BinaryModel adapts a deployed binary memory to the Image interface:
+// one element per (row, dimension) bit, row-major. The rows are a
+// dense model's class hypervectors or a LogHD deployment's base
+// planes. With a single bit per element, random and targeted attacks
+// are identical — the holographic-representation property the paper
+// exploits.
 type BinaryModel struct {
+	rows, dims int
+	// Exactly one source is set. Rows are fetched at call time:
+	// restores and SetClassVector replace row pointers, so none is
+	// held across calls.
 	m *model.Model
+	l *model.LogHD
 }
 
 // NewBinaryModel wraps a trained model's deployed class hypervectors.
-func NewBinaryModel(m *model.Model) *BinaryModel { return &BinaryModel{m: m} }
+func NewBinaryModel(m *model.Model) *BinaryModel {
+	return &BinaryModel{rows: m.Classes(), dims: m.Dimensions(), m: m}
+}
 
-// Elements returns classes × dimensions.
-func (b *BinaryModel) Elements() int { return b.m.Classes() * b.m.Dimensions() }
+// NewLogHDPlanes wraps a compressed deployment's base planes. The
+// compressed representation concentrates the whole class memory into
+// n ≈ log2 k planes, so the same flipped-bit budget touches a far
+// larger fraction of the deployed state than on the dense model —
+// the robustness price of compression the experiments measure.
+func NewLogHDPlanes(l *model.LogHD) *BinaryModel {
+	return &BinaryModel{rows: l.Planes(), dims: l.Dimensions(), l: l}
+}
+
+// Elements returns rows × dimensions.
+func (b *BinaryModel) Elements() int { return b.rows * b.dims }
 
 // BitsPerElement returns 1.
 func (b *BinaryModel) BitsPerElement() int { return 1 }
@@ -38,76 +57,33 @@ func (b *BinaryModel) BitsPerElement() int { return 1 }
 // weight in a holographic representation.
 func (b *BinaryModel) BitDamageOrder() []int { return []int{0} }
 
-// checkAddr validates an (element, bit) address. An out-of-range
-// element index must never be truncated into a neighboring class's
-// dimension range, so both coordinates panic loudly instead.
-func (b *BinaryModel) checkAddr(i, bit int) {
+// at validates an (element, bit) address and returns the element's row,
+// fetched now, and its offset in that row. An out-of-range element
+// index must never be truncated into a neighboring row's dimension
+// range, so both coordinates panic loudly instead.
+func (b *BinaryModel) at(i, bit int) (*bitvec.Vector, int) {
 	if i < 0 || i >= b.Elements() {
 		panic(fmt.Sprintf("attack: element %d out of range [0,%d)", i, b.Elements()))
 	}
 	if bit != 0 {
 		panic(fmt.Sprintf("attack: binary element has no bit %d", bit))
 	}
+	if b.l != nil {
+		return b.l.PlaneVector(i / b.dims), i % b.dims
+	}
+	return b.m.ClassVector(i / b.dims), i % b.dims
 }
 
-// FlipBit flips the single bit of element i (class-major layout).
+// FlipBit flips the single bit of element i.
 func (b *BinaryModel) FlipBit(i, bit int) {
-	b.checkAddr(i, bit)
-	d := b.m.Dimensions()
-	b.m.ClassVector(i / d).Flip(i % d)
+	v, j := b.at(i, bit)
+	v.Flip(j)
 }
 
 // BitValue reports the stored value of element i's single bit.
 func (b *BinaryModel) BitValue(i, bit int) bool {
-	b.checkAddr(i, bit)
-	d := b.m.Dimensions()
-	return b.m.ClassVector(i / d).Get(i % d)
-}
-
-// LogHDPlanes adapts a LogHD-compressed deployment to the Image
-// interface: one element per (plane, dimension) bit, plane-major. The
-// compressed representation concentrates the whole class memory into
-// n ≈ log2 k planes, so the same flipped-bit budget touches a far
-// larger fraction of the deployed state than on the dense model —
-// the robustness price of compression the experiments measure.
-type LogHDPlanes struct {
-	l *model.LogHD
-}
-
-// NewLogHDPlanes wraps a compressed deployment's base planes.
-func NewLogHDPlanes(l *model.LogHD) *LogHDPlanes { return &LogHDPlanes{l: l} }
-
-// Elements returns planes × dimensions.
-func (p *LogHDPlanes) Elements() int { return p.l.Planes() * p.l.Dimensions() }
-
-// BitsPerElement returns 1.
-func (p *LogHDPlanes) BitsPerElement() int { return 1 }
-
-// BitDamageOrder returns the single bit — plane bits are as
-// holographic as dense class bits.
-func (p *LogHDPlanes) BitDamageOrder() []int { return []int{0} }
-
-func (p *LogHDPlanes) checkAddr(i, bit int) {
-	if i < 0 || i >= p.Elements() {
-		panic(fmt.Sprintf("attack: element %d out of range [0,%d)", i, p.Elements()))
-	}
-	if bit != 0 {
-		panic(fmt.Sprintf("attack: binary element has no bit %d", bit))
-	}
-}
-
-// FlipBit flips the single bit of element i (plane-major layout).
-func (p *LogHDPlanes) FlipBit(i, bit int) {
-	p.checkAddr(i, bit)
-	d := p.l.Dimensions()
-	p.l.PlaneVector(i / d).Flip(i % d)
-}
-
-// BitValue reports the stored value of element i's single bit.
-func (p *LogHDPlanes) BitValue(i, bit int) bool {
-	p.checkAddr(i, bit)
-	d := p.l.Dimensions()
-	return p.l.PlaneVector(i / d).Get(i % d)
+	v, j := b.at(i, bit)
+	return v.Get(j)
 }
 
 // QuantizedModel adapts a b-bit quantized HDC deployment to the Image

@@ -219,6 +219,37 @@ func TestBinaryModelAdapterPanicsOnBadBit(t *testing.T) {
 	img.FlipBit(0, 1)
 }
 
+// TestBinaryModelReadsRowsAtCallTime: the adapter addresses rows
+// row-major over either source and fetches each row when it flips or
+// reads, so a row pointer swapped in after construction is the row it
+// touches.
+func TestBinaryModelReadsRowsAtCallTime(t *testing.T) {
+	m := trainedBinary(t)
+	img := NewBinaryModel(m)
+	swapped := m.ClassVector(1).Clone()
+	m.SetClassVector(1, swapped)
+	before := swapped.Get(5)
+	img.FlipBit(1024+5, 0)
+	if swapped.Get(5) == before || img.BitValue(1024+5, 0) == before {
+		t.Fatal("flip missed the swapped-in class vector")
+	}
+
+	l, err := model.CompressLogHD(trainedBinary(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planes := NewLogHDPlanes(l)
+	if planes.Elements() != l.Planes()*1024 {
+		t.Fatalf("LogHD elements %d, want %d", planes.Elements(), l.Planes()*1024)
+	}
+	last := planes.Elements() - 1
+	before = l.PlaneVector(l.Planes() - 1).Get(1023)
+	planes.FlipBit(last, 0)
+	if l.PlaneVector(l.Planes()-1).Get(1023) == before || planes.BitValue(last, 0) == before {
+		t.Fatal("flip missed the last plane's last bit")
+	}
+}
+
 func TestQuantizedModelAdapter(t *testing.T) {
 	m := trainedBinary(t)
 	q, err := model.QuantizeModel(m, 2)

@@ -147,11 +147,10 @@ func TestChaosDrillKillRestartReseed(t *testing.T) {
 		RejoinProbes:  1,
 		Journal:       journal,
 	})
-	temp := co.Temperature()
-	want := expected(sys, ds.TestX[:120], temp)
+	want := expected(sys, ds.TestX[:120])
 	score := func(step string, lo, n int) {
 		t.Helper()
-		classes, _, err := co.ScoreBatch(ds.TestX[lo:lo+n], temp)
+		classes, _, err := co.ScoreBatch(ds.TestX[lo : lo+n])
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
@@ -206,7 +205,7 @@ func TestChaosDrillKillRestartReseed(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
 				lo := (g*6 + round) * 4 % 96
-				classes, _, err := co.ScoreBatch(ds.TestX[lo:lo+4], temp)
+				classes, _, err := co.ScoreBatch(ds.TestX[lo : lo+4])
 				if err != nil {
 					results[g] = fmt.Errorf("round %d: %w", round, err)
 					return

@@ -128,8 +128,8 @@ func (c *nodeClient) exchange(method, path string, in, out any) error {
 // Score asks the node to encode and score a raw-feature batch, sent
 // as one score frame (wire.go). A batch the frame cannot carry, rows of
 // differing length, is refused here like a batch the node refuses.
-func (c *nodeClient) Score(xs [][]float64, temperature float64) ([]int, []float64, error) {
-	body, err := encodeScoreFrame(xs, temperature)
+func (c *nodeClient) Score(xs [][]float64) ([]int, []float64, error) {
+	body, err := encodeScoreFrame(xs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNodeBad, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/recovery"
 )
 
 // Config parameterizes a coordinator.
@@ -95,10 +94,6 @@ func New(cfg Config) (*Coordinator, error) {
 	co.Dispatcher = d
 	return co, nil
 }
-
-// Temperature returns the softmax temperature nodes score at: the
-// recovery default, the temperature an in-process fleet scores at.
-func (co *Coordinator) Temperature() float64 { return recovery.DefaultConfig().Temperature }
 
 // Attack forwards a fault drill to one node's /attack endpoint. Like
 // fleet.WithReplica, it disarms the fast path first.

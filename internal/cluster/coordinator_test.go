@@ -77,12 +77,12 @@ func startGatedNodes(t testing.TB, snap []byte, n int) ([]string, []*gate) {
 // expected scores the batch on the reference system — with every node
 // loaded from the same snapshot and undamaged, any quorum's answer
 // must match the single model's.
-func expected(sys *core.System, xs [][]float64, temp float64) []int {
+func expected(sys *core.System, xs [][]float64) []int {
 	encoded := sys.EncodeAllParallel(xs, 0)
 	m := sys.Model()
 	out := make([]int, len(encoded))
 	for i, q := range encoded {
-		out[i], _ = m.PredictWithConfidence(q, temp)
+		out[i], _ = m.PredictWithConfidence(q, 0)
 	}
 	return out
 }
@@ -116,10 +116,10 @@ func TestSlowNodeBoundedByDeadline(t *testing.T) {
 
 	gates[2].delay.Store(int64(3 * time.Second))
 	xs := ds.TestX[:8]
-	want := expected(sys, xs, co.Temperature())
+	want := expected(sys, xs)
 
 	start := time.Now()
-	classes, _, err := co.ScoreBatch(xs, co.Temperature())
+	classes, _, err := co.ScoreBatch(xs)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +150,10 @@ func TestKilledNodeDownAndRejoin(t *testing.T) {
 		FailThreshold: 2,
 		RejoinProbes:  2,
 	})
-	temp := co.Temperature()
 	xs := ds.TestX[:8]
-	want := expected(sys, xs, temp)
+	want := expected(sys, xs)
 
-	classes, _, err := co.ScoreBatch(xs, temp)
+	classes, _, err := co.ScoreBatch(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestKilledNodeDownAndRejoin(t *testing.T) {
 	// parks the node Down and stops asking it at all.
 	gates[1].down.Store(true)
 	for round := 0; round < 4; round++ {
-		classes, _, err := co.ScoreBatch(xs, temp)
+		classes, _, err := co.ScoreBatch(xs)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -182,7 +181,7 @@ func TestKilledNodeDownAndRejoin(t *testing.T) {
 
 	// Down means out of rotation: more traffic must not touch it.
 	for round := 0; round < 3; round++ {
-		if _, _, err := co.ScoreBatch(xs, temp); err != nil {
+		if _, _, err := co.ScoreBatch(xs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +213,7 @@ func TestKilledNodeDownAndRejoin(t *testing.T) {
 	if !rep.Healthy || !co.Healthy() {
 		t.Fatalf("rejoin sweep report healthy=%v, coordinator healthy=%v; want true", rep.Healthy, co.Healthy())
 	}
-	classes, _, err = co.ScoreBatch(xs, temp)
+	classes, _, err = co.ScoreBatch(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +236,10 @@ func TestFlappingNodeNeverThrashes(t *testing.T) {
 		FailThreshold: 1,
 		RejoinProbes:  2,
 	})
-	temp := co.Temperature()
 	xs := ds.TestX[:4]
 
 	gates[0].down.Store(true)
-	if _, _, err := co.ScoreBatch(xs, temp); err != nil {
+	if _, _, err := co.ScoreBatch(xs); err != nil {
 		t.Fatal(err)
 	}
 	if st := co.Status(); st.Nodes[0].State != "down" {

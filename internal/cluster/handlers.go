@@ -101,7 +101,7 @@ func (co *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	classes, confs, err := co.ScoreBatch(xs, co.Temperature())
+	classes, confs, err := co.ScoreBatch(xs)
 	if err != nil {
 		status := http.StatusBadGateway
 		if errors.Is(err, ErrNodeBad) {

@@ -94,11 +94,10 @@ func (n *Node) installed(w http.ResponseWriter) (*core.System, *fleet.Replica, b
 // wire stays narrow.
 func (n *Node) handleScore(w http.ResponseWriter, r *http.Request) {
 	var xs [][]float64
-	var temperature float64
 	err := httpjson.ReadBody(r, maxNodeBody, func(body []byte, err error) error {
 		if err == nil {
 			// The frame's values are copied out: body goes back to the pool.
-			xs, temperature, err = decodeScoreFrame(body)
+			xs, err = decodeScoreFrame(body)
 		}
 		return err
 	})
@@ -115,7 +114,7 @@ func (n *Node) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	encoded := sys.EncodeAllParallel(xs, 0)
-	classes, confs, _ := rep.Score(encoded, temperature)
+	classes, confs, _ := rep.Score(encoded)
 	n.scored.Add(int64(len(encoded)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(encodeScoreAnswers(classes, confs))

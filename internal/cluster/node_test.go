@@ -47,10 +47,9 @@ func wholeClasses(n, dims int, bits []byte) chunks {
 }
 
 // rawFrame writes a score frame header that may lie about its body.
-func rawFrame(rows, cols uint32, temperature float64, vals []float64) []byte {
+func rawFrame(rows, cols uint32, vals []float64) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, rows)
 	b = binary.LittleEndian.AppendUint32(b, cols)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(temperature))
 	for _, v := range vals {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
@@ -58,13 +57,13 @@ func rawFrame(rows, cols uint32, temperature float64, vals []float64) []byte {
 }
 
 // scoreFrame writes a batch as a /node/score request frame:
-// rows u32 | cols u32 | temperature f64 | rows×cols f64.
-func scoreFrame(xs [][]float64, temperature float64) []byte {
+// rows u32 | cols u32 | rows×cols f64.
+func scoreFrame(xs [][]float64) []byte {
 	var vals []float64
 	for _, x := range xs {
 		vals = append(vals, x...)
 	}
-	return rawFrame(uint32(len(xs)), uint32(len(xs[0])), temperature, vals)
+	return rawFrame(uint32(len(xs)), uint32(len(xs[0])), vals)
 }
 
 // readAnswers reads a /node/score answer frame for a batch of rows:
@@ -120,9 +119,8 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 	srv, url := nodeServer(t)
 	ds, sys := problem(t)
 	xs := ds.TestX[:8]
-	const temp = 0.05
 
-	resp, body := postFrame(t, url, scoreFrame(xs, temp))
+	resp, body := postFrame(t, url, scoreFrame(xs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score: status %d: %s", resp.StatusCode, body)
 	}
@@ -130,7 +128,7 @@ func TestNodeScoreMatchesDirectModel(t *testing.T) {
 	encoded := sys.EncodeAllParallel(xs, 0)
 	m := sys.Model()
 	for i, q := range encoded {
-		class, conf := m.PredictWithConfidence(q, temp)
+		class, conf := m.PredictWithConfidence(q, 0)
 		if classes[i] != class || confs[i] != conf {
 			t.Fatalf("query %d: wire (%d, %v) != direct (%d, %v)", i, classes[i], confs[i], class, conf)
 		}
@@ -193,24 +191,25 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		return x
 	}
 	cols := uint32(features)
-	valid := scoreFrame(ds.TestX[:2], 0.05)
+	valid := scoreFrame(ds.TestX[:2])
 	frameCases := []struct {
 		name string
 		body []byte
 	}{
-		{"score header short of 16 bytes", valid[:15]},
+		{"score header short of 8 bytes", valid[:7]},
 		{"score partial feature", valid[:len(valid)-3]},
 		{"score claim larger than body", valid[:len(valid)-8*features]},
-		{"score 2^32-1 x 2^32-1 header", rawFrame(math.MaxUint32, math.MaxUint32, 0.05, row)},
-		{"score rows with zero columns", rawFrame(3, 0, 0.05, nil)},
-		{"score NaN feature", rawFrame(1, cols, 0.05, withValue(math.NaN()))},
-		{"score +Inf feature", rawFrame(1, cols, 0.05, withValue(math.Inf(1)))},
-		{"score -Inf feature", rawFrame(1, cols, 0.05, withValue(math.Inf(-1)))},
-		{"score feature mismatch", scoreFrame([][]float64{{1, 2, 3}}, 0.05)},
-		{"score empty batch", rawFrame(0, 0, 0.05, nil)},
-		{"score empty batch with columns", rawFrame(0, cols, 0.05, nil)},
-		{"score negative temperature", rawFrame(1, cols, -1, row)},
-		{"score NaN temperature", rawFrame(1, cols, math.NaN(), row)},
+		{"score 2^32-1 x 2^32-1 header", rawFrame(math.MaxUint32, math.MaxUint32, row)},
+		{"score rows with zero columns", rawFrame(3, 0, nil)},
+		{"score NaN feature", rawFrame(1, cols, withValue(math.NaN()))},
+		{"score +Inf feature", rawFrame(1, cols, withValue(math.Inf(1)))},
+		{"score -Inf feature", rawFrame(1, cols, withValue(math.Inf(-1)))},
+		{"score feature mismatch", scoreFrame([][]float64{{1, 2, 3}})},
+		{"score empty batch", rawFrame(0, 0, nil)},
+		{"score empty batch with columns", rawFrame(0, cols, nil)},
+		// The older layout carried a temperature f64 after the header:
+		// its body is one float64 longer than rows×cols, never features.
+		{"score 16-byte header frame", append(rawFrame(2, cols, []float64{0.05}), valid[8:]...)},
 	}
 	for _, tc := range frameCases {
 		resp, body := postFrame(t, url, tc.body)
@@ -218,16 +217,19 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 		}
 	}
+	if got := srv.MetricsSnapshot().Node.Scored; got != 0 {
+		t.Errorf("refused frames were scored: %d rows", got)
+	}
 
 	// A JSON body fails the frame's header check: no JSON fallback.
 	if resp, body := postJSON(t, url+"/node/score", map[string]any{"xs": ds.TestX[:1], "temperature": 0.05}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("score JSON body: status %d, want 400 (%s)", resp.StatusCode, body)
 	}
 
-	// A 16-byte frame claiming 2^32-1 rows allocates nothing from the
+	// An 8-byte frame claiming 2^32-1 rows allocates nothing from the
 	// claim.
 	h := srv.Handler()
-	claim := rawFrame(math.MaxUint32, cols, 0.05, nil)
+	claim := rawFrame(math.MaxUint32, cols, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rec := httptest.NewRecorder()
@@ -237,7 +239,7 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 		t.Errorf("2^32-1 row claim: status %d, want 400", rec.Code)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("16-byte frame claiming 2^32-1 rows allocated %d bytes", got)
+		t.Errorf("8-byte frame claiming 2^32-1 rows allocated %d bytes", got)
 	}
 
 	getCases := []struct{ name, path string }{
@@ -288,7 +290,7 @@ func TestNodeAPIRejectsBadRequests(t *testing.T) {
 	}
 
 	// After all that abuse the model must be untouched and still serving.
-	resp, body := postFrame(t, url, scoreFrame(ds.TestX[:1], 0.05))
+	resp, body := postFrame(t, url, scoreFrame(ds.TestX[:1]))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score after rejections: status %d: %s", resp.StatusCode, body)
 	}

@@ -37,19 +37,14 @@ func TestOracleBitIdentity(t *testing.T) {
 	urls := startNodes(t, snap, 3)
 	co := newCoordinator(t, cluster.Config{Nodes: urls, Quorum: 2})
 
-	temp := flt.Temperature()
-	if co.Temperature() != temp {
-		t.Fatalf("temperature: coordinator %v, fleet %v", co.Temperature(), temp)
-	}
-
 	compareBatch := func(step string, xs [][]float64) {
 		t.Helper()
 		encoded := sys.EncodeAllParallel(xs, 0)
-		fc, ff, err := flt.ScoreBatch(encoded, temp)
+		fc, ff, err := flt.ScoreBatch(encoded)
 		if err != nil {
 			t.Fatalf("%s: fleet: %v", step, err)
 		}
-		cc, cf, err := co.ScoreBatch(xs, temp)
+		cc, cf, err := co.ScoreBatch(xs)
 		if err != nil {
 			t.Fatalf("%s: coordinator: %v", step, err)
 		}
@@ -214,16 +209,15 @@ func TestOracleCursorLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	temp := flt.Temperature()
 	for round := 0; round < 12; round++ {
 		lo := (round * 8) % 120
 		xs := ds.TestX[lo : lo+8]
 		encoded := sys.EncodeAllParallel(xs, 0)
-		fc, ff, err := flt.ScoreBatch(encoded, temp)
+		fc, ff, err := flt.ScoreBatch(encoded)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, cf, err := co.ScoreBatch(xs, temp)
+		cc, cf, err := co.ScoreBatch(xs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,12 +35,14 @@ import (
 // fields travel as base64 inside JSON, except on /node/score, which
 // speaks one little-endian application/octet-stream frame each way:
 //
-//	request:  rows u32 | cols u32 | temperature f64 | rows×cols f64
+//	request:  rows u32 | cols u32 | rows×cols f64
 //	response: rows u32 | rows×class u32 | rows×confidence f64
 //
 // A float64 travels as its IEEE-754 bits, so features and confidences
-// cross exactly, which the bit-identity oracle depends on.
-const scoreHeader = 16
+// cross exactly, which the bit-identity oracle depends on. The node
+// scores at the model's one fixed softmax scale, so the request
+// carries only the batch.
+const scoreHeader = 8
 
 // Score frame refusals are fixed values: a refused frame allocates
 // nothing.
@@ -48,7 +50,6 @@ var (
 	errFrameShape   = errors.New("score frame: header does not match the body")
 	errFrameEmpty   = errors.New("score frame: empty batch or rows without features")
 	errFrameFeature = errors.New("score frame: non-finite feature")
-	errFrameTemp    = errors.New("score frame: temperature not finite and non-negative")
 	errFrameRows    = errors.New("score frame: rows differ in length or number 2^32 or more")
 	errAnswersShape = errors.New("score answers: length does not match the batch")
 )
@@ -56,7 +57,7 @@ var (
 // encodeScoreFrame writes a batch's request frame. It refuses, with the
 // decoder's errors, every batch the node would refuse and every ragged
 // one, and checks all row lengths before it sizes the frame.
-func encodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
+func encodeScoreFrame(xs [][]float64) ([]byte, error) {
 	if len(xs) == 0 || len(xs[0]) == 0 {
 		return nil, errFrameEmpty
 	}
@@ -69,13 +70,9 @@ func encodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
 			return nil, errFrameRows
 		}
 	}
-	if !finite(temperature) || temperature < 0 {
-		return nil, errFrameTemp
-	}
 	b := make([]byte, scoreHeader, scoreHeader+8*len(xs)*cols)
 	binary.LittleEndian.PutUint32(b, uint32(len(xs)))
 	binary.LittleEndian.PutUint32(b[4:], uint32(cols))
-	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(temperature))
 	for _, x := range xs {
 		for _, v := range x {
 			if !finite(v) {
@@ -88,29 +85,26 @@ func encodeScoreFrame(xs [][]float64, temperature float64) ([]byte, error) {
 }
 
 // decodeScoreFrame reads a request frame: a non-empty batch of rows of
-// at least one finite feature each, and a finite, non-negative
-// temperature. The header's claim is checked against the bytes present
-// before anything is allocated, so allocation is bounded by the body.
-// The rows share one backing array, each capped at its own length.
-func decodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error) {
+// at least one finite feature each. The header's claim is checked
+// against the bytes present before anything is allocated, so
+// allocation is bounded by the body. The rows share one backing array,
+// each capped at its own length.
+func decodeScoreFrame(b []byte) ([][]float64, error) {
 	if len(b) < scoreHeader || (len(b)-scoreHeader)%8 != 0 {
-		return nil, 0, errFrameShape
+		return nil, errFrameShape
 	}
 	rows := uint64(binary.LittleEndian.Uint32(b))
 	cols := uint64(binary.LittleEndian.Uint32(b[4:]))
-	temperature = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	body := b[scoreHeader:]
 	switch {
 	case rows == 0 || cols == 0:
-		return nil, 0, errFrameEmpty
+		return nil, errFrameEmpty
 	case rows*cols != uint64(len(body)/8): // both below 2^32: no overflow
-		return nil, 0, errFrameShape
-	case !finite(temperature) || temperature < 0:
-		return nil, 0, errFrameTemp
+		return nil, errFrameShape
 	}
 	for i := 0; i < len(body); i += 8 {
 		if !finite(math.Float64frombits(binary.LittleEndian.Uint64(body[i:]))) {
-			return nil, 0, errFrameFeature
+			return nil, errFrameFeature
 		}
 	}
 	vals := make([]float64, len(body)/8)
@@ -118,11 +112,11 @@ func decodeScoreFrame(b []byte) (xs [][]float64, temperature float64, err error)
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	n := int(cols)
-	xs = make([][]float64, rows)
+	xs := make([][]float64, rows)
 	for r := range xs {
 		xs[r] = vals[r*n : (r+1)*n : (r+1)*n]
 	}
-	return xs, temperature, nil
+	return xs, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -10,44 +11,41 @@ import (
 
 // FuzzScoreFrame holds the /node/score request decoder to its
 // contract on every input: an accepted frame holds only finite values
-// and a finite, non-negative temperature, and re-encodes to exactly
-// its own bytes; a refused frame allocates nothing.
+// and re-encodes to exactly its own bytes; a refused frame allocates
+// nothing.
 func FuzzScoreFrame(f *testing.F) {
-	valid, err := encodeScoreFrame([][]float64{{1, -2.5, 3e-300}, {0, math.MaxFloat64, -0.0}}, 0.05)
+	valid, err := encodeScoreFrame([][]float64{{1, -2.5, 3e-300}, {0, math.MaxFloat64, -0.0}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	header := func(rows, cols uint32, temperature float64) []byte {
+	header := func(rows, cols uint32) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, rows)
-		b = binary.LittleEndian.AppendUint32(b, cols)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(temperature))
+		return binary.LittleEndian.AppendUint32(b, cols)
 	}
 	nan := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(nan[24:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint64(nan[16:], math.Float64bits(math.NaN()))
 	for _, seed := range [][]byte{
 		valid,
-		valid[:15],
+		valid[:7],
 		valid[:len(valid)-8],
 		nan,
-		header(math.MaxUint32, math.MaxUint32, 1),
-		header(math.MaxUint32, 1, 1),
-		header(3, 0, 1),
-		header(0, 0, 1),
-		append(header(1, 1, -1), valid[16:24]...),
+		header(math.MaxUint32, math.MaxUint32),
+		header(math.MaxUint32, 1),
+		header(3, 0),
+		header(0, 0),
+		legacyFrame(valid, 0.05),
 		[]byte(`{"xs":[[1,2,3]],"temperature":0.05}`),
+		append(header(1, 1), valid[8:16]...),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		xs, temperature, err := decodeScoreFrame(b)
+		xs, err := decodeScoreFrame(b)
 		if err != nil {
-			if allocs := testing.AllocsPerRun(1, func() { _, _, _ = decodeScoreFrame(b) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(1, func() { _, _ = decodeScoreFrame(b) }); allocs != 0 {
 				t.Fatalf("refused frame (%v) allocated %v times", err, allocs)
 			}
 			return
-		}
-		if math.IsNaN(temperature) || math.IsInf(temperature, 0) || temperature < 0 {
-			t.Fatalf("accepted temperature %v", temperature)
 		}
 		if len(xs) == 0 {
 			t.Fatal("accepted an empty batch")
@@ -62,11 +60,48 @@ func FuzzScoreFrame(f *testing.F) {
 				}
 			}
 		}
-		again, err := encodeScoreFrame(xs, temperature)
+		again, err := encodeScoreFrame(xs)
 		if err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded to %x, %v; frame was %x", again, err, b)
 		}
 	})
+}
+
+// legacyFrame rewrites a frame into the older 16-byte-header layout,
+// which carried a temperature f64 between the header and the features.
+func legacyFrame(frame []byte, temperature float64) []byte {
+	b := binary.LittleEndian.AppendUint64(append([]byte(nil), frame[:scoreHeader]...), math.Float64bits(temperature))
+	return append(b, frame[scoreHeader:]...)
+}
+
+// TestDecodeScoreFrameRefuses: each malformed frame is refused with its
+// own error. A frame in the older 16-byte-header layout has a body one
+// float64 longer than rows×cols, so it is refused as a shape mismatch
+// at any temperature it carried, never read as features.
+func TestDecodeScoreFrameRefuses(t *testing.T) {
+	valid, err := encodeScoreFrame([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(nan[scoreHeader+8:], math.Float64bits(math.NaN()))
+	for name, tc := range map[string]struct {
+		b    []byte
+		want error
+	}{
+		"header short of 8 bytes":         {valid[:7], errFrameShape},
+		"partial feature":                 {valid[:len(valid)-3], errFrameShape},
+		"claim larger than body":          {valid[:len(valid)-8], errFrameShape},
+		"empty batch":                     {make([]byte, scoreHeader), errFrameEmpty},
+		"NaN feature":                     {nan, errFrameFeature},
+		"16-byte header, temperature 0":   {legacyFrame(valid, 0), errFrameShape},
+		"16-byte header, temperature .05": {legacyFrame(valid, 0.05), errFrameShape},
+		"16-byte header, NaN":             {legacyFrame(valid, math.NaN()), errFrameShape},
+	} {
+		if xs, err := decodeScoreFrame(tc.b); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %d rows, error %v; want %v", name, len(xs), err, tc.want)
+		}
+	}
 }
 
 // TestEncodeScoreFrameRefuses: the encoder refuses every batch the
@@ -76,28 +111,22 @@ func FuzzScoreFrame(f *testing.F) {
 func TestEncodeScoreFrameRefuses(t *testing.T) {
 	ragged := make([][]float64, 10001)
 	ragged[0] = make([]float64, 1000)
-	for name, tc := range map[string]struct {
-		xs          [][]float64
-		temperature float64
-	}{
-		"empty batch":          {nil, 0.05},
-		"row without features": {[][]float64{{}}, 0.05},
-		"long row, empty rows": {ragged, 0.05},
-		"short second row":     {[][]float64{{1, 2}, {1}}, 0.05},
-		"NaN feature":          {[][]float64{{1, math.NaN()}}, 0.05},
-		"+Inf feature":         {[][]float64{{math.Inf(1), 1}}, 0.05},
-		"-Inf feature":         {[][]float64{{1, math.Inf(-1)}}, 0.05},
-		"negative temperature": {[][]float64{{1, 2}}, -1},
-		"NaN temperature":      {[][]float64{{1, 2}}, math.NaN()},
-		"infinite temperature": {[][]float64{{1, 2}}, math.Inf(1)},
+	for name, xs := range map[string][][]float64{
+		"empty batch":          nil,
+		"row without features": {{}},
+		"long row, empty rows": ragged,
+		"short second row":     {{1, 2}, {1}},
+		"NaN feature":          {{1, math.NaN()}},
+		"+Inf feature":         {{math.Inf(1), 1}},
+		"-Inf feature":         {{1, math.Inf(-1)}},
 	} {
-		if b, err := encodeScoreFrame(tc.xs, tc.temperature); err == nil {
+		if b, err := encodeScoreFrame(xs); err == nil {
 			t.Errorf("%s: encoded %d bytes", name, len(b))
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := encodeScoreFrame(ragged, 0.05)
+	_, err := encodeScoreFrame(ragged)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("ragged batch encoded")

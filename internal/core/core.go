@@ -140,7 +140,7 @@ func Train(trainX [][]float64, trainY []int, classes int, cfg Config) (*System, 
 type backend interface {
 	model.Freezer
 	Predict(q *bitvec.Vector) int
-	PredictWithConfidence(q *bitvec.Vector, temperature float64) (int, float64)
+	PredictWithConfidence(q *bitvec.Vector, _ float64) (int, float64)
 	AccuracyParallel(qs []*bitvec.Vector, labels []int, workers int) float64
 	StorageBits() int
 	SnapshotDeployed() []*bitvec.Vector
@@ -297,23 +297,16 @@ func (s *System) Predict(x []float64) int {
 // the winning class with a normalized confidence.
 //
 // Contract: the confidence is the softmax of the class similarities at
-// model.DefaultConfidenceTemperature — a value in (1/k, 1] for k
+// the model package's default scale — a value in (1/k, 1] for k
 // classes, where 1/k means "no margin over the rivals" and values near
 // 1 mean the winner dominates. This is exactly the normalization the
-// recovery gate applies (recovery.Config.Temperature = 0), so the
-// returned confidence is directly comparable to
+// recovery gate applies, at the one fixed scale T_C is calibrated
+// against, so the returned confidence is directly comparable to
 // recovery.Config.ConfidenceThreshold (T_C): a query reported here
 // with confidence >= T_C is one the recovery loop would trust as a
-// pseudo-label. Callers running recovery at a custom temperature
-// should use PredictWithConfidenceAt with the same temperature.
+// pseudo-label.
 func (s *System) PredictWithConfidence(x []float64) (int, float64) {
-	return s.PredictWithConfidenceAt(x, 0)
-}
-
-// PredictWithConfidenceAt is PredictWithConfidence at an explicit
-// softmax temperature (<= 0 selects model.DefaultConfidenceTemperature).
-func (s *System) PredictWithConfidenceAt(x []float64, temperature float64) (int, float64) {
-	return s.backend().PredictWithConfidence(s.Encode(x), temperature)
+	return s.backend().PredictWithConfidence(s.Encode(x), 0)
 }
 
 // Accuracy evaluates on raw feature vectors, encoding and scoring in
@@ -325,7 +318,7 @@ func (s *System) Accuracy(xs [][]float64, ys []int) float64 {
 
 // AttackImage returns the attack surface of the deployed memory: the
 // class hypervectors for the dense backend, the base planes for the
-// compressed one. Both adapters implement attack.BitReader, so
+// compressed one. The adapter implements attack.BitReader, so
 // substrate fault processes decay either deployment.
 func (s *System) AttackImage() attack.Image {
 	if s.log != nil {

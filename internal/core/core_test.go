@@ -226,35 +226,14 @@ func TestPredictWithConfidenceMatchesRecoveryGate(t *testing.T) {
 	// the softmax confidence the recovery gate computes, so a caller
 	// comparing it against T_C predicts the gate's trust decision.
 	s, ds := trainSmall(t)
-	cfg := recovery.DefaultConfig()
 	for i := 0; i < 40; i++ {
 		pred, conf := s.PredictWithConfidence(ds.TestX[i])
 		q := s.Encode(ds.TestX[i])
-		mPred, mConf := s.Model().PredictWithConfidence(q, cfg.Temperature)
+		mPred, mConf := s.Model().PredictWithConfidence(q, 0)
 		if pred != mPred || conf != mConf {
 			t.Fatalf("sample %d: system (%d, %v) != model-at-default-temp (%d, %v)",
 				i, pred, conf, mPred, mConf)
 		}
-		at, confAt := s.PredictWithConfidenceAt(ds.TestX[i], 0)
-		if at != pred || confAt != conf {
-			t.Fatalf("sample %d: PredictWithConfidenceAt(x, 0) diverged", i)
-		}
-	}
-}
-
-func TestPredictWithConfidenceAtTemperatureSharpens(t *testing.T) {
-	// Higher temperature must push confidence toward 1, lower toward
-	// the uninformative 1/k floor — monotone in temperature.
-	s, ds := trainSmall(t)
-	_, lo := s.PredictWithConfidenceAt(ds.TestX[0], 30)
-	_, mid := s.PredictWithConfidenceAt(ds.TestX[0], 120)
-	_, hi := s.PredictWithConfidenceAt(ds.TestX[0], 400)
-	if !(lo < mid && mid < hi) {
-		t.Fatalf("confidence not monotone in temperature: %v, %v, %v", lo, mid, hi)
-	}
-	floor := 1.0 / float64(s.Classes())
-	if lo <= floor || hi > 1 {
-		t.Fatalf("confidence out of (1/k, 1]: lo=%v hi=%v floor=%v", lo, hi, floor)
 	}
 }
 

@@ -140,7 +140,7 @@ func FleetDrill(ctx *Context) (*FleetDrillResult, error) {
 			}); err != nil {
 				panic(err)
 			}
-			classes, _, err := f.ScoreBatch(t.TestEnc, f.Temperature())
+			classes, _, err := f.ScoreBatch(t.TestEnc)
 			if err != nil {
 				panic(err)
 			}

@@ -31,7 +31,7 @@ var ErrUnverified = errors.New("journal does not verify")
 // query is encoded twice and no hypervector crosses the wire.
 type Member[Q any] interface {
 	// Score classifies a batch against the member's current model.
-	Score(qs []Q, temperature float64) ([]int, []float64, error)
+	Score(qs []Q) ([]int, []float64, error)
 	// Summary digests the deployed class vectors chunk by chunk.
 	Summary(chunks int) (Summary, error)
 	// Chunks returns the bits of each named range, index-aligned.
@@ -310,8 +310,8 @@ func parallel(n int, fn func(i int)) {
 }
 
 // score scores the batch on one member, driving the failure ladder.
-func (d *Dispatcher[Q]) score(s *slot[Q], qs []Q, temperature float64) ([]int, []float64, error) {
-	classes, confs, err := s.m.Score(qs, temperature)
+func (d *Dispatcher[Q]) score(s *slot[Q], qs []Q) ([]int, []float64, error) {
+	classes, confs, err := s.m.Score(qs)
 	if !d.note(s, err) {
 		return nil, nil, err
 	}
@@ -321,11 +321,11 @@ func (d *Dispatcher[Q]) score(s *slot[Q], qs []Q, temperature float64) ([]int, [
 
 // fan scores the batch on every listed member concurrently, keeping
 // list order. Failed members leave nil answers and their error.
-func (d *Dispatcher[Q]) fan(ss []*slot[Q], qs []Q, temperature float64) ([][]int, [][]float64, []error) {
+func (d *Dispatcher[Q]) fan(ss []*slot[Q], qs []Q) ([][]int, [][]float64, []error) {
 	votes := make([][]int, len(ss))
 	confs := make([][]float64, len(ss))
 	errs := make([]error, len(ss))
-	parallel(len(ss), func(i int) { votes[i], confs[i], errs[i] = d.score(ss[i], qs, temperature) })
+	parallel(len(ss), func(i int) { votes[i], confs[i], errs[i] = d.score(ss[i], qs) })
 	return votes, confs, errs
 }
 
@@ -342,7 +342,7 @@ func (d *Dispatcher[Q]) fan(ss []*slot[Q], qs []Q, temperature float64) ([][]int
 // dropped from the vote — the batch degrades to the survivors rather
 // than stalling. A member's refusal (an error not wrapping ErrDown) is
 // returned when no member answered, or at once on the fast path.
-func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float64, error) {
+func (d *Dispatcher[Q]) ScoreBatch(qs []Q) ([]int, []float64, error) {
 	if len(qs) == 0 {
 		return []int{}, []float64{}, nil
 	}
@@ -351,7 +351,7 @@ func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float6
 		return nil, nil, ErrNoReplicas
 	}
 	if d.Healthy() && len(act) == len(d.slots) {
-		classes, confs, err := d.score(act[d.cursor.Add(1)%uint64(len(act))], qs, temperature)
+		classes, confs, err := d.score(act[d.cursor.Add(1)%uint64(len(act))], qs)
 		if err == nil {
 			d.fastPredicts.Add(int64(len(qs)))
 			return classes, confs, nil
@@ -373,7 +373,7 @@ func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float6
 	for i := range members {
 		members[i] = act[(start+uint64(i))%uint64(len(act))]
 	}
-	votes, vconfs, verrs := d.fan(members, qs, temperature)
+	votes, vconfs, verrs := d.fan(members, qs)
 	// answers[id] holds each member's votes so escalation reuses them.
 	answers := make([][]int, len(d.slots))
 	answerConfs := make([][]float64, len(d.slots))
@@ -407,7 +407,7 @@ func (d *Dispatcher[Q]) ScoreBatch(qs []Q, temperature float64) ([]int, []float6
 				need = append(need, s)
 			}
 		}
-		nv, nc, _ := d.fan(need, qs, temperature)
+		nv, nc, _ := d.fan(need, qs)
 		for i, s := range need {
 			answers[s.id], answerConfs[s.id] = nv[i], nc[i]
 		}

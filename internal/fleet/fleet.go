@@ -12,7 +12,10 @@
 //   - Quorum inference (ScoreBatch): a batch fans to a read-quorum of
 //     members and the predictions are majority-voted, with escalation
 //     to the full active set on disagreement. While the members are
-//     provably in sync a fast path scores on a single one.
+//     provably in sync a fast path scores on a single one. Every
+//     member scores confidences at the model package's one fixed
+//     softmax scale, the one the recovery gate uses, so a score
+//     request carries only the batch.
 //   - Anti-entropy repair (SweepNow, antientropy.go): members report
 //     per-chunk hashes of their class hypervectors, only chunks whose
 //     hashes disagree are fetched and majority-voted, and each
@@ -260,9 +263,6 @@ func derivedSeed(base uint64, id int, salt uint64) uint64 {
 // ConfidenceGate returns the recovery confidence threshold the fleet's
 // replicas trust pseudo-labels at (callers gate Trusted with it).
 func (f *Fleet) ConfidenceGate() float64 { return f.cfg.Recovery.ConfidenceThreshold }
-
-// Temperature returns the softmax temperature replicas score at.
-func (f *Fleet) Temperature() float64 { return f.cfg.Recovery.Temperature }
 
 // SweepNow runs one anti-entropy sweep (Dispatcher.SweepNow). Replicas
 // in process share one shape and cannot be unreachable, so it never

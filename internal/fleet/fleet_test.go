@@ -104,7 +104,7 @@ func TestQuorumMatchesSingleModelWhenInSync(t *testing.T) {
 	}
 
 	check := func(path string) {
-		got, confs, err := f.ScoreBatch(encoded, 0)
+		got, confs, err := f.ScoreBatch(encoded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestQuorumMasksCorruptedReplica(t *testing.T) {
 
 func accuracyOf(t *testing.T, f *Fleet, encoded []*bitvec.Vector, labels []int) float64 {
 	t.Helper()
-	classes, _, err := f.ScoreBatch(encoded, 0)
+	classes, _, err := f.ScoreBatch(encoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ type stubMember struct {
 	onSummary func()
 }
 
-func (m *stubMember) Score(qs []int, _ float64) ([]int, []float64, error) {
+func (m *stubMember) Score(qs []int) ([]int, []float64, error) {
 	return make([]int, len(qs)), make([]float64, len(qs)), nil
 }
 

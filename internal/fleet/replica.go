@@ -110,15 +110,16 @@ func (r *Replica) Acquire() *model.Epoch { return r.chain.Acquire() }
 // EpochStats reports the epoch chain's publication counters.
 func (r *Replica) EpochStats() model.EpochStats { return r.chain.Stats() }
 
-// Score classifies qs against the current epoch. It never fails; the
-// error is the Member signature's.
-func (r *Replica) Score(qs []*bitvec.Vector, temperature float64) ([]int, []float64, error) {
+// Score classifies qs against the current epoch, with confidences at
+// the model package's fixed softmax scale, the one the recovery gate
+// uses. It never fails; the error is the Member signature's.
+func (r *Replica) Score(qs []*bitvec.Vector) ([]int, []float64, error) {
 	classes := make([]int, len(qs))
 	confs := make([]float64, len(qs))
 	ep := r.chain.Acquire()
 	img := ep.Frozen()
 	for i, q := range qs {
-		classes[i], confs[i] = img.PredictWithConfidence(q, temperature)
+		classes[i], confs[i] = img.PredictWithConfidence(q, 0)
 	}
 	ep.Release()
 	return classes, confs, nil

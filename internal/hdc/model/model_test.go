@@ -205,6 +205,27 @@ func TestConfidencesSumToOneAndOrder(t *testing.T) {
 	}
 }
 
+func TestPredictWithConfidenceTemperatureSharpens(t *testing.T) {
+	// Higher temperature must push confidence toward 1, lower toward
+	// the uninformative 1/k floor — monotone in temperature.
+	spec := smallSpec()
+	tr, te, try, _ := encodeDataset(t, spec, 4096)
+	m, _ := New(spec.Classes, 4096)
+	if err := m.Train(tr, try); err != nil {
+		t.Fatal(err)
+	}
+	_, lo := m.PredictWithConfidence(te[0], 30)
+	_, mid := m.PredictWithConfidence(te[0], 120)
+	_, hi := m.PredictWithConfidence(te[0], 400)
+	if !(lo < mid && mid < hi) {
+		t.Fatalf("confidence not monotone in temperature: %v, %v, %v", lo, mid, hi)
+	}
+	floor := 1.0 / float64(m.Classes())
+	if lo <= floor || hi > 1 {
+		t.Fatalf("confidence out of (1/k, 1]: lo=%v hi=%v floor=%v", lo, hi, floor)
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	rng := stats.NewRNG(8)
 	m, _ := New(2, 512)

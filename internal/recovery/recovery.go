@@ -39,6 +39,9 @@ import (
 type Config struct {
 	// ConfidenceThreshold is T_C: queries predicted with softmax
 	// confidence below it are ignored for recovery. Must be in (0, 1).
+	// The confidence is the softmax of the class similarities at the
+	// model package's default scale, the fixed logit scale T_C is
+	// calibrated against.
 	ConfidenceThreshold float64
 	// Chunks is m, the number of chunks the hypervector is split into
 	// for fault detection. Must be >= 1 and <= dimensions.
@@ -46,9 +49,6 @@ type Config struct {
 	// SubstitutionRate is p (the paper's S): the per-bit probability of
 	// copying the query bit into a faulty chunk. Must be in (0, 1].
 	SubstitutionRate float64
-	// Temperature scales similarities before the softmax; <= 0 selects
-	// model.DefaultConfidenceTemperature.
-	Temperature float64
 	// EnsembleWindow enables the ensemble-substitution extension
 	// (beyond the paper): faulty chunks are rewritten from the
 	// majority of the class's last EnsembleWindow trusted queries
@@ -71,8 +71,8 @@ type Config struct {
 const DefaultGuardZ = 1.0
 
 // DefaultConfig returns the operating point used for the paper's
-// Table 4 results: a strict gate (T_C = 0.95 — at the default
-// confidence temperature this trusts only queries whose similarity
+// Table 4 results: a strict gate (T_C = 0.95 — at the fixed
+// confidence scale this trusts only queries whose similarity
 // margin exceeds ~3%, which keeps near-boundary samples from poisoning
 // the substitution), 10 chunks (chunk noise must stay below typical
 // class margins or fault detection false-positives corrupt healthy
@@ -82,7 +82,6 @@ func DefaultConfig() Config {
 		ConfidenceThreshold: 0.95,
 		Chunks:              10,
 		SubstitutionRate:    0.25,
-		Temperature:         0,
 	}
 }
 
@@ -93,9 +92,6 @@ func (c Config) Validate(dims int) error {
 		return err
 	}
 	if err := stats.CheckInterval("recovery: substitution rate", c.SubstitutionRate, "(0,1]"); err != nil {
-		return err
-	}
-	if err := stats.CheckFinite("recovery: temperature", c.Temperature); err != nil {
 		return err
 	}
 	if err := stats.CheckFinite("recovery: guard z", c.GuardZ); err != nil {
@@ -170,13 +166,6 @@ func New(m *model.Model, cfg Config, seed uint64) (*Recoverer, error) {
 	return r, nil
 }
 
-// Config returns the active configuration.
-func (r *Recoverer) Config() Config {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
-}
-
 // SubstitutionRate returns the active per-bit substitution probability.
 func (r *Recoverer) SubstitutionRate() float64 {
 	r.mu.Lock()
@@ -223,7 +212,7 @@ func (r *Recoverer) Observe(q *bitvec.Vector) (pred int, updated bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stats.Queries++
-	pred, conf := r.model.PredictWithConfidence(q, r.cfg.Temperature)
+	pred, conf := r.model.PredictWithConfidence(q, 0)
 	if conf < r.cfg.ConfidenceThreshold {
 		return pred, false
 	}
@@ -234,9 +223,6 @@ func (r *Recoverer) Observe(q *bitvec.Vector) (pred int, updated bool) {
 	k := r.model.Classes()
 	for c := 0; c < r.cfg.Chunks; c++ {
 		lo, hi := r.bounds[c], r.bounds[c+1]
-		if lo == hi {
-			continue
-		}
 		r.stats.ChunksChecked++
 		// Chunk-local similarity contest: the chunk is healthy when
 		// the trusted class wins (ties resolve in its favor). The

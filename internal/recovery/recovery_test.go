@@ -87,11 +87,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			t.Errorf("substitution rate %v accepted", v)
 		}
 		c = DefaultConfig()
-		c.Temperature = v
-		if err := c.Validate(10000); err == nil {
-			t.Errorf("temperature %v accepted", v)
-		}
-		c = DefaultConfig()
 		c.GuardZ = v
 		if err := c.Validate(10000); err == nil {
 			t.Errorf("guard z %v accepted", v)
@@ -216,10 +211,10 @@ func TestHeavySingleClassAttackBeyondRecovery(t *testing.T) {
 func TestConfidenceGateBlocksUpdates(t *testing.T) {
 	m, _, _, _ := toyProblem(t, 1024, 1, 1, 0.04, 0.03)
 	cfg := DefaultConfig()
+	// At the fixed confidence scale a 0.999999 gate needs a logit gap of
+	// ln 10⁶ ≈ 13.8, a similarity gap of ≈ 0.115: far beyond the spread
+	// of a random query's similarities at D=1024.
 	cfg.ConfidenceThreshold = 0.999999
-	// Keep the temperature tiny so every confidence collapses toward
-	// uniform and nothing can clear the gate.
-	cfg.Temperature = 0.001
 	r, err := New(m, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +312,8 @@ func TestStatsAccounting(t *testing.T) {
 	for c := 0; c < m.Classes(); c++ {
 		m.ClassVector(c).FlipBernoulli(0.2, rng)
 	}
-	r, _ := New(m, DefaultConfig(), 7)
+	cfg := DefaultConfig()
+	r, _ := New(m, cfg, 7)
 	r.Run(stream)
 	s := r.Stats()
 	if s.Queries != 40 {
@@ -329,9 +325,9 @@ func TestStatsAccounting(t *testing.T) {
 	if s.FaultyChunks > s.ChunksChecked {
 		t.Fatal("FaultyChunks exceeds ChunksChecked")
 	}
-	if s.ChunksChecked != s.Trusted*r.Config().Chunks {
+	if s.ChunksChecked != s.Trusted*cfg.Chunks {
 		t.Fatalf("ChunksChecked = %d, want Trusted(%d)*Chunks(%d)",
-			s.ChunksChecked, s.Trusted, r.Config().Chunks)
+			s.ChunksChecked, s.Trusted, cfg.Chunks)
 	}
 }
 

@@ -546,9 +546,9 @@ func (s *Server) serveBatch(batch []*request, sc *batchScratch) {
 	var err error
 	if st.flt != nil {
 		gate = st.flt.ConfidenceGate()
-		classes, confs, err = st.flt.ScoreBatch(encoded, st.flt.Temperature())
+		classes, confs, err = st.flt.ScoreBatch(encoded)
 	} else {
-		classes, confs, err = st.rep.Score(encoded, s.cfg.Recovery.Temperature)
+		classes, confs, err = st.rep.Score(encoded)
 	}
 	if err != nil {
 		for _, r := range live {
@@ -687,7 +687,7 @@ func (s *Server) ProbeNow() (float64, bool) {
 	encoded := st.sys.EncodeAllParallel(xs, allCores)
 	var acc float64
 	if st.flt != nil {
-		classes, _, err := st.flt.ScoreBatch(encoded, st.flt.Temperature())
+		classes, _, err := st.flt.ScoreBatch(encoded)
 		if err != nil {
 			return 0, false
 		}

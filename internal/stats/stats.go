@@ -53,19 +53,6 @@ func SoftmaxInto(dst, x []float64) {
 	}
 }
 
-// TemperatureSoftmax computes softmax(x / t). Lower temperatures sharpen
-// the distribution. It panics if t <= 0.
-func TemperatureSoftmax(x []float64, t float64) []float64 {
-	if t <= 0 {
-		panic("stats: temperature must be positive")
-	}
-	scaled := make([]float64, len(x))
-	for i, v := range x {
-		scaled[i] = v / t
-	}
-	return Softmax(scaled)
-}
-
 // ArgMax returns the index of the largest element of x, or -1 if x is
 // empty. Ties resolve to the lowest index.
 func ArgMax(x []float64) int {

@@ -85,24 +85,6 @@ func TestSoftmaxPropertySumAndRange(t *testing.T) {
 	}
 }
 
-func TestTemperatureSoftmaxSharpens(t *testing.T) {
-	x := []float64{0, 1}
-	hot := TemperatureSoftmax(x, 10)
-	cold := TemperatureSoftmax(x, 0.1)
-	if cold[1] <= hot[1] {
-		t.Fatalf("low temperature should sharpen: hot=%v cold=%v", hot, cold)
-	}
-}
-
-func TestTemperatureSoftmaxPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for t <= 0")
-		}
-	}()
-	TemperatureSoftmax([]float64{1}, 0)
-}
-
 func TestArgMax(t *testing.T) {
 	cases := []struct {
 		in   []float64
