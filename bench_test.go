@@ -494,6 +494,93 @@ func BenchmarkRecoveryObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoveryObserveTrusted measures one observation of a
+// trusted query on an ISOLET model (k=26, D=10k) whose class vectors
+// carry clustered damage, the heal_dram shape: every query clears the
+// gate, so each runs the chunk contests and substitutes into the
+// chunks they flag. The damaged image is restored after each pass
+// over the queries, off the clock, so healing does not empty the
+// workload.
+func BenchmarkRecoveryObserveTrusted(b *testing.B) {
+	spec := dataset.ISOLET()
+	spec.TrainSize, spec.TestSize = 520, 400
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := core.Train(ds.TrainX, ds.TrainY, spec.Classes, core.Config{Dimensions: 10000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := sys.Model()
+	rng := stats.NewRNG(12)
+	for c := 0; c < m.Classes(); c++ {
+		for burst := 0; burst < 5; burst++ {
+			lo := rng.IntN(10000 - 400)
+			run := m.ClassVector(c).Slice(lo, lo+400)
+			run.FlipBernoulli(0.5, rng)
+			m.ClassVector(c).OverwriteSlice(run, lo)
+		}
+	}
+	damaged := m.SnapshotDeployed()
+	var trusted []*bitvec.Vector
+	for _, q := range sys.EncodeAll(ds.TestX) {
+		if _, conf := m.PredictWithConfidence(q, 0); conf >= recovery.DefaultConfig().ConfidenceThreshold {
+			trusted = append(trusted, q)
+		}
+	}
+	if len(trusted) == 0 {
+		b.Fatal("no query clears the confidence gate")
+	}
+	r, err := sys.NewRecoverer(recovery.DefaultConfig(), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(trusted) == 0 {
+			b.StopTimer()
+			m.RestoreDeployed(damaged)
+			b.StartTimer()
+		}
+		r.Observe(trusted[i%len(trusted)])
+	}
+	st := r.Stats()
+	b.ReportMetric(float64(st.FaultyChunks)/float64(st.ChunksChecked), "flagged/chunk")
+}
+
+// BenchmarkHammingChunks builds recovery's (class, chunk) Hamming
+// table at k=26, D=10k, m=10 two ways: one span call per class row
+// through HammingChunks, and the 260 HammingRange calls it replaced.
+func BenchmarkHammingChunks(b *testing.B) {
+	const k, dims, chunks = 26, 10000, 10
+	rng := stats.NewRNG(13)
+	q := bitvec.Random(dims, rng)
+	cs := make([]*bitvec.Vector, k)
+	for i := range cs {
+		cs[i] = bitvec.Random(dims, rng)
+	}
+	bounds := make([]int, chunks+1)
+	for j := range bounds {
+		bounds[j] = j * dims / chunks
+	}
+	table := make([]int, k*chunks)
+	b.Run("spans", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bitvec.HammingChunks(q, cs, bounds, table)
+		}
+	})
+	b.Run("ranges", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for c, cv := range cs {
+				for j := 0; j < chunks; j++ {
+					table[c*chunks+j] = q.HammingRange(cv, bounds[j], bounds[j+1])
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkAttack10k measures a 10% random attack on a D=10k model.
 func BenchmarkAttack10k(b *testing.B) {
 	sys, _ := benchSystem(b)

@@ -254,28 +254,31 @@ func (v *Vector) Similarity(o *Vector) float64 {
 func (v *Vector) HammingRange(o *Vector, lo, hi int) int {
 	v.mustMatch(o)
 	v.checkRange(lo, hi)
+	return hammingRange(kern.popcntXor, v.words, o.words, lo, hi)
+}
+
+// hammingRange is HammingRange over raw words through the given
+// popcntXor kernel.
+func hammingRange(popcntXor func(a, b []uint64) int, a, b []uint64, lo, hi int) int {
 	if lo == hi {
 		return 0
 	}
 	firstWord, lastWord := lo/wordBits, (hi-1)/wordBits
 	if firstWord == lastWord {
-		x := v.words[firstWord] ^ o.words[firstWord]
-		return bits.OnesCount64(x & rangeMask(firstWord, lo, hi))
+		return bits.OnesCount64((a[firstWord] ^ b[firstWord]) & rangeMask(firstWord, lo, hi))
 	}
 	total := 0
 	fullLo, fullHi := firstWord, lastWord+1
 	if lo%wordBits != 0 {
-		x := v.words[firstWord] ^ o.words[firstWord]
-		total += bits.OnesCount64(x & rangeMask(firstWord, lo, hi))
+		total += bits.OnesCount64((a[firstWord] ^ b[firstWord]) & rangeMask(firstWord, lo, hi))
 		fullLo++
 	}
 	if hi%wordBits != 0 {
-		x := v.words[lastWord] ^ o.words[lastWord]
-		total += bits.OnesCount64(x & rangeMask(lastWord, lo, hi))
+		total += bits.OnesCount64((a[lastWord] ^ b[lastWord]) & rangeMask(lastWord, lo, hi))
 		fullHi--
 	}
 	if fullLo < fullHi {
-		total += kern.popcntXor(v.words[fullLo:fullHi], o.words[fullLo:fullHi])
+		total += popcntXor(a[fullLo:fullHi], b[fullLo:fullHi])
 	}
 	return total
 }
@@ -328,7 +331,8 @@ func (v *Vector) FlipRandom(k int, rng *rand.Rand) {
 }
 
 // FlipBernoulli flips each bit independently with probability p and
-// returns the number of flips performed. It panics unless 0 <= p <= 1.
+// returns the number of flips performed. It panics unless 0 <= p <= 1
+// (a NaN p included).
 //
 // Positions are drawn by geometric skip-sampling — the gap to the next
 // flipped bit is Geometric(p) — so the cost is O(expected flips), not
@@ -337,7 +341,7 @@ func (v *Vector) FlipRandom(k int, rng *rand.Rand) {
 // seeded streams produce different (equally valid) patterns than the
 // old per-dimension implementation.
 func (v *Vector) FlipBernoulli(p float64, rng *rand.Rand) int {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("bitvec: probability out of range")
 	}
 	if p == 0 || v.n == 0 {
@@ -372,25 +376,60 @@ func (v *Vector) FlipBernoulli(p float64, rng *rand.Rand) int {
 // independently with probability p, returning the number of positions
 // copied (including ones that already matched). This is the paper's
 // probabilistic substitution p·Q | (1−p)·C used to pull a faulty class
-// chunk toward a trusted query.
+// chunk toward a trusted query. It panics unless 0 <= p <= 1 (a NaN p
+// included).
+//
+// It works a word at a time: each word of the range draws one
+// Bernoulli mask and merges v = v&^mask | src&mask. The mask comes from
+// the binary expansion of p, cut after substitutionDigits digits and
+// with its trailing zero digits dropped: starting from one uniform
+// word for the last 1 digit, each digit further up ORs in a fresh
+// uniform word when it is 1 (P ← 1/2 + P/2) and ANDs one in when it is
+// 0 (P ← P/2). So every bit is copied independently with probability
+// floor(p·2^32)/2^32, within 2^-32 of p, and a word costs as many
+// Uint64 draws as that expansion has digits: two at p = 0.25, one at
+// p = 0.5. p = 1 is OverwriteRange.
 func (v *Vector) SubstituteRange(src *Vector, lo, hi int, p float64, rng *rand.Rand) int {
 	v.mustMatch(src)
 	v.checkRange(lo, hi)
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("bitvec: probability out of range")
 	}
+	if lo == hi {
+		return 0
+	}
+	if p == 1 {
+		v.OverwriteRange(src, lo, hi)
+		return hi - lo
+	}
+	x := uint64(p * (1 << substitutionDigits))
+	if x == 0 {
+		return 0
+	}
+	last := bits.TrailingZeros64(x)
 	copied := 0
-	for i := lo; i < hi; i++ {
-		if rng.Float64() < p {
-			v.Set(i, src.Get(i))
-			copied++
+	for w := lo / wordBits; w <= (hi-1)/wordBits; w++ {
+		mask := rng.Uint64()
+		for d := last + 1; d < substitutionDigits; d++ {
+			if x>>uint(d)&1 != 0 {
+				mask |= rng.Uint64()
+			} else {
+				mask &= rng.Uint64()
+			}
 		}
+		mask &= rangeMask(w, lo, hi)
+		v.words[w] = v.words[w]&^mask | src.words[w]&mask
+		copied += bits.OnesCount64(mask)
 	}
 	return copied
 }
 
-// OverwriteRange copies all bits of src in [lo, hi) into v. Equivalent
-// to SubstituteRange with p = 1 but faster (word-wise).
+// substitutionDigits is how many binary digits of p SubstituteRange's
+// mask resolves.
+const substitutionDigits = 32
+
+// OverwriteRange copies all bits of src in [lo, hi) into v, word-wise:
+// SubstituteRange with p = 1.
 func (v *Vector) OverwriteRange(src *Vector, lo, hi int) {
 	v.mustMatch(src)
 	v.checkRange(lo, hi)

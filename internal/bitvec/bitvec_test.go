@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +272,93 @@ func TestOverwriteRangeMatchesSubstituteP1(t *testing.T) {
 	b.OverwriteRange(src, 31, 497)
 	if !a.Equal(b) {
 		t.Fatal("OverwriteRange differs from SubstituteRange(p=1)")
+	}
+}
+
+// TestSubstituteRangeMaskLaw checks the word-parallel mask's law: over
+// many random unaligned ranges the copy count stays within 5σ of the
+// binomial, only [lo, hi) of v changes, src never does, and the return
+// value is the number of positions copied. v starts as src's
+// complement, so every copied position is visible.
+func TestSubstituteRangeMaskLaw(t *testing.T) {
+	rng := stats.NewRNG(13)
+	const n = 100003
+	for _, p := range []float64{1.0 / (1 << 20), 0.25, 0.3, 1.0 / 3, 0.5, 1} {
+		target := 1 << 22
+		if p < 0.01 {
+			target = 1 << 27 // about 128 expected copies
+		}
+		total, copies := 0, 0
+		for trial := 0; total < target; trial++ {
+			lo, hi := rng.IntN(n+1), 0
+			hi = lo + rng.IntN(n-lo+1)
+			switch trial {
+			case 0:
+				lo, hi = 0, n
+			case 1:
+				lo, hi = 70, 100 // inside one word
+			case 2:
+				lo, hi = 64, 128 // one whole word
+			case 3:
+				lo, hi = 5, 5 // empty
+			}
+			src := Random(n, rng)
+			srcBefore := src.Clone()
+			v := src.Not()
+			before := v.Clone()
+			got := v.SubstituteRange(src, lo, hi, p, rng)
+			if !src.Equal(srcBefore) {
+				t.Fatalf("p=%v [%d,%d): src changed", p, lo, hi)
+			}
+			if v.HammingRange(before, 0, lo) != 0 || v.HammingRange(before, hi, n) != 0 {
+				t.Fatalf("p=%v [%d,%d): bits outside the range changed", p, lo, hi)
+			}
+			copied := hi - lo - v.HammingRange(src, lo, hi)
+			if got != copied {
+				t.Fatalf("p=%v [%d,%d): returned %d, copied %d", p, lo, hi, got, copied)
+			}
+			total += hi - lo
+			copies += copied
+		}
+		mean := p * float64(total)
+		sigma := math.Sqrt(float64(total) * p * (1 - p))
+		if math.Abs(float64(copies)-mean) > 5*sigma+1e-9 {
+			t.Errorf("p=%v: %d copies over %d bits, want %.1f ± 5·%.1f", p, copies, total, mean, sigma)
+		}
+	}
+}
+
+// TestSubstituteRangeCopiesNothingAtZero: p = 0 leaves v alone.
+func TestSubstituteRangeCopiesNothingAtZero(t *testing.T) {
+	rng := stats.NewRNG(14)
+	src := Random(300, rng)
+	v := src.Not()
+	before := v.Clone()
+	if got := v.SubstituteRange(src, 3, 290, 0, rng); got != 0 || !v.Equal(before) {
+		t.Fatalf("p=0 copied %d positions", got)
+	}
+}
+
+// TestProbabilityOutOfRangePanics pins the NaN refusal: NaN compares
+// false against both bounds, so it must be refused by the documented
+// panic rather than indexing past the vector (FlipBernoulli) or
+// silently copying nothing (SubstituteRange).
+func TestProbabilityOutOfRangePanics(t *testing.T) {
+	rng := stats.NewRNG(15)
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		for name, fn := range map[string]func(){
+			"FlipBernoulli":   func() { New(1000).FlipBernoulli(p, rng) },
+			"SubstituteRange": func() { New(1000).SubstituteRange(New(1000), 0, 1000, p, rng) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != "bitvec: probability out of range" {
+						t.Fatalf("%s(%v) panicked with %v", name, p, r)
+					}
+				}()
+				fn()
+			}()
+		}
 	}
 }
 

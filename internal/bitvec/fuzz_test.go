@@ -55,6 +55,41 @@ func FuzzRangeOps(f *testing.F) {
 	})
 }
 
+// FuzzHammingChunks checks the (candidate, chunk) table against
+// HammingRange on fuzzer-chosen lengths and chunk bounds under the
+// active kernel table; the data bytes are the chunk widths.
+func FuzzHammingChunks(f *testing.F) {
+	f.Add(uint16(10000), uint8(3), []byte{255, 255, 255, 255})
+	f.Add(uint16(777), uint8(13), []byte{0, 60, 4, 64, 1, 63})
+	f.Add(uint16(64), uint8(1), []byte{64})
+	f.Fuzz(func(t *testing.T, nRaw uint16, k uint8, widths []byte) {
+		n := int(nRaw)%12000 + 1
+		rng := newTestRNG(uint64(nRaw)<<8 | uint64(k))
+		q := Random(n, rng)
+		cs := make([]*Vector, int(k)%8)
+		for i := range cs {
+			cs[i] = Random(n, rng)
+		}
+		bounds := []int{0}
+		if len(widths) > 0 {
+			bounds[0] = int(widths[0]) % (n + 1)
+		}
+		for _, w := range widths {
+			bounds = append(bounds, min(n, bounds[len(bounds)-1]+int(w)*int(w)%700))
+		}
+		m := len(bounds) - 1
+		table := HammingChunks(q, cs, bounds, nil)
+		for i, cv := range cs {
+			for j := 0; j < m; j++ {
+				if want := q.HammingRange(cv, bounds[j], bounds[j+1]); table[i*m+j] != want {
+					t.Fatalf("n=%d candidate %d chunk [%d,%d): %d != HammingRange %d",
+						n, i, bounds[j], bounds[j+1], table[i*m+j], want)
+				}
+			}
+		}
+	})
+}
+
 // newTestRNG gives fuzz targets a local deterministic source without
 // importing the stats package (avoiding an import cycle in fuzzing
 // minimization corpora).
@@ -101,6 +136,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 				wantRange++
 			}
 		}
+		// Chunk bounds steered by the data bytes: three cuts around lo
+		// and hi, then one per byte, clamped to stay nondecreasing.
+		bounds := []int{0, lo, hi}
+		for _, x := range data {
+			bounds = append(bounds, min(n, bounds[len(bounds)-1]+int(x)))
+		}
+		wantChunks := make([]int, len(bounds)-1)
+		popcntXorChunksGo(a.words, b.words, bounds, wantChunks)
 
 		prev := KernelName()
 		defer func() {
@@ -147,6 +190,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 			if got := a.HammingRange(b, lo, hi); got != wantRange {
 				t.Fatalf("%s: HammingRange(%d,%d) %d != %d (n=%d)", name, lo, hi, got, wantRange, n)
+			}
+			gotChunks := make([]int, len(wantChunks))
+			kern.popcntXorChunks(a.words, b.words, bounds, gotChunks)
+			for j := range gotChunks {
+				if gotChunks[j] != wantChunks[j] {
+					t.Fatalf("%s: popcntXorChunks [%d,%d) %d != %d (n=%d)",
+						name, bounds[j], bounds[j+1], gotChunks[j], wantChunks[j], n)
+				}
 			}
 			got := []*Vector{New(n), New(n)}
 			bind.MajorityInto(got, lv, &BindScratch{})

@@ -108,3 +108,31 @@ func Nearest(q *Vector, cs []*Vector, scratch []int) int {
 	}
 	return best
 }
+
+// HammingChunks writes the Hamming distance from q to candidate i over
+// chunk j, the bit range [bounds[j], bounds[j+1]), into out[i*m+j]
+// (m = len(bounds)-1), and returns out, allocating it only when nil
+// or too short. Entry i*m+j equals q.HammingRange(cs[i], bounds[j],
+// bounds[j+1]). It is the (class, chunk) table behind recovery's
+// chunk contests, made with one dispatched popcntXorChunks call per
+// candidate row. bounds must hold at least one value and be
+// nondecreasing within [0, q.Len()]; every candidate must have q's
+// length.
+func HammingChunks(q *Vector, cs []*Vector, bounds []int, out []int) []int {
+	m := len(bounds) - 1
+	if m < 0 {
+		panic("bitvec: HammingChunks without bounds")
+	}
+	for j := 0; j < m; j++ {
+		q.checkRange(bounds[j], bounds[j+1])
+	}
+	if len(out) < len(cs)*m {
+		out = make([]int, len(cs)*m)
+	}
+	out = out[:len(cs)*m]
+	for i, cv := range cs {
+		q.mustMatch(cv)
+		kern.popcntXorChunks(q.words, cv.words, bounds, out[i*m:(i+1)*m])
+	}
+	return out
+}

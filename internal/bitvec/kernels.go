@@ -25,6 +25,13 @@ type kernelTable struct {
 	// caller guarantees len(b) >= len(a).
 	popcntXor func(a, b []uint64) int
 
+	// popcntXorChunks writes into out[j] the popcount of a XOR b over
+	// the bit range [bounds[j], bounds[j+1]), partial edge words
+	// masked: one call makes a whole row of the chunk table. The
+	// caller guarantees len(bounds) == len(out)+1, bounds
+	// nondecreasing and within a and b.
+	popcntXorChunks func(a, b []uint64, bounds, out []int)
+
 	// addScaled adds +w to tallies[i] when bit i of words is set and
 	// -w when clear, for len(words)*64 tallies (the caller peels the
 	// partial tail word).
@@ -40,10 +47,11 @@ type kernelTable struct {
 }
 
 var portableTable = kernelTable{
-	name:         "portable",
-	popcntXor:    popcntXorGo,
-	addScaled:    addScaledGo,
-	bindMajority: bindMajorityGo,
+	name:            "portable",
+	popcntXor:       popcntXorGo,
+	popcntXorChunks: popcntXorChunksGo,
+	addScaled:       addScaledGo,
+	bindMajority:    bindMajorityGo,
 }
 
 // kern is the active kernel table, selected at init by the
@@ -121,6 +129,19 @@ func popcntXorGo(a, b []uint64) int {
 		t += bits.OnesCount64(x ^ b[i])
 	}
 	return t
+}
+
+func popcntXorChunksGo(a, b []uint64, bounds, out []int) {
+	chunksVia(popcntXorGo, a, b, bounds, out)
+}
+
+// chunksVia is the popcntXorChunks entry of a table without a chunk
+// kernel of its own: one hammingRange per chunk over the table's
+// popcntXor.
+func chunksVia(popcntXor func(a, b []uint64) int, a, b []uint64, bounds, out []int) {
+	for j := range out {
+		out[j] = hammingRange(popcntXor, a, b, bounds[j], bounds[j+1])
+	}
 }
 
 func addScaledGo(tallies []int32, words []uint64, w int32) {

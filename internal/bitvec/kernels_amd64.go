@@ -8,14 +8,19 @@ import "math/bits"
 // process n &^ 3 words (the tally kernel processes all n whole words); the Go wrappers below peel the
 // remainder through the portable reference so any length and any
 // subslice alignment is bit-identical to the portable table. The
-// bindMajority kernels need no tail: a BindMemory is whole stripes and
-// whole carry-save blocks by construction.
+// chunk kernel needs no tail: each chunk's last zmm load is masked and
+// its partial edge words are corrected in the kernel. The bindMajority
+// kernels need no tail either: a BindMemory is whole stripes and whole
+// carry-save blocks by construction.
 
 //go:noescape
 func popcntXorHS(a, b *uint64, n int) int
 
 //go:noescape
 func popcntXorVP(a, b *uint64, n int) int
+
+//go:noescape
+func popcntXorChunksVP(a, b *uint64, bounds, out *int, m int)
 
 //go:noescape
 func addScaledAsm(tallies *int32, words *uint64, n int, w int32)
@@ -52,6 +57,21 @@ func popcntXorAVX512(a, b []uint64) int {
 		t += bits.OnesCount64(a[i] ^ b[i])
 	}
 	return t
+}
+
+func popcntXorChunksAVX2(a, b []uint64, bounds, out []int) {
+	chunksVia(popcntXorAVX2, a, b, bounds, out)
+}
+
+func popcntXorChunksAVX512(a, b []uint64, bounds, out []int) {
+	if len(out) == 0 {
+		return
+	}
+	if len(a) == 0 { // every chunk of an empty row is empty
+		clear(out)
+		return
+	}
+	popcntXorChunksVP(&a[0], &b[0], &bounds[0], &out[0], len(out))
 }
 
 func addScaledAVX2(tallies []int32, words []uint64, w int32) {
@@ -124,23 +144,27 @@ func init() {
 		return
 	}
 	avx2 := kernelTable{
-		name:         "avx2",
-		popcntXor:    popcntXorAVX2,
-		addScaled:    addScaledAVX2,
-		bindMajority: bindMajorityAVX2,
+		name:            "avx2",
+		popcntXor:       popcntXorAVX2,
+		popcntXorChunks: popcntXorChunksAVX2,
+		addScaled:       addScaledAVX2,
+		bindMajority:    bindMajorityAVX2,
 	}
 	registerKernels(avx2)
 	best := avx2
 	if cpuHasAVX512Popcnt() {
-		// The AVX2 table with two kernels swapped: popcount-Hamming for
-		// hardware VPOPCNTQ, and the bind-bundle-majority sweep for the
-		// 512-bit VPTERNLOGQ kernel, whose 32 registers hold all eleven
-		// count planes and a 16-bind carry-save block at once. The
-		// tally kernel stays on 256-bit lanes: it is bound by memory,
-		// not by lane width.
+		// The AVX2 table with three kernels swapped: popcount-Hamming
+		// for hardware VPOPCNTQ; the chunk kernel for a 512-bit
+		// VPOPCNTQ loop whose masked loads take each chunk's tail, so a
+		// whole row of short chunks is one call with no Go tail; and
+		// the bind-bundle-majority sweep for the 512-bit VPTERNLOGQ
+		// kernel, whose 32 registers hold all eleven count planes and a
+		// 16-bind carry-save block at once. The tally kernel stays on
+		// 256-bit lanes: it is bound by memory, not by lane width.
 		vp := avx2
 		vp.name = "avx512popcnt"
 		vp.popcntXor = popcntXorAVX512
+		vp.popcntXorChunks = popcntXorChunksAVX512
 		vp.bindMajority = bindMajorityAVX512
 		registerKernels(vp)
 		best = vp

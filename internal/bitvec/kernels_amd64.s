@@ -10,7 +10,9 @@
 // the words they can cover at their vector width (multiples of 4) and
 // leave the remainder to the Go wrapper. All
 // loads/stores are unaligned (VMOVDQU), so callers may pass arbitrary
-// word subslices.
+// word subslices. The AVX-512 chunk kernel runs many short ranges per
+// call, so it takes 512-bit lanes and masked tail loads instead, and
+// returns nothing to Go.
 //
 // The bind-bundle-majority sweep behind every bundle has two tiers of
 // its own: an AVX2 kernel and a 512-bit VPTERNLOGQ kernel. It is bound
@@ -229,6 +231,111 @@ vpDone:
 	VPADDQ Y4, Y0, Y0
 	SUMQ(Y0, X0, X1, AX)
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func popcntXorChunksVP(a, b *uint64, bounds, out *int, m int)
+//
+// AVX-512 chunk table row: out[j] = popcount(a XOR b) over the bits
+// [bounds[j], bounds[j+1]). Every word the chunk touches is counted
+// with 512-bit VPOPCNTQ, eight words per load, the last 1-7 words in
+// one zeroing masked load (K1 = (1<<r)-1; masked-off lanes never
+// fault), so no tail goes back to Go. The sum stays in Z0 until the
+// chunk ends and folds to one qword. The bits of the first word below
+// the chunk and those of the last word at or above its end are
+// counted scalar and subtracted.
+TEXT ·popcntXorChunksVP(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ bounds+16(FP), R8
+	MOVQ out+24(FP), R9
+	MOVQ m+32(FP), R10
+	MOVQ (R8), R11             // lo
+
+chChunk:
+	TESTQ R10, R10
+	JZ    chDone
+	MOVQ  8(R8), R14           // hi
+	XORQ  DX, DX
+	CMPQ  R14, R11
+	JLE   chStore              // empty chunk
+	MOVQ  R11, AX
+	SHRQ  $6, AX               // first word
+	LEAQ  -1(R14), BX
+	SHRQ  $6, BX               // last word
+	SUBQ  AX, BX
+	INCQ  BX                   // words touched
+	SHLQ  $3, AX
+	LEAQ  (SI)(AX*1), R12
+	LEAQ  (DI)(AX*1), R13
+	MOVQ  R11, CX
+	ANDQ  $63, CX
+	JZ    chLoAligned
+	MOVQ  (R12), R15
+	XORQ  (R13), R15
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX                   // bits below lo
+	ANDQ  AX, R15
+	POPCNTQ R15, R15
+	SUBQ  R15, DX
+
+chLoAligned:
+	MOVQ R14, CX
+	ANDQ $63, CX
+	JZ   chHiAligned
+	MOVQ -8(R12)(BX*8), R15
+	XORQ -8(R13)(BX*8), R15
+	MOVQ $-1, AX
+	SHLQ CX, AX                // bits at or above hi
+	ANDQ AX, R15
+	POPCNTQ R15, R15
+	SUBQ R15, DX
+
+chHiAligned:
+	VPXORQ Z0, Z0, Z0
+
+chLoop8:
+	CMPQ     BX, $8
+	JLT      chTail
+	VMOVDQU64 (R12), Z1
+	VPXORQ   (R13), Z1, Z1
+	VPOPCNTQ Z1, Z1
+	VPADDQ   Z1, Z0, Z0
+	ADDQ     $64, R12
+	ADDQ     $64, R13
+	SUBQ     $8, BX
+	JMP      chLoop8
+
+chTail:
+	TESTQ BX, BX
+	JZ    chFold
+	MOVQ  BX, CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	VMOVDQU64.Z (R12), K1, Z1
+	VMOVDQU64.Z (R13), K1, Z2
+	VPXORQ   Z2, Z1, Z1
+	VPOPCNTQ Z1, Z1
+	VPADDQ   Z1, Z0, Z0
+
+chFold:
+	VEXTRACTI64X4 $1, Z0, Y1
+	VPADDQ        Y1, Y0, Y0
+	SUMQ(Y0, X0, X1, AX)
+	ADDQ AX, DX
+
+chStore:
+	MOVQ DX, (R9)
+	MOVQ R14, R11              // this chunk's end is the next one's start
+	ADDQ $8, R8
+	ADDQ $8, R9
+	DECQ R10
+	JMP  chChunk
+
+chDone:
 	VZEROUPPER
 	RET
 

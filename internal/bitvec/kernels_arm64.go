@@ -23,16 +23,22 @@ func popcntXorNEONWrap(a, b []uint64) int {
 	return t
 }
 
+func popcntXorChunksNEON(a, b []uint64, bounds, out []int) {
+	chunksVia(popcntXorNEONWrap, a, b, bounds, out)
+}
+
 func init() {
 	// NEON (AdvSIMD) is baseline on arm64 — no feature probe needed.
-	// Only the popcount-Hamming kernel is vectorized. The tally kernel
-	// is load/store bound, where the Go compiler's scalar loop already
-	// competes, and the portable bind-bundle-majority sweep keeps a
+	// Only the popcount-Hamming kernel is vectorized; the chunk entry
+	// runs it once per chunk interior. The tally kernel is load/store
+	// bound, where the Go compiler's scalar loop already competes,
+	// and the portable bind-bundle-majority sweep keeps a
 	// word column's count planes in scalar registers; so those table
 	// entries stay on the portable reference.
 	neon := portableTable
 	neon.name = "neon"
 	neon.popcntXor = popcntXorNEONWrap
+	neon.popcntXorChunks = popcntXorChunksNEON
 	registerKernels(neon)
 	kern = neon
 	applyKernelEnv()

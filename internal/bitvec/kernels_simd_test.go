@@ -368,3 +368,85 @@ func TestKernelDispatchReporting(t *testing.T) {
 		t.Fatalf("failed UseKernels changed the active table to %q", KernelName())
 	}
 }
+
+// evenBounds splits [0, n) into m chunks the way recovery does.
+func evenBounds(n, m int) []int {
+	b := make([]int, m+1)
+	for j := range b {
+		b[j] = j * n / m
+	}
+	return b
+}
+
+// checkHammingChunks compares every table entry with HammingRange over
+// the same chunk.
+func checkHammingChunks(t *testing.T, q *Vector, cs []*Vector, bounds []int) {
+	t.Helper()
+	m := len(bounds) - 1
+	table := HammingChunks(q, cs, bounds, nil)
+	if len(table) != len(cs)*m {
+		t.Fatalf("n=%d: table has %d entries, want %d", q.n, len(table), len(cs)*m)
+	}
+	for i, cv := range cs {
+		for j := 0; j < m; j++ {
+			if want := q.HammingRange(cv, bounds[j], bounds[j+1]); table[i*m+j] != want {
+				t.Fatalf("n=%d class %d chunk [%d,%d): %d != HammingRange %d",
+					q.n, i, bounds[j], bounds[j+1], table[i*m+j], want)
+			}
+		}
+	}
+}
+
+func TestHammingChunksMatchesHammingRange(t *testing.T) {
+	forEachKernel(t, func(t *testing.T, name string) {
+		rng := kernelRNG(205)
+		for _, n := range []int{1, 63, 64, 65, 777, 1000, 10000} {
+			q := Random(n, rng)
+			cs := []*Vector{q.Clone(), Random(n, rng), patternedVector(n, 0, rng),
+				patternedVector(n, 1, rng), patternedVector(n, 2, rng)}
+			cs[0].FlipBernoulli(0.1, rng)
+			for _, m := range []int{1, 3, 10, 13, 64, n} {
+				if m <= n {
+					checkHammingChunks(t, q, cs, evenBounds(n, m))
+				}
+			}
+			// Uneven bounds with empty chunks and word-aligned cuts.
+			for trial := 0; trial < 20; trial++ {
+				bounds := []int{rng.IntN(n + 1)}
+				for len(bounds) < 2+rng.IntN(12) {
+					last := bounds[len(bounds)-1]
+					next := last + rng.IntN(n-last+1)
+					if rng.IntN(3) == 0 {
+						next = min(n, (next+wordBits-1)/wordBits*wordBits)
+					}
+					bounds = append(bounds, next)
+				}
+				checkHammingChunks(t, q, cs, bounds)
+			}
+		}
+	})
+}
+
+func TestHammingChunksReusesOutAndRejectsBadBounds(t *testing.T) {
+	rng := kernelRNG(206)
+	q := Random(1000, rng)
+	cs := []*Vector{Random(1000, rng), Random(1000, rng)}
+	out := make([]int, 64)
+	bounds := evenBounds(1000, 10)
+	if got := HammingChunks(q, cs, bounds, out); &got[0] != &out[0] || len(got) != 20 {
+		t.Fatal("HammingChunks did not fill the caller's table in place")
+	}
+	if n := testing.AllocsPerRun(10, func() { HammingChunks(q, cs, bounds, out) }); n != 0 {
+		t.Fatalf("HammingChunks allocated %.0f times with a large enough table", n)
+	}
+	for _, bounds := range [][]int{{}, {-1, 10}, {0, 1001}, {0, 500, 400, 1000}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("bounds %v accepted", bounds)
+				}
+			}()
+			HammingChunks(q, cs, bounds, nil)
+		}()
+	}
+}

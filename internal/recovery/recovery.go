@@ -145,6 +145,10 @@ type Recoverer struct {
 	stats Stats
 	// chunk boundaries, precomputed
 	bounds []int
+	// Observe's scratch: the class vectors and the k×m (class, chunk)
+	// Hamming table of the current trusted query
+	classes []*bitvec.Vector
+	table   []int
 	// per-class rings of recent trusted queries (ensemble mode only)
 	rings map[int]*queryRing
 }
@@ -218,26 +222,37 @@ func (r *Recoverer) Observe(q *bitvec.Vector) (pred int, updated bool) {
 	}
 	r.stats.Trusted++
 
-	classVec := r.model.ClassVector(pred)
+	// The (class, chunk) Hamming table is built only past the gate,
+	// so an untrusted query pays for the one re-score above and no
+	// more. Substitution into chunk c rewrites bits of that chunk only,
+	// so the entries of later chunks stay those of the live model.
+	r.classes = r.classes[:0]
+	for c := 0; c < r.model.Classes(); c++ {
+		r.classes = append(r.classes, r.model.ClassVector(c))
+	}
+	r.table = bitvec.HammingChunks(q, r.classes, r.bounds, r.table)
+	classVec := r.classes[pred]
 	source := r.substitutionSource(pred, q)
-	k := r.model.Classes()
-	for c := 0; c < r.cfg.Chunks; c++ {
+	m := r.cfg.Chunks
+	for c := 0; c < m; c++ {
 		lo, hi := r.bounds[c], r.bounds[c+1]
 		r.stats.ChunksChecked++
 		// Chunk-local similarity contest: the chunk is healthy when
 		// the trusted class wins (ties resolve in its favor). The
-		// guard band absorbs finite-chunk sampling noise.
+		// guard band absorbs finite-chunk sampling noise. Similarities
+		// are SimilarityRange's 1 - h/(hi-lo) over the table's h.
 		guard := 0.0
 		if r.cfg.GuardZ > 0 {
 			guard = r.cfg.GuardZ / (2 * math.Sqrt(float64(hi-lo)))
 		}
-		own := q.SimilarityRange(classVec, lo, hi)
+		width := float64(hi - lo)
+		own := 1 - float64(r.table[pred*m+c])/width
 		faulty := false
-		for other := 0; other < k; other++ {
+		for other := range r.classes {
 			if other == pred {
 				continue
 			}
-			if q.SimilarityRange(r.model.ClassVector(other), lo, hi) > own+guard {
+			if 1-float64(r.table[other*m+c])/width > own+guard {
 				faulty = true
 				break
 			}

@@ -45,6 +45,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"sync"
@@ -601,6 +602,12 @@ func (s *Server) enqueueRecovery(q *bitvec.Vector) {
 // then lands on the current state, or on the abandoned one, whose
 // writes nobody reads. It exits once the channel is closed and fully
 // drained, so Close never abandons queued observations.
+//
+// It yields after every observation. A trusted-query send wakes it,
+// and an observation is short, so without the yield it would run
+// queued observations back to back, each taking the writer lock and
+// publishing an epoch, while the batchers and the clients they answer
+// wait for a processor.
 func (s *Server) recoveryLoop() {
 	defer s.bg.Done()
 	for q := range s.recCh {
@@ -611,6 +618,7 @@ func (s *Server) recoveryLoop() {
 		default:
 			st.rep.Observe(q)
 		}
+		runtime.Gosched()
 	}
 }
 

@@ -95,6 +95,39 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(ss / float64(len(x)-1))
 }
 
+// SEM returns the standard error of the mean, StdDev(x)/sqrt(n), or 0
+// when x has fewer than two elements.
+func SEM(x []float64) float64 {
+	if len(x) < 2 {
+		return 0
+	}
+	return StdDev(x) / math.Sqrt(float64(len(x)))
+}
+
+// CohensD returns Cohen's d for two independent samples: the
+// difference of their means, Mean(a) − Mean(b), over the pooled
+// sample standard deviation
+// sqrt(((na−1)·sa² + (nb−1)·sb²)/(na+nb−2)). When the pooled deviation
+// is 0 it returns 0 for equal means and ±Inf otherwise. It returns NaN
+// when a sample is empty or the two hold fewer than three values
+// together, where no pooled deviation exists.
+func CohensD(a, b []float64) float64 {
+	na, nb := len(a), len(b)
+	if na == 0 || nb == 0 || na+nb < 3 {
+		return math.NaN()
+	}
+	sa, sb := StdDev(a), StdDev(b)
+	pooled := math.Sqrt((float64(na-1)*sa*sa + float64(nb-1)*sb*sb) / float64(na+nb-2))
+	diff := Mean(a) - Mean(b)
+	if pooled == 0 {
+		if diff == 0 {
+			return 0
+		}
+		return math.Inf(int(math.Copysign(1, diff)))
+	}
+	return diff / pooled
+}
+
 // Median returns the median of x, or 0 for an empty slice. The input is
 // not modified.
 func Median(x []float64) float64 {

@@ -122,6 +122,41 @@ func TestMeanStdDevMedian(t *testing.T) {
 	}
 }
 
+// TestSEMAndCohensD checks both against hand-computed values.
+func TestSEMAndCohensD(t *testing.T) {
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
+	// Squared deviations from the mean 5 sum to 32: s² = 32/7, so
+	// SEM = sqrt(32/7/8) = sqrt(4/7).
+	if got := SEM([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !near(got, math.Sqrt(4.0/7)) {
+		t.Errorf("SEM = %v, want sqrt(4/7)", got)
+	}
+	if SEM(nil) != 0 || SEM([]float64{3}) != 0 {
+		t.Error("SEM of fewer than two values is not 0")
+	}
+	cases := []struct {
+		a, b []float64
+		want float64
+	}{
+		{[]float64{1, 2, 3}, []float64{3, 4, 5}, -2}, // means 2 and 4, s = 1 each
+		// means 4 and 3; pooled s² = (2·4 + 4·2.5)/6 = 3
+		{[]float64{2, 4, 6}, []float64{1, 2, 3, 4, 5}, 1 / math.Sqrt(3)},
+		{[]float64{1, 1}, []float64{1, 1}, 0},
+		{[]float64{1, 1}, []float64{2, 2}, math.Inf(-1)},
+		{[]float64{3, 3, 3}, []float64{2}, math.Inf(1)},
+	}
+	for _, c := range cases {
+		got := CohensD(c.a, c.b)
+		if !near(got, c.want) && got != c.want {
+			t.Errorf("CohensD(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	for _, c := range [][2][]float64{{{1}, {2}}, {nil, {1, 2, 3}}, {{1, 2}, nil}} {
+		if got := CohensD(c[0], c[1]); !math.IsNaN(got) {
+			t.Errorf("CohensD(%v, %v) = %v, want NaN", c[0], c[1], got)
+		}
+	}
+}
+
 func TestMedianDoesNotMutate(t *testing.T) {
 	x := []float64{3, 1, 2}
 	Median(x)
