@@ -102,7 +102,6 @@ func main() {
 	clusterRun := flag.Int("cluster", 0, "dram: weak cells per wordline-correlated run (0 = independent)")
 	campaignRate := flag.Float64("campaign-rate", 0, "adversarial: image fraction flipped per step (0 = default)")
 	campaignEvery := flag.Duration("campaign-every", 0, "adversarial: period between campaign steps (0 = default 1s)")
-	campaignTargeted := flag.Bool("campaign-targeted", false, "adversarial: pick worst-case victim bits")
 	watchdog := flag.Duration("watchdog", 0, "degradation watchdog window interval (0 disables)")
 	accDrop := flag.Float64("watchdog-drop", 0, "watchdog: tolerated probe-accuracy drop below the checkpoint stamp (0 = default 0.02)")
 	cpFloor := flag.Float64("checkpoint-floor", 0, "minimum stamped accuracy for checkpoints and /restore uploads (0 = default 0.5)")
@@ -169,7 +168,6 @@ func main() {
 			ClusterRun:        *clusterRun,
 			RatePerStep:       *campaignRate,
 			StepEvery:         *campaignEvery,
-			Targeted:          *campaignTargeted,
 		}
 	}
 

@@ -7,17 +7,6 @@ import (
 	"repro/internal/hdc/model"
 )
 
-// BitReader is optionally implemented by images whose stored bits can
-// be read back. Substrate fault processes use it to model physically
-// faithful faults: DRAM decay discharges a cell toward a fixed leak
-// value (a flip only when the stored bit disagrees), and worn NVM
-// cells latch the value they held when they failed.
-type BitReader interface {
-	// BitValue reports the stored value of bit b of element i, under
-	// the same addressing as Image.FlipBit.
-	BitValue(i, b int) bool
-}
-
 // BinaryModel adapts a deployed binary memory to the Image interface:
 // one element per (row, dimension) bit, row-major. The rows are a
 // dense model's class hypervectors or a LogHD deployment's base
@@ -80,7 +69,11 @@ func (b *BinaryModel) FlipBit(i, bit int) {
 	v.Flip(j)
 }
 
-// BitValue reports the stored value of element i's single bit.
+// BitValue reports the stored value of element i's single bit. The
+// substrate fault processes read it to model physically faithful
+// faults: DRAM decay discharges a cell toward a fixed leak value (a
+// flip only when the stored bit disagrees), and worn NVM cells latch
+// the value they held when they failed.
 func (b *BinaryModel) BitValue(i, bit int) bool {
 	v, j := b.at(i, bit)
 	return v.Get(j)

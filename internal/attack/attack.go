@@ -107,6 +107,46 @@ func Targeted(img Image, rate float64, rng *rand.Rand) (Result, error) {
 	return Result{BitsFlipped: flipped, ElementsHit: len(hit)}, nil
 }
 
+// Burst injects a clustered fault: every bit of a contiguous span of
+// elements flips independently with flipProb. This is the row-hammer
+// shape — physical attacks corrupt adjacent memory rows, not uniformly
+// scattered bits — and the localized damage the recovery loop's chunk
+// detection is most sensitive to. spanFrac is the fraction of the
+// element range covered (0, 1]; the span's position is random.
+func Burst(img Image, spanFrac, flipProb float64, rng *rand.Rand) (Result, error) {
+	if spanFrac <= 0 || spanFrac > 1 {
+		return Result{}, fmt.Errorf("attack: span fraction %v out of (0,1]", spanFrac)
+	}
+	if flipProb < 0 || flipProb > 1 {
+		return Result{}, fmt.Errorf("attack: flip probability %v out of [0,1]", flipProb)
+	}
+	elements := img.Elements()
+	bits := img.BitsPerElement()
+	span := int(spanFrac * float64(elements))
+	if span < 1 {
+		span = 1
+	}
+	lo := 0
+	if elements > span {
+		lo = rng.IntN(elements - span + 1)
+	}
+	var res Result
+	for e := lo; e < lo+span; e++ {
+		hit := false
+		for b := 0; b < bits; b++ {
+			if rng.Float64() < flipProb {
+				img.FlipBit(e, b)
+				res.BitsFlipped++
+				hit = true
+			}
+		}
+		if hit {
+			res.ElementsHit++
+		}
+	}
+	return res, nil
+}
+
 func checkImage(img Image, rate float64) error {
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("attack: rate %v out of [0,1]", rate)

@@ -93,7 +93,7 @@ func FuzzFlipBit(f *testing.F) {
 				continue
 			}
 
-			reader := img.(BitReader)
+			reader := img.(interface{ BitValue(i, b int) bool })
 			before := reader.BitValue(elem, bit)
 			if flip() {
 				t.Fatalf("FlipBit(%d, %d) on %T: in-range address panicked", elem, bit, img)

@@ -318,9 +318,10 @@ func (s *System) Accuracy(xs [][]float64, ys []int) float64 {
 
 // AttackImage returns the attack surface of the deployed memory: the
 // class hypervectors for the dense backend, the base planes for the
-// compressed one. The adapter implements attack.BitReader, so
-// substrate fault processes decay either deployment.
-func (s *System) AttackImage() attack.Image {
+// compressed one, one bit per element either way. It is the image the
+// one-shot drills flip and the substrate fault processes read and
+// fault.
+func (s *System) AttackImage() *attack.BinaryModel {
 	if s.log != nil {
 		return attack.NewLogHDPlanes(s.log)
 	}

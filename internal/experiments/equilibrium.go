@@ -97,7 +97,6 @@ func Equilibrium(ctx *Context) (*EquilibriumResult, error) {
 			Seed:        ctx.trialSeed("equilibrium", ri, trial),
 			RatePerStep: rate,
 			StepEvery:   time.Second,
-			Targeted:    true,
 		}, sys.AttackImage())
 		if err != nil {
 			panic(err)

@@ -95,7 +95,6 @@ func FleetDrill(ctx *Context) (*FleetDrillResult, error) {
 				Kind:        "adversarial",
 				RatePerStep: FleetDrillRate,
 				StepEvery:   time.Second,
-				Targeted:    true,
 			},
 			// The drill drives fault time and sweeps by hand; park the
 			// background loops.
@@ -117,7 +116,6 @@ func FleetDrill(ctx *Context) (*FleetDrillResult, error) {
 			Seed:        ctx.trialSeed("fleetdrill-twin", 0, trial),
 			RatePerStep: FleetDrillRate,
 			StepEvery:   time.Second,
-			Targeted:    true,
 		}, twin.AttackImage())
 		if err != nil {
 			panic(err)

@@ -104,3 +104,70 @@ func TestSECDEDMatchesCostModelStorage(t *testing.T) {
 		t.Fatalf("codec overhead %v != cost model %v", overhead, e.StorageOverhead)
 	}
 }
+
+// iidFlips encodes n random words, flips each of the 72 stored bits
+// (data and check byte) independently with probability ber, and
+// decodes them. It counts the words an unprotected memory would read
+// wrong (a data bit flipped), the words the codec failed to restore
+// (flagged uncorrectable or decoded to the wrong data), and the words
+// that took two or more flips.
+func iidFlips(n int, ber float64, seed uint64) (raw, lost, multi int) {
+	var c SECDED
+	rng := stats.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		word := rng.Uint64()
+		data, check := word, c.Encode(word)
+		flips := 0
+		for b := 0; b < 72; b++ {
+			if rng.Float64() >= ber {
+				continue
+			}
+			flips++
+			if b < 64 {
+				data ^= 1 << uint(b)
+			} else {
+				check ^= 1 << uint(b-64)
+			}
+		}
+		if data != word {
+			raw++
+		}
+		if got, _, res := c.Decode(data, check); got != word || res == DecodeUncorrectable {
+			lost++
+		}
+		if flips >= 2 {
+			multi++
+		}
+	}
+	return raw, lost, multi
+}
+
+// TestSECDEDCorrectsSparseIIDFlips: at a mild bit error rate most
+// corrupted words hold one error, which SECDED repairs — it leaves at
+// most a quarter of the words an unprotected memory would read wrong,
+// and never loses a word that took fewer than two flips.
+func TestSECDEDCorrectsSparseIIDFlips(t *testing.T) {
+	const words = 3000
+	raw, lost, multi := iidFlips(words, 0.002, 5)
+	if raw == 0 {
+		t.Fatal("expected some raw corruption at BER 0.002")
+	}
+	if lost*4 > raw || lost > multi {
+		t.Fatalf("codec lost %d of %d words (raw corrupt %d, multi-flip %d)", lost, words, raw, multi)
+	}
+}
+
+// TestSECDEDOverwhelmedAtHighBER: at 5% i.i.d. flips most words take
+// two or more errors, beyond single-error correction; the lost
+// fraction is of the order ECCModel.UncorrectableRate prices.
+func TestSECDEDOverwhelmedAtHighBER(t *testing.T) {
+	const words = 3000
+	_, lost, multi := iidFlips(words, 0.05, 6)
+	if lost > multi {
+		t.Fatalf("codec lost %d words but only %d took two or more flips", lost, multi)
+	}
+	want := DefaultECC().UncorrectableRate(0.05)
+	if got := float64(lost) / words; got < want/4 {
+		t.Fatalf("lost fraction %v far below model %v", got, want)
+	}
+}

@@ -189,7 +189,6 @@ func TestE2EWatchdogEscalatesThenRollsBack(t *testing.T) {
 			Seed:        23,
 			RatePerStep: 0.35,
 			StepEvery:   time.Second,
-			Targeted:    true,
 		},
 		ScrubTick: manualDrive,
 	})

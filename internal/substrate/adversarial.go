@@ -2,25 +2,34 @@ package substrate
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/stats"
 )
 
-// AdversarialCampaign is a sustained targeted (or random) bit-flip
-// campaign: an attack.Process stepped on a fixed wall-clock cadence,
-// so an attacker with continuous access injects RatePerStep of the
-// image every StepEvery — the threat model of Yang & Ren's adversarial
-// HDC attacks, run against the live server instead of a batch script.
+// AdversarialCampaign is a sustained bit-flip campaign: attack.Random
+// stepped on a fixed wall-clock cadence, so an attacker with
+// continuous access injects RatePerStep of the image every StepEvery —
+// the threat model of Yang & Ren's adversarial HDC attacks, run
+// against the live server instead of a batch script. On a binary image
+// a targeted campaign would flip exactly the same bits: every element
+// is one bit, and that bit is its worst-case one.
 type AdversarialCampaign struct {
-	proc      *attack.Process
+	img       *attack.BinaryModel
+	rate      float64
+	rng       *rand.Rand
 	stepEvery time.Duration
 	carry     time.Duration
+	steps     int
 	stats     Stats
 }
 
-// NewAdversarialCampaign wraps an attack.Process over the image.
-func NewAdversarialCampaign(cfg Config, img attack.Image) (*AdversarialCampaign, error) {
+// NewAdversarialCampaign builds a campaign over the image. New
+// validates the rate; a rate outside [0, 1] given here directly fails
+// on the first step.
+func NewAdversarialCampaign(cfg Config, img *attack.BinaryModel) *AdversarialCampaign {
 	rate := cfg.RatePerStep
 	if rate <= 0 {
 		rate = 0.001
@@ -29,18 +38,19 @@ func NewAdversarialCampaign(cfg Config, img attack.Image) (*AdversarialCampaign,
 	if every <= 0 {
 		every = time.Second
 	}
-	proc, err := attack.NewProcess(img, rate, cfg.Targeted, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("substrate: %w", err)
+	return &AdversarialCampaign{
+		img:       img,
+		rate:      rate,
+		rng:       stats.NewRNG(cfg.Seed ^ 0x9E6C63D0876A9A99),
+		stepEvery: every,
 	}
-	return &AdversarialCampaign{proc: proc, stepEvery: every}, nil
 }
 
 // Name returns "adversarial".
 func (a *AdversarialCampaign) Name() string { return "adversarial" }
 
 // Steps returns how many campaign steps have fired.
-func (a *AdversarialCampaign) Steps() int { return a.proc.Steps() }
+func (a *AdversarialCampaign) Steps() int { return a.steps }
 
 // Advance fires one campaign step per StepEvery of accumulated wall
 // time (fractional remainders carry over to the next tick).
@@ -56,10 +66,11 @@ func (a *AdversarialCampaign) Advance(elapsed time.Duration) (attack.Result, err
 	const maxSteps = 64
 	for steps := 0; a.carry >= a.stepEvery && steps < maxSteps; steps++ {
 		a.carry -= a.stepEvery
-		r, err := a.proc.Step()
+		r, err := attack.Random(a.img, a.rate, a.rng)
 		if err != nil {
 			return res, err
 		}
+		a.steps++
 		res.BitsFlipped += r.BitsFlipped
 		res.ElementsHit += r.ElementsHit
 	}

@@ -24,9 +24,7 @@ import (
 // substitution, checkpoint rollback) can correct a leaked cell, after
 // which the cell decays again a retention time later.
 type DRAMDecay struct {
-	img     attack.Image
-	read    attack.BitReader // nil when the image cannot be read back
-	bitsPer int
+	img *attack.BinaryModel
 
 	scale     float64
 	refreshMs float64
@@ -50,7 +48,7 @@ type weakCell struct {
 // NewDRAMDecay samples the weak-cell population and returns the
 // process. Cells are sampled in runs of cfg.ClusterRun contiguous bits
 // sharing one retention time, modeling wordline-correlated defects.
-func NewDRAMDecay(cfg Config, img attack.Image) (*DRAMDecay, error) {
+func NewDRAMDecay(cfg Config, img *attack.BinaryModel) (*DRAMDecay, error) {
 	ret := cfg.Retention
 	if len(ret.Populations) == 0 {
 		ret = memsim.DefaultDRAMRetention()
@@ -67,18 +65,14 @@ func NewDRAMDecay(cfg Config, img attack.Image) (*DRAMDecay, error) {
 	if run <= 0 {
 		run = 1
 	}
-	n := imageBits(img)
+	n := img.Elements()
 	if n == 0 {
 		return nil, fmt.Errorf("substrate: empty image")
 	}
 	d := &DRAMDecay{
 		img:       img,
-		bitsPer:   img.BitsPerElement(),
 		scale:     scale,
 		refreshMs: refresh,
-	}
-	if r, ok := img.(attack.BitReader); ok {
-		d.read = r
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0xD2A98F1C65B40E77)
 	// A physical cell is weak at most once: sampling collisions are
@@ -156,17 +150,10 @@ func (d *DRAMDecay) enforce(res *attack.Result) {
 	for d.enforced < len(d.cells) && d.cells[d.enforced].retentionMs <= d.ageMs {
 		c := d.cells[d.enforced]
 		d.enforced++
-		elem, bit := c.pos/d.bitsPer, c.pos%d.bitsPer
-		if d.read != nil {
-			if d.read.BitValue(elem, bit) == c.discharge {
-				continue // already leaked (or stored the leak value): no error
-			}
-		} else if !c.discharge {
-			// Unreadable image: model the 50% of leaks that land on the
-			// stored value with the cell's fixed discharge coin.
-			continue
+		if d.img.BitValue(c.pos, 0) == c.discharge {
+			continue // already leaked (or stored the leak value): no error
 		}
-		d.img.FlipBit(elem, bit)
+		d.img.FlipBit(c.pos, 0)
 		res.BitsFlipped++
 		res.ElementsHit++
 	}

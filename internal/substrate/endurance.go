@@ -22,10 +22,8 @@ import (
 // exactly the late-lifetime regime of the paper's Figure 4a, where
 // recovery itself consumes the array's remaining endurance.
 type EnduranceWear struct {
-	img     attack.Image
-	read    attack.BitReader
-	bitsPer int
-	model   memsim.EnduranceModel
+	img   *attack.BinaryModel
+	model memsim.EnduranceModel
 
 	// cells is sorted ascending by endurance; cells[:failed] are stuck.
 	cells         []wearCell
@@ -45,7 +43,7 @@ type wearCell struct {
 }
 
 // NewEnduranceWear samples per-cell endurance for the whole image.
-func NewEnduranceWear(cfg Config, img attack.Image) (*EnduranceWear, error) {
+func NewEnduranceWear(cfg Config, img *attack.BinaryModel) (*EnduranceWear, error) {
 	em := cfg.Endurance
 	if em.NominalWrites <= 0 {
 		em = memsim.DefaultEndurance()
@@ -53,19 +51,15 @@ func NewEnduranceWear(cfg Config, img attack.Image) (*EnduranceWear, error) {
 	if em.SigmaLog <= 0 {
 		em.SigmaLog = memsim.DefaultEndurance().SigmaLog
 	}
-	n := imageBits(img)
+	n := img.Elements()
 	if n == 0 {
 		return nil, fmt.Errorf("substrate: empty image")
 	}
 	e := &EnduranceWear{
 		img:       img,
-		bitsPer:   img.BitsPerElement(),
 		model:     em,
 		totalBits: n,
 		cells:     make([]wearCell, n),
-	}
-	if r, ok := img.(attack.BitReader); ok {
-		e.read = r
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x7F4A7C15E4D3B281)
 	logNominal := math.Log(em.NominalWrites)
@@ -112,30 +106,14 @@ func (e *EnduranceWear) Advance(elapsed time.Duration) (attack.Result, error) {
 	for e.failed < len(e.cells) && e.cells[e.failed].endurance <= e.perCellWrites {
 		c := &e.cells[e.failed]
 		e.failed++
-		elem, bit := c.pos/e.bitsPer, c.pos%e.bitsPer
-		if e.read != nil {
-			c.stuck = e.read.BitValue(elem, bit)
-		} else {
-			// Unreadable image: a stuck cell holds the wrong value with
-			// probability 1/2 (memsim.StuckBitErrorRate); use the
-			// position parity as the fixed coin.
-			c.stuck = c.pos&1 == 1
-			e.img.FlipBit(elem, bit)
-			res.BitsFlipped++
-			res.ElementsHit++
-		}
+		c.stuck = e.img.BitValue(c.pos, 0)
 	}
 	e.stats.FailedCells = int64(e.failed)
-	if e.read == nil {
-		e.stats.BitsFlipped += int64(res.BitsFlipped)
-		return res, nil
-	}
 	// Re-assert stuck values: writes into worn cells do not take.
 	for i := 0; i < e.failed; i++ {
 		c := &e.cells[i]
-		elem, bit := c.pos/e.bitsPer, c.pos%e.bitsPer
-		if e.read.BitValue(elem, bit) != c.stuck {
-			e.img.FlipBit(elem, bit)
+		if e.img.BitValue(c.pos, 0) != c.stuck {
+			e.img.FlipBit(c.pos, 0)
 			res.BitsFlipped++
 			res.ElementsHit++
 		}

@@ -6,14 +6,18 @@
 // setting, backed by memsim.DRAMRetention), endurance-limited NVM
 // whose cells stick at their last value once recovery writes wear them
 // out (Figure 4a, backed by memsim.EnduranceModel), and a sustained
-// adversarial campaign (attack.Process).
+// adversarial campaign (attack.Random on a wall-clock cadence).
 //
-// Concurrency: a FaultProcess mutates the deployed class hypervectors
-// through the same attack.Image the drills use, so every call —
-// Advance, NoteWrites, Refresh, Stats — must be serialized with model
-// reads and writes by the caller. The serve package's single-writer
-// lock is the reference pattern: the scrubber advances the process
-// under the exclusive lock, exactly like an attack drill.
+// Every process faults the one image a deployment exposes: its binary
+// rows (dense class hypervectors or LogHD planes), one bit per
+// element, read and flipped through *attack.BinaryModel.
+//
+// Concurrency: a FaultProcess mutates the deployed rows through the
+// same attack.BinaryModel the drills use, so every call — Advance,
+// NoteWrites, Refresh, Stats — must be serialized with model reads and
+// writes by the caller. The serve package's single-writer lock is the
+// reference pattern: the scrubber advances the process under the
+// exclusive lock, exactly like an attack drill.
 package substrate
 
 import (
@@ -103,12 +107,10 @@ type Config struct {
 	// StepEvery is the wall-clock period between campaign steps
 	// ("adversarial"; default 1s).
 	StepEvery time.Duration
-	// Targeted selects worst-case victim bits for the campaign.
-	Targeted bool
 }
 
 // New builds the configured fault process over the image.
-func New(cfg Config, img attack.Image) (FaultProcess, error) {
+func New(cfg Config, img *attack.BinaryModel) (FaultProcess, error) {
 	// The zero-value-means-default convention fills defaults with
 	// `v <= 0` tests, which NaN sails past; reject non-finite knobs up
 	// front so every kind shares the same rule.
@@ -135,13 +137,8 @@ func New(cfg Config, img attack.Image) (FaultProcess, error) {
 	case "endurance":
 		return NewEnduranceWear(cfg, img)
 	case "adversarial":
-		return NewAdversarialCampaign(cfg, img)
+		return NewAdversarialCampaign(cfg, img), nil
 	default:
 		return nil, fmt.Errorf("substrate: unknown kind %q (want dram, endurance, or adversarial)", cfg.Kind)
 	}
-}
-
-// imageBits returns the total stored bits of an image.
-func imageBits(img attack.Image) int {
-	return img.Elements() * img.BitsPerElement()
 }

@@ -15,20 +15,26 @@ import (
 // testImage builds a small trained binary model and its attack image.
 func testImage(t *testing.T) (*model.Model, *attack.BinaryModel) {
 	t.Helper()
-	const classes, dims = 4, 512
+	return benchImage(t, 4, 512)
+}
+
+// benchImage trains a classes × dims binary model on five random
+// encodings per class and returns it with its attack image.
+func benchImage(tb testing.TB, classes, dims int) (*model.Model, *attack.BinaryModel) {
+	tb.Helper()
 	rng := stats.NewRNG(7)
 	m, err := model.New(classes, dims)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	encoded := make([]*bitvec.Vector, 20)
+	encoded := make([]*bitvec.Vector, 5*classes)
 	labels := make([]int, len(encoded))
 	for i := range encoded {
 		encoded[i] = bitvec.Random(dims, rng)
 		labels[i] = i % classes
 	}
 	if err := m.Train(encoded, labels); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m, attack.NewBinaryModel(m)
 }
@@ -144,6 +150,70 @@ func TestDRAMDecayLeaksSaturatesAndRefreshPreservesErrors(t *testing.T) {
 	}
 }
 
+// TestDRAMDecayWeakCellsTrackBitErrorRate: the sampled weak-cell
+// population reproduces the retention model it is drawn from — the
+// share of image bits whose retention ends within IntervalForBER(b)
+// is b.
+func TestDRAMDecayWeakCellsTrackBitErrorRate(t *testing.T) {
+	_, img := benchImage(t, 26, 10000)
+	retention := memsim.DefaultDRAMRetention()
+	d, err := NewDRAMDecay(Config{Kind: "dram", Seed: 3, Retention: retention}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []float64{0.001, 0.02, 0.06} {
+		interval, err := retention.IntervalForBER(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weak := 0
+		for _, c := range d.cells {
+			if c.retentionMs < interval {
+				weak++
+			}
+		}
+		got := float64(weak) / float64(img.Elements())
+		if math.Abs(got-target) > target/2+0.005 {
+			t.Fatalf("interval %.1fms: weak fraction %v, model %v", interval, got, target)
+		}
+	}
+}
+
+// oneRefreshFlipShare advances a default-retention DRAMDecay by one
+// refresh interval of refreshMs and returns the share of image bits it
+// flipped.
+func oneRefreshFlipShare(t *testing.T, refreshMs float64) float64 {
+	t.Helper()
+	_, img := benchImage(t, 26, 10000)
+	d, err := NewDRAMDecay(Config{Kind: "dram", Seed: 2, RefreshIntervalMs: refreshMs}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Advance(time.Duration(refreshMs) * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(res.BitsFlipped) / float64(img.Elements())
+}
+
+// TestDRAMDecayCleanAtConventionalRefresh: at the default retention
+// model the conventional 64 ms refresh (model BER ≈ 0.4%) leaks well
+// under 1% of the image in one interval.
+func TestDRAMDecayCleanAtConventionalRefresh(t *testing.T) {
+	if got := oneRefreshFlipShare(t, 64); got > 0.01 {
+		t.Fatalf("64ms refresh: one interval flipped %v of the image, want <= 0.01", got)
+	}
+}
+
+// TestDRAMDecayRoundTripWhenClean: at a conservative 16 ms refresh no
+// weak cell of the default retention model discharges, so the image
+// reads back bit-exact.
+func TestDRAMDecayRoundTripWhenClean(t *testing.T) {
+	if got := oneRefreshFlipShare(t, 16); got != 0 {
+		t.Fatalf("16ms refresh: one interval flipped %v of the image, want 0", got)
+	}
+}
+
 func TestDRAMDecayClusterRunsAreContiguous(t *testing.T) {
 	_, img := testImage(t)
 	p, err := NewDRAMDecay(Config{
@@ -187,7 +257,7 @@ func TestEnduranceWearSticksCellsAgainstRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := p.(*EnduranceWear)
-	total := imageBits(img)
+	total := img.Elements()
 
 	// No traffic, no wear.
 	if res, _ := p.Advance(time.Second); res.BitsFlipped != 0 || e.FailedCells() != 0 {
@@ -242,7 +312,7 @@ func TestAdversarialCampaignStepsOnCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perStep := int(0.01 * float64(imageBits(img)))
+	perStep := int(0.01 * float64(img.Elements()))
 
 	res, err := p.Advance(25 * time.Millisecond)
 	if err != nil {
@@ -260,5 +330,45 @@ func TestAdversarialCampaignStepsOnCadence(t *testing.T) {
 	}
 	if got := p.(*AdversarialCampaign).Steps(); got != 3 {
 		t.Fatalf("campaign ran %d steps, want 3", got)
+	}
+	if st := p.Stats(); st.BitsFlipped != int64(3*perStep) {
+		t.Fatalf("campaign counted %d cumulative flips, want %d", st.BitsFlipped, 3*perStep)
+	}
+}
+
+// TestAdversarialCampaignMatchesRandomStream pins the campaign's fault
+// stream: on every step k it flips exactly the bits that attack.Random
+// flips on its own step k from the campaign's RNG (seed ^
+// 0x9E6C63D0876A9A99), so two campaigns with one seed flip the same
+// bits, step for step.
+func TestAdversarialCampaignMatchesRandomStream(t *testing.T) {
+	const seed, rate, steps = 42, 0.05, 4
+	m, img := testImage(t)
+	ref, refImg := testImage(t)
+	p, err := New(Config{
+		Kind:        "adversarial",
+		Seed:        seed,
+		RatePerStep: rate,
+		StepEvery:   time.Millisecond,
+	}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(seed ^ 0x9E6C63D0876A9A99)
+	for k := 0; k < steps; k++ {
+		got, err := p.Advance(time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := attack.Random(refImg, rate, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d: campaign %+v, Random %+v", k, got, want)
+		}
+		if d := damage(m, ref.SnapshotDeployed()); d != 0 {
+			t.Fatalf("step %d: campaign and Random differ in %d bits", k, d)
+		}
 	}
 }
